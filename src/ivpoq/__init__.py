@@ -5,7 +5,8 @@ bit commitment, shrinks the surviving seed sets to a claw with a
 pairwise-independent hash pair, and runs a preimage/measurement
 challenge whose honest conditional acceptance is 1/2 + cos^2(pi/8)/2.
 The second-phase decider is unbounded (brute force here) and every
-measurement is sampled from its exact distribution.
+measurement is sampled from its exact distribution: from integer counts
+wherever its probabilities are rational.
 """
 
 from .amplification import (
@@ -38,20 +39,14 @@ from .coherent_prover import (
 )
 from .commitment import (
     CommitScheme,
-    consistent_set,
     hiding_distance,
     make_scheme,
-    open_verify,
-    receiver_msg,
-    sender_msg,
 )
 from .hashing import (
     AFFINE_MOD_PRIME,
     GF2_AFFINE,
     HashFn,
-    eval_hash,
     pairwise_bias_bound,
-    preimage_in_set,
     sample_hash,
 )
 from .lemma_harness import (

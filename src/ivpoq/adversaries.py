@@ -35,8 +35,11 @@ from .hashing import HashFn
 from .verifier import (
     ProtocolParams,
     ProtocolViolation,
-    SessionRecord,
-    sample_hash,
+    check_reply,
+    check_v0_reply,
+    run_challenge,
+    run_preamble,
+    sample_hash,  # noqa: F401  (perfbench/tracing.py patches adversaries.sample_hash)
     v2_decide,
 )
 
@@ -129,13 +132,13 @@ class UnboundedClawProver(_ReplayableProver):
         state = self._state_for_commit(prefix)
         law = cp.commit_alpha_law(self.scheme, state, j, prefix)
         rng = self._rng("commit", len(prefix).to_bytes(2, "big"), *prefix)
-        return law.alpha(self._pick(law.probs, rng))
+        return law.alpha(cp.sample_index(law.counts, rng))
 
     def hash_response(self, t, h0, h1):
         state = self._state_after_commit(t)
-        ys, probs, _, _ = cp.hash_outcome_law(state, h0, h1)
+        ys, counts, _, _ = cp.hash_outcome_law(state, h0, h1)
         rng = self._rng("y", _prefix_key(t, h0, h1, 0))
-        return int(ys[self._pick(probs, rng)])
+        return int(ys[cp.sample_index(counts, rng)])
 
     def v0_response(self, t, h0, h1, y, xi):
         state = self._state_after_hash(t, h0, h1, y)
@@ -180,12 +183,6 @@ class UnboundedClawProver(_ReplayableProver):
         s0 = state.s0[h0.eval_many(state.s0) == y]
         s1 = state.s1[h1.eval_many(state.s1) == y]
         return cp.SupportState(self.scheme.ell, s0, s1)
-
-    @staticmethod
-    def _pick(probs: np.ndarray, rng: np.random.Generator) -> int:
-        cum = np.cumsum(probs)
-        u = rng.random() * cum[-1]
-        return int(np.searchsorted(cum, u, side="right").clip(0, len(probs) - 1))
 
 
 def unbounded_claw_prover(scheme: CommitScheme, r: bytes = b"") -> UnboundedClawProver:
@@ -245,13 +242,11 @@ def predict_claw_parity(prefix, xi: int, prover) -> int:
     if not getattr(prover, "replayable", False):
         raise ProtocolViolation("predictor needs a replayable prover")
     t, h0, h1, y = prefix
-    d = prover.d_response(t, h0, h1, y, xi)
+    d = check_reply(prover.d_response(t, h0, h1, y, xi), 1 << h0.ell, "d")
     if prover.d_response(t, h0, h1, y, xi) != d:
         raise ProverNondeterminism("d changed across replays of one prefix")
-    eta_10 = prover.eta_response(t, h0, h1, y, xi, d, 0)
-    eta_11 = prover.eta_response(t, h0, h1, y, xi, d, 1)
-    if eta_10 is None or eta_11 is None:
-        raise ProtocolViolation("prover aborted the measurement query")
+    eta_10 = check_reply(prover.eta_response(t, h0, h1, y, xi, d, 0), 2, "eta")
+    eta_11 = check_reply(prover.eta_response(t, h0, h1, y, xi, d, 1), 2, "eta")
     return eta_10 ^ eta_11 ^ 1
 
 
@@ -391,38 +386,11 @@ def binding_attack(
     ell = scheme.ell
     try:
         session = prover.new_session(rng)
-        r = int(rng.integers(1 << ell))
-        msgs: list[bytes] = []
-        for j in range(1, scheme.rounds + 1):
-            alpha = session.commit_message(j, tuple(msgs))
-            if not isinstance(alpha, bytes):
-                raise ProtocolViolation("sender message must be bytes")
-            msgs.append(alpha)
-            msgs.append(scheme.receiver_msg(j, r, tuple(msgs)))
-        t = tuple(msgs)
-
-        if params.grid_mode == "oracle":
-            size0 = int(scheme.consistent_mask(t, 0).sum())
-            j_idx = params.best_grid_index(size0)
-            if j_idx is None:
-                j_idx = int(rng.integers(params.m))
-        else:
-            j_idx = int(rng.integers(params.m))
-        k = params.ks[j_idx]
-        h0 = sample_hash(params.hash_family, ell, k, rng)
-        h1 = sample_hash(params.hash_family, ell, k, rng)
-        y = session.hash_response(t, h0, h1)
-        if not isinstance(y, (int, np.integer)) or not 0 <= int(y) < k:
-            raise ProtocolViolation("y out of range")
-        y = int(y)
-
+        prefix, _ = run_preamble(params, session, rng)
+        t, h0, h1, y = prefix
         xi = int(rng.integers(1 << ell))
-        resp = session.v0_response(t, h0, h1, y, xi)
-        if resp is None or len(resp) != 2 or resp[0] not in (0, 1):
-            raise ProtocolViolation("malformed measurement response")
-        bprime, xprime = int(resp[0]), int(resp[1])
+        bprime, xprime = check_v0_reply(session.v0_response(t, h0, h1, y, xi), ell)
 
-        prefix = (t, h0, h1, y)
         oracle = oracle_from_prover(prefix, prover, ell)
         z_list = goldreich_levin(oracle, ell, gl_advantage, gl_confidence, rng)
     except ProverNondeterminism:
@@ -455,32 +423,9 @@ def estimate_conditional_acceptance(
     prefix (classical provers are stateless, the honest prover rebuilds
     its post-y state by brute force).
     """
-    t, h0, h1, y = prefix
-    ell = params.ell
     accepts = 0
     for _ in range(trials):
         session = prover.session_from_prefix(prefix, rng)
-        record = SessionRecord(
-            scheme=params.scheme.name,
-            ell=ell,
-            t=t,
-            j=0,
-            k=h0.k,
-            h0=h0,
-            h1=h1,
-            y=y,
-            v1=int(rng.integers(2)),
-            xi=int(rng.integers(1 << ell)),
-        )
-        if record.v1 == 0:
-            record.bprime, record.xprime = session.v0_response(t, h0, h1, y, record.xi)
-        else:
-            record.d = int(session.d_response(t, h0, h1, y, record.xi))
-            record.v2 = int(rng.integers(2))
-            record.eta = int(
-                session.eta_response(t, h0, h1, y, record.xi, record.d, record.v2)
-            )
-        record.v2coin = int(rng.integers(8))
-        ok, _ = v2_decide(params, record)
+        ok, _ = v2_decide(params, run_challenge(params, session, prefix, 0, rng))
         accepts += ok
     return accepts / trials

@@ -7,9 +7,11 @@ filter, so amplitudes stay uniform and nonnegative and the state is
 fully described by the pair of support sets.  The first nonuniform
 object is the 2-amplitude residual qubit left after the d-measurement.
 
-Every measurement here is sampled from its exact distribution; the
-*_law functions expose those distributions for tests and for classical
-simulators that need them.
+Every measurement with rational outcome probabilities is sampled from
+integer counts with sample_index, so its law is exact; the *_law
+functions expose those counts for tests and for classical simulators
+that need them.  Only the pi/8-rotated eta measurement, whose
+probabilities involve cos^2(pi/8), draws a float.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 from .bits import check_ell, dot2, parity_u32, to_hex, wht
 from .commitment import CommitScheme, Transcript
 from .hashing import HashFn
+from .verifier import run_commit
 
 COS_PI8 = np.cos(np.pi / 8)
 SIN_PI8 = np.sin(np.pi / 8)
@@ -81,10 +84,13 @@ class ResidualQubit:
         return self.a0 * self.a0 + self.a1 * self.a1
 
 
-def _sample_index(weights: np.ndarray, rng: np.random.Generator) -> int:
-    cum = np.cumsum(weights, dtype=np.float64)
-    u = rng.random() * cum[-1]
-    return int(np.searchsorted(cum, u, side="right").clip(0, len(weights) - 1))
+def sample_index(counts: np.ndarray, rng: np.random.Generator) -> int:
+    """Draw i with probability counts[i] / sum(counts), exactly.
+
+    counts are nonnegative integers with a positive sum below 2^63.
+    """
+    cum = np.cumsum(counts, dtype=np.int64)
+    return int(np.searchsorted(cum, rng.integers(cum[-1]), side="right"))
 
 
 # commit phase ---------------------------------------------------------------
@@ -92,8 +98,8 @@ def _sample_index(weights: np.ndarray, rng: np.random.Generator) -> int:
 class CommitRoundLaw:
     """Exact law of the round-j sender message given the current state.
 
-    alphas[i] occurs with probability probs[i]; split(i) is the (s0, s1)
-    support pair the state collapses to when alphas[i] is observed.
+    alpha(i) is observed on counts[i] of the state's |S0|+|S1| branches;
+    split(i) is the (s0, s1) support pair the state collapses to then.
     Splits are materialized lazily so samplers only pay for the branch
     they take.
     """
@@ -106,15 +112,11 @@ class CommitRoundLaw:
         self._keys0 = keys0
         self._keys1 = keys1
         self._state = state
-        self.probs = (n0 + n1)[self._alive] / state.size
+        self.counts = (n0 + n1)[self._alive]
         self._decode = decode
 
     def alpha(self, i: int) -> bytes:
         return self._decode(int(self._alive[i]))
-
-    @property
-    def alphas(self) -> list[bytes]:
-        return [self._decode(int(k)) for k in self._alive]
 
     def split(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         key = self._alive[i]
@@ -142,21 +144,18 @@ def run_coherent_commit(
     number of (b, x) branches consistent with it; the support sets are
     filtered to the matching seeds and the receiver replies g_j(r, ...).
     """
-    state = SupportState.full(scheme.ell)
-    msgs: list[bytes] = []
-    for j in range(1, scheme.rounds + 1):
-        law = commit_alpha_law(scheme, state, j, tuple(msgs))
-        idx = _sample_index(law.probs, rng)
-        msgs.append(law.alpha(idx))
-        state = SupportState(scheme.ell, *law.split(idx))
-        msgs.append(scheme.receiver_msg(j, receiver_randomness, tuple(msgs)))
-    return tuple(msgs), state
+    session = HonestSession(scheme, rng)
+    return run_commit(scheme, session, receiver_randomness), session.state
 
 
 # hash measurement ------------------------------------------------------------
 
 def hash_outcome_law(state: SupportState, h0: HashFn, h1: HashFn):
-    """Exact law of y: Pr[y] = (|S0 n h0^-1(y)| + |S1 n h1^-1(y)|) / |state|."""
+    """Exact law of y as (ys, counts, y0, y1).
+
+    Pr[ys[i]] = counts[i] / |state| with counts[i] = |S0 n h0^-1(ys[i])|
+    + |S1 n h1^-1(ys[i])|; y0 and y1 are the hashes of S0 and S1.
+    """
     if state.size == 0:
         raise EmptyStateError("hash measurement on empty state")
     y0 = h0.eval_many(state.s0)
@@ -164,16 +163,14 @@ def hash_outcome_law(state: SupportState, h0: HashFn, h1: HashFn):
     ys = np.union1d(y0, y1)
     n0 = np.bincount(np.searchsorted(ys, y0), minlength=len(ys))
     n1 = np.bincount(np.searchsorted(ys, y1), minlength=len(ys))
-    probs = (n0 + n1) / state.size
-    return ys, probs, y0, y1
+    return ys, n0 + n1, y0, y1
 
 
 def measure_hash(
     state: SupportState, h0: HashFn, h1: HashFn, rng: np.random.Generator
 ) -> tuple[int, SupportState]:
-    ys, probs, y0, y1 = hash_outcome_law(state, h0, h1)
-    idx = _sample_index(probs, rng)
-    y = int(ys[idx])
+    ys, counts, y0, y1 = hash_outcome_law(state, h0, h1)
+    y = int(ys[sample_index(counts, rng)])
     return y, SupportState(state.ell, state.s0[y0 == y], state.s1[y1 == y])
 
 
@@ -199,21 +196,24 @@ def d_outcome_law(state: SupportState, xi: int):
     transforms of the branch indicator vectors; everything before the
     final normalization is exact integer arithmetic.
     """
+    a0, a1 = _d_amplitudes(state, xi)
+    probs = (a0 * a0 + a1 * a1) / ((1 << state.ell) * state.size)
+    return probs, a0, a1
+
+
+def _d_amplitudes(state: SupportState, xi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Integer amplitudes (a_0(d), a_1(d)) for every d, by two WHTs."""
     if state.size == 0:
         raise EmptyStateError("measurement on empty state")
     check_ell(state.ell)
-    n = 1 << state.ell
-    w = np.zeros((2, n), dtype=np.int64)
+    w = np.zeros((2, 1 << state.ell), dtype=np.int64)
     c0 = parity_u32(state.s0 & np.int64(xi)).astype(np.int64)
     c1 = parity_u32(state.s1 & np.int64(xi)).astype(np.int64) ^ 1
     np.add.at(w[0], state.s0[c0 == 0], 1)
     np.add.at(w[1], state.s0[c0 == 1], 1)
     np.add.at(w[0], state.s1[c1 == 0], 1)
     np.add.at(w[1], state.s1[c1 == 1], 1)
-    a0 = wht(w[0])
-    a1 = wht(w[1])
-    probs = (a0 * a0 + a1 * a1) / (n * state.size)
-    return probs, a0, a1
+    return wht(w[0]), wht(w[1])
 
 
 def residual_for_d(state: SupportState, xi: int, d: int) -> ResidualQubit:
@@ -240,8 +240,9 @@ def sample_d(
             qubit = residual_for_d(state, xi, d)
             if qubit.norm2 > 0:
                 return d, qubit
-    probs, a0, a1 = d_outcome_law(state, xi)
-    d = _sample_index(probs, rng)
+    # Weights a0^2 + a1^2 sum to 2^ell |state| <= 2^49, exact in int64.
+    a0, a1 = _d_amplitudes(state, xi)
+    d = sample_index(a0 * a0 + a1 * a1, rng)
     return d, ResidualQubit(float(a0[d]), float(a1[d]))
 
 
@@ -299,7 +300,7 @@ class HonestSession:
 
     def commit_message(self, j: int, prefix: Transcript) -> bytes:
         law = commit_alpha_law(self.scheme, self.state, j, prefix)
-        idx = _sample_index(law.probs, self.rng)
+        idx = sample_index(law.counts, self.rng)
         self.state = SupportState(self.scheme.ell, *law.split(idx))
         return law.alpha(idx)
 

@@ -125,15 +125,6 @@ class CommitScheme:
     def params_dict(self) -> dict:
         return {"name": self.name, "ell": self.ell}
 
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop("_buckets", None)
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._buckets = OrderedDict()
-
 
 class ConstScheme(CommitScheme):
     """One round; both messages are the empty string regardless of input."""
@@ -313,6 +304,12 @@ class Hm2Scheme(CommitScheme):
     def params_dict(self):
         return {"name": self.name, "ell": self.ell, "a": self.a}
 
+    def __getstate__(self):
+        # The F_r cache stays in this process; a copy starts empty.
+        state = dict(self.__dict__)
+        state["_buckets"] = OrderedDict()
+        return state
+
 
 _REGISTRY = {"const": ConstScheme, "ident": IdentScheme, "hm2": Hm2Scheme}
 
@@ -323,24 +320,6 @@ def make_scheme(name: str, ell: int, **params) -> CommitScheme:
     except KeyError:
         raise ValueError(f"unknown scheme {name!r}; choose from {sorted(_REGISTRY)}")
     return cls(ell, **params)
-
-
-# free-function views of the scheme surface ---------------------------------
-
-def sender_msg(scheme: CommitScheme, j: int, b: int, x: int, prefix: Transcript) -> bytes:
-    return scheme.sender_msg(j, b, x, prefix)
-
-
-def receiver_msg(scheme: CommitScheme, j: int, r: int, prefix: Transcript) -> bytes:
-    return scheme.receiver_msg(j, r, prefix)
-
-
-def open_verify(scheme: CommitScheme, t: Transcript, b: int, x: int) -> bool:
-    return scheme.open_verify(t, b, x)
-
-
-def consistent_set(scheme: CommitScheme, t: Transcript, b: int) -> list[int]:
-    return scheme.consistent_set(t, b)
 
 
 def run_classical_commit(scheme: CommitScheme, b: int, x: int, r: int) -> Transcript:

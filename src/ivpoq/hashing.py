@@ -17,7 +17,7 @@ The codomain [k] is represented 0-indexed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -151,15 +151,6 @@ def _uniform_below(p: int, rng: np.random.Generator) -> int:
         v = int.from_bytes(rng.bytes(nbytes), "big") & mask
         if v < p:
             return v
-
-
-def eval_hash(h: HashFn, x: int) -> int:
-    return h.eval(x)
-
-
-def preimage_in_set(h: HashFn, y: int, s: Iterable[int]) -> list[int]:
-    """Exact filtered subset {x in S : h(x) = y}, sorted."""
-    return [x for x in sorted(s) if h.eval(x) == y]
 
 
 def pairwise_bias_bound(h: HashFn) -> float:

@@ -8,7 +8,6 @@ verdict always ships a replayable counterexample.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -23,7 +22,7 @@ from .commitment import (
 from .coherent_prover import SupportState, commit_alpha_law, run_coherent_commit
 from .hashing import GF2_AFFINE, enumerate_family, family_size, sample_hash
 from .stats import hoeffding_halfwidth, wilson_interval
-from .verifier import grid_sizes
+from .verifier import grid_brackets, grid_sizes
 
 HOLDS = "holds"
 VIOLATED = "violated"
@@ -135,26 +134,12 @@ def find_grid_index(
         return None
     if size0 > 1 << ell or size1 > 1 << ell:
         raise ValueError("sizes exceed the domain")
+    # Try the size-0 brackets in ascending order; grid_bounds_ok also
+    # checks the size-1 bracket.
     ks = grid_sizes(ell, epsilon)
-    # k_j <= 2 size0 holds on a prefix and (1+eps) k_j >= 2 size0 on a
-    # suffix, so the smallest size-0 bracket is found by binary search;
-    # the size-1 bracket then follows from the balance precondition.
-    target = 2 * size0
-    hi = bisect.bisect_right(ks, target) - 1
-    if hi < 0:
-        return None
-    lo = 0
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if (1 + eps) * ks[mid] >= target:
-            hi = mid
-        else:
-            lo = mid + 1
-    for j in range(lo, len(ks)):
+    for j in grid_brackets(ell, epsilon, size0):
         if grid_bounds_ok(j, ks[j], size0, size1, eps):
             return j, ks[j]
-        if ks[j] > target:
-            return None
     return None
 
 
@@ -278,7 +263,7 @@ def coherent_transcript_law(scheme: CommitScheme) -> dict[Transcript, Fraction]:
     def walk(r: int, state: SupportState, prefix: tuple, prob: Fraction):
         j = len(prefix) // 2 + 1
         round_law = commit_alpha_law(scheme, state, j, prefix)
-        for i in range(len(round_law.probs)):
+        for i in range(len(round_law.counts)):
             s0, s1 = round_law.split(i)
             branch_prob = prob * Fraction(len(s0) + len(s1), state.size)
             with_alpha = prefix + (round_law.alpha(i),)

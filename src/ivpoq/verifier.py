@@ -1,7 +1,10 @@
 """The efficient first-phase verifier V1 and the inefficient decider V2.
 
 V1 drives one protocol session: coherent commit (playing the receiver),
-hash-pair challenge, and the two-challenge measurement phase.  V2 is a
+hash-pair challenge, and the two-challenge measurement phase.  The
+first two are run_preamble and the last is run_challenge; sessions,
+binding attacks and conditional estimates all run the first phase
+through them, so each prover reply is validated in one place.  V2 is a
 pure function of the resulting record: V1 appends three fair coin bits
 to the transcript, so the 7/8-acceptance branch of V2 is derandomized
 and every run replays to the same verdict.
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import bisect
 import json
+import math
 from dataclasses import dataclass, field
 from decimal import Decimal, getcontext
 from fractions import Fraction
@@ -73,6 +77,27 @@ def grid_sizes(ell: int, epsilon: float) -> tuple[int, ...]:
     return tuple(ks[: compute_m(ell, epsilon)])
 
 
+@lru_cache(maxsize=256)
+def _grid_caps(ell: int, epsilon: float) -> tuple[int, ...]:
+    """floor((1+epsilon) k_j) for each grid size, in exact rationals."""
+    one_plus_eps = 1 + Fraction(epsilon)
+    return tuple(math.floor(one_plus_eps * k) for k in grid_sizes(ell, epsilon))
+
+
+def grid_brackets(ell: int, epsilon: float, size0: int) -> range:
+    """The grid indices j with k_j <= 2*size0 <= (1+epsilon) k_j, ascending.
+
+    Both k_j and floor((1+epsilon) k_j) are nondecreasing in j, so the
+    indices form one contiguous run, found with two bisections.  It is
+    nonempty whenever 1 <= size0 <= 2^ell.
+    """
+    target = 2 * size0
+    return range(
+        bisect.bisect_left(_grid_caps(ell, epsilon), target),
+        bisect.bisect_right(grid_sizes(ell, epsilon), target),
+    )
+
+
 @dataclass
 class ProtocolParams:
     """Everything V1 needs to run sessions against a scheme."""
@@ -92,36 +117,15 @@ class ProtocolParams:
             raise ValueError(f"unknown grid mode {self.grid_mode!r}")
         self.m = compute_m(self.scheme.ell, self.epsilon)
         self.ks = grid_sizes(self.scheme.ell, self.epsilon)
-        self._one_plus_eps = 1 + Fraction(self.epsilon)
 
     @property
     def ell(self) -> int:
         return self.scheme.ell
 
     def best_grid_index(self, size0: int) -> int | None:
-        """Smallest j whose k = ceil((1+eps)^j) brackets 2*size0.
-
-        The bracketing index satisfies k <= 2*size0 <= (1+eps)*k; it
-        exists whenever 1 <= size0 <= 2^ell.  Exact Fraction compares.
-        """
-        if size0 < 1:
-            return None
-        target = 2 * size0
-        # j with k_j <= target form the prefix [0, hi]; (1+eps)*k_j >= target
-        # holds on a suffix, so the answer is the first j in that suffix.
-        hi = bisect.bisect_right(self.ks, target) - 1
-        if hi < 0:
-            return None
-        lo = 0
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._one_plus_eps * self.ks[mid] >= target:
-                hi = mid
-            else:
-                lo = mid + 1
-        if self._one_plus_eps * self.ks[lo] >= target and self.ks[lo] <= target:
-            return lo
-        return None
+        """Smallest j whose k = ceil((1+eps)^j) brackets 2*size0, or None."""
+        brackets = grid_brackets(self.ell, self.epsilon, size0)
+        return brackets[0] if brackets else None
 
     def config_dict(self) -> dict:
         return {
@@ -211,26 +215,24 @@ class SessionRecord:
         return rec
 
 
-def _check_bits(value, ell: int, what: str) -> int:
-    if not isinstance(value, (int, np.integer)) or not 0 <= int(value) < (1 << ell):
+def check_reply(value, bound: int, what: str) -> int:
+    """A prover's integer reply in [0, bound); anything else is a violation."""
+    if not isinstance(value, (int, np.integer)) or not 0 <= int(value) < bound:
         raise ProtocolViolation(f"{what} out of range")
     return int(value)
 
 
-def run_session(
-    params: ProtocolParams, prover, rng: np.random.Generator
-) -> SessionRecord:
-    """One full first phase.  Deterministic given the RNG stream.
+def check_v0_reply(reply, ell: int) -> tuple[int, int]:
+    """Validate a preimage-test reply (b', x') and return it as ints."""
+    try:
+        bprime, xprime = reply
+    except (TypeError, ValueError):
+        raise ProtocolViolation("malformed measurement response") from None
+    return check_reply(bprime, 2, "b'"), check_reply(xprime, 1 << ell, "x'")
 
-    Draw order: receiver seed, (grid index when uniform), h0, h1, v1,
-    xi, (v2 when v1=1), decision coin.  Prover messages are validated;
-    malformed sizes raise ProtocolViolation.
-    """
-    scheme = params.scheme
-    ell = scheme.ell
-    session = prover.new_session(rng)
 
-    r = int(rng.integers(1 << ell))
+def run_commit(scheme: CommitScheme, session, r: int) -> Transcript:
+    """The commit rounds: the session's alpha_j, the receiver's beta_j = g_j(r, .)."""
     msgs: list[bytes] = []
     for j in range(1, scheme.rounds + 1):
         alpha = session.commit_message(j, tuple(msgs))
@@ -238,47 +240,66 @@ def run_session(
             raise ProtocolViolation("sender message must be bytes")
         msgs.append(alpha)
         msgs.append(scheme.receiver_msg(j, r, tuple(msgs)))
-    t = tuple(msgs)
+    return tuple(msgs)
 
+
+def run_preamble(params: ProtocolParams, session, rng: np.random.Generator) -> tuple[tuple, int]:
+    """Commit rounds, grid choice and hash pair; returns ((t, h0, h1, y), j).
+
+    Draw order: receiver seed, (grid index when uniform or unbracketed),
+    h0, h1.
+    """
+    scheme = params.scheme
+    r = int(rng.integers(1 << scheme.ell))
+    t = run_commit(scheme, session, r)
+    j_idx = None
     if params.grid_mode == GRID_ORACLE:
-        size0 = int(scheme.consistent_mask(t, 0).sum())
-        j_idx = params.best_grid_index(size0)
-        if j_idx is None:
-            j_idx = int(rng.integers(params.m))
-    else:
+        j_idx = params.best_grid_index(int(scheme.consistent_mask(t, 0).sum()))
+    if j_idx is None:
         j_idx = int(rng.integers(params.m))
     k = params.ks[j_idx]
-    h0 = sample_hash(params.hash_family, ell, k, rng)
-    h1 = sample_hash(params.hash_family, ell, k, rng)
+    h0 = sample_hash(params.hash_family, scheme.ell, k, rng)
+    h1 = sample_hash(params.hash_family, scheme.ell, k, rng)
+    y = check_reply(session.hash_response(t, h0, h1), k, "y")
+    return (t, h0, h1, y), j_idx
 
-    y = session.hash_response(t, h0, h1)
-    if not isinstance(y, (int, np.integer)) or not 0 <= int(y) < k:
-        raise ProtocolViolation("y out of range")
-    y = int(y)
 
+def run_challenge(
+    params: ProtocolParams, session, prefix: tuple, j: int, rng: np.random.Generator
+) -> SessionRecord:
+    """The preimage or measurement test on a fixed prefix, plus the decision coin.
+
+    Draw order: v1, xi, (v2 when v1=1), decision coin.
+    """
+    t, h0, h1, y = prefix
+    ell = params.ell
     v1 = int(rng.integers(2))
     xi = int(rng.integers(1 << ell))
     record = SessionRecord(
-        scheme=scheme.name, ell=ell, t=t, j=j_idx, k=k, h0=h0, h1=h1, y=y, v1=v1, xi=xi
+        scheme=params.scheme.name, ell=ell, t=t, j=j, k=h0.k, h0=h0, h1=h1, y=y, v1=v1, xi=xi
     )
     if v1 == 0:
-        resp = session.v0_response(t, h0, h1, y, xi)
-        if resp is None or len(resp) != 2:
-            raise ProtocolViolation("malformed measurement response")
-        bprime, xprime = resp
-        if bprime not in (0, 1):
-            raise ProtocolViolation("b' out of range")
-        record.bprime = int(bprime)
-        record.xprime = _check_bits(xprime, ell, "x'")
+        record.bprime, record.xprime = check_v0_reply(session.v0_response(t, h0, h1, y, xi), ell)
     else:
-        record.d = _check_bits(session.d_response(t, h0, h1, y, xi), ell, "d")
+        record.d = check_reply(session.d_response(t, h0, h1, y, xi), 1 << ell, "d")
         record.v2 = int(rng.integers(2))
         eta = session.eta_response(t, h0, h1, y, xi, record.d, record.v2)
-        if eta not in (0, 1):
-            raise ProtocolViolation("eta out of range")
-        record.eta = int(eta)
+        record.eta = check_reply(eta, 2, "eta")
     record.v2coin = int(rng.integers(8))
     return record
+
+
+def run_session(
+    params: ProtocolParams, prover, rng: np.random.Generator
+) -> SessionRecord:
+    """One full first phase.  Deterministic given the RNG stream.
+
+    Draws as run_preamble then run_challenge.  Prover messages are
+    validated; a malformed one raises ProtocolViolation.
+    """
+    session = prover.new_session(rng)
+    prefix, j = run_preamble(params, session, rng)
+    return run_challenge(params, session, prefix, j, rng)
 
 
 def count_consistent_preimages(
@@ -405,12 +426,11 @@ def estimate_acceptance(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(
-                pool.map(
-                    _acceptance_chunk,
-                    [(params, prover, lo, hi, seed) for lo, hi in chunks],
-                )
-            )
+            futures = [
+                pool.submit(_acceptance_counts, params, prover, lo, hi, seed)
+                for lo, hi in chunks
+            ]
+            parts = [f.result() for f in futures]
     accepts = sum(p[0] for p in parts)
     unique = sum(p[1] for p in parts)
     unique_accepts = sum(p[2] for p in parts)
@@ -439,11 +459,6 @@ def estimate_acceptance(
         by_reason=reasons,
         seed=seed,
     )
-
-
-def _acceptance_chunk(args):
-    params, prover, lo, hi, seed = args
-    return _acceptance_counts(params, prover, lo, hi, seed)
 
 
 def _split_range(trials: int, workers: int) -> list[tuple[int, int]]:

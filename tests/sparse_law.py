@@ -18,9 +18,9 @@ from ivpoq.coherent_prover import (
 
 def sparse_challenge_law(ell, s0, s1, h0, h1, xi, v2):
     state = SupportState.from_sets(ell, s0, s1)
-    ys, yprobs, y0, y1 = hash_outcome_law(state, h0, h1)
+    ys, ycounts, y0, y1 = hash_outcome_law(state, h0, h1)
     law = {}
-    for y, py in zip(ys, yprobs):
+    for y, py in zip(ys, ycounts / state.size):
         post = SupportState(ell, state.s0[y0 == y], state.s1[y1 == y])
         dprobs, a0, a1 = d_outcome_law(post, xi)
         for d in np.flatnonzero(dprobs > 1e-18):

@@ -4,13 +4,9 @@ import numpy as np
 import pytest
 
 from ivpoq.commitment import (
-    consistent_set,
     hiding_distance,
     make_scheme,
-    open_verify,
-    receiver_msg,
     run_classical_commit,
-    sender_msg,
     transcript_distributions,
 )
 
@@ -27,15 +23,15 @@ def hm2_alpha2_reference(ell, a, r, x, b):
 
 def test_const_messages():
     sch = make_scheme("const", 4)
-    assert sender_msg(sch, 1, 0, 7, ()) == b""
-    assert sender_msg(sch, 1, 1, 12, ()) == b""
-    assert receiver_msg(sch, 1, 9, (b"",)) == b""
+    assert sch.sender_msg(1, 0, 7, ()) == b""
+    assert sch.sender_msg(1, 1, 12, ()) == b""
+    assert sch.receiver_msg(1, 9, (b"",)) == b""
 
 
 def test_ident_messages():
     sch = make_scheme("ident", 4)
-    assert sender_msg(sch, 1, 1, 0b0101, ()) == b"\x01\x05"
-    assert receiver_msg(sch, 1, 3, (b"\x01\x05",)) == b""
+    assert sch.sender_msg(1, 1, 0b0101, ()) == b"\x01\x05"
+    assert sch.receiver_msg(1, 3, (b"\x01\x05",)) == b""
 
 
 def test_hm2_messages_against_reference():
@@ -46,20 +42,20 @@ def test_hm2_messages_against_reference():
         r = int(rng.integers(1 << ell))
         x = int(rng.integers(1 << ell))
         b = int(rng.integers(2))
-        beta1 = receiver_msg(sch, 1, r, (b"",))
+        beta1 = sch.receiver_msg(1, r, (b"",))
         assert beta1 == r.to_bytes(2, "big")
-        alpha2 = sender_msg(sch, 2, b, x, (b"", beta1))
+        alpha2 = sch.sender_msg(2, b, x, (b"", beta1))
         assert alpha2 == hm2_alpha2_reference(ell, a, r, x, b)
 
 
 def test_round_validation():
     sch = make_scheme("hm2", 6, a=3)
     with pytest.raises(ValueError):
-        sender_msg(sch, 3, 0, 0, ())
+        sch.sender_msg(3, 0, 0, ())
     with pytest.raises(ValueError):
-        sender_msg(sch, 2, 0, 0, ())  # prefix too short
+        sch.sender_msg(2, 0, 0, ())  # prefix too short
     with pytest.raises(ValueError):
-        receiver_msg(sch, 1, 0, ())
+        sch.receiver_msg(1, 0, ())
 
 
 def test_perfect_correctness_all_schemes():
@@ -71,15 +67,15 @@ def test_perfect_correctness_all_schemes():
             x = int(rng.integers(64))
             r = int(rng.integers(64))
             t = run_classical_commit(sch, b, x, r)
-            assert open_verify(sch, t, b, x)
-            assert x in consistent_set(sch, t, b)
+            assert sch.open_verify(t, b, x)
+            assert x in sch.consistent_set(t, b)
 
 
 def test_open_verify_flipped_bit_fails_for_hm2():
     sch = make_scheme("hm2", 8, a=4)
     t = run_classical_commit(sch, 0, 77, 13)
-    assert open_verify(sch, t, 0, 77)
-    assert not open_verify(sch, t, 1, 77)
+    assert sch.open_verify(t, 0, 77)
+    assert not sch.open_verify(t, 1, 77)
 
 
 def test_open_verify_const_accepts_both_bits():
@@ -87,27 +83,27 @@ def test_open_verify_const_accepts_both_bits():
     t = run_classical_commit(sch, 0, 11, 22)
     for b in (0, 1):
         for x in (0, 11, 31):
-            assert open_verify(sch, t, b, x)
+            assert sch.open_verify(t, b, x)
 
 
 def test_open_verify_malformed_transcript():
     sch = make_scheme("const", 4)
     with pytest.raises(ValueError):
-        open_verify(sch, (b"",), 0, 0)
+        sch.open_verify((b"",), 0, 0)
 
 
 def test_consistent_sets_ident():
     sch = make_scheme("ident", 4)
     t = run_classical_commit(sch, 1, 0b0101, 0)
-    assert consistent_set(sch, t, 1) == [0b0101]
-    assert consistent_set(sch, t, 0) == []
+    assert sch.consistent_set(t, 1) == [0b0101]
+    assert sch.consistent_set(t, 0) == []
 
 
 def test_consistent_sets_const():
     sch = make_scheme("const", 4)
     t = run_classical_commit(sch, 0, 3, 5)
-    assert consistent_set(sch, t, 0) == list(range(16))
-    assert consistent_set(sch, t, 1) == list(range(16))
+    assert sch.consistent_set(t, 0) == list(range(16))
+    assert sch.consistent_set(t, 1) == list(range(16))
 
 
 def test_consistent_sets_hm2_match_independent_scan():
@@ -116,14 +112,14 @@ def test_consistent_sets_hm2_match_independent_scan():
     sch = make_scheme("hm2", ell, a=a)
     t = run_classical_commit(sch, 1, 100, 313)
     for b in (0, 1):
-        got = consistent_set(sch, t, b)
+        got = sch.consistent_set(t, b)
         want = [
             x
             for x in range(1 << ell)
             if hm2_alpha2_reference(ell, a, 313, x, b) == t[2]
         ]
         assert got == want
-    assert 100 in consistent_set(sch, t, 1)
+    assert 100 in sch.consistent_set(t, 1)
 
 
 def test_hiding_distance_controls():
@@ -160,8 +156,8 @@ def test_transcript_distribution_factorizes():
         counts = transcript_distributions(sch)
         for t, (c0, c1) in counts.items():
             r_t = int(sch.receiver_mask(t).sum())
-            assert c0 == r_t * len(consistent_set(sch, t, 0))
-            assert c1 == r_t * len(consistent_set(sch, t, 1))
+            assert c0 == r_t * len(sch.consistent_set(t, 0))
+            assert c1 == r_t * len(sch.consistent_set(t, 1))
 
 
 def test_scheme_registry():

@@ -9,18 +9,16 @@ from ivpoq.hashing import (
     GF2_AFFINE,
     HashFn,
     enumerate_family,
-    eval_hash,
     family_size,
     identity_hash,
     pairwise_bias_bound,
-    preimage_in_set,
     sample_hash,
 )
 
 
 def test_identity_member_evaluates_to_input():
     h = identity_hash(3)
-    assert eval_hash(h, 0b101) == 5
+    assert h.eval(0b101) == 5
     assert [h.eval(x) for x in range(8)] == list(range(8))
 
 
@@ -98,17 +96,23 @@ def test_pair_probability_quarter_for_ell3_k4():
     assert hits * 16 == 256
 
 
+def _preimages(h, y, s):
+    """{x in S : h(x) = y}, sorted, by the vectorized filter V2 uses."""
+    xs = np.array(sorted(s), dtype=np.int64)
+    return [int(x) for x in xs[h.eval_many(xs) == y]]
+
+
 def test_preimage_in_set():
     ident = identity_hash(3)
-    assert preimage_in_set(ident, 3, {0b011, 0b100}) == [0b011]
+    assert _preimages(ident, 3, {0b011, 0b100}) == [0b011]
     const = HashFn(family=AFFINE_MOD_PRIME, ell=4, k=5, a=0, b=7, p=(1 << 61) - 1)
     s = {1, 9, 4}
-    assert preimage_in_set(const, 2, s) == sorted(s)
-    assert preimage_in_set(const, 0, s) == []
+    assert _preimages(const, 2, s) == sorted(s)
+    assert _preimages(const, 0, s) == []
     rng = np.random.default_rng(11)
     h = sample_hash(AFFINE_MOD_PRIME, 4, 6, rng)
     s = set(int(v) for v in rng.integers(0, 16, size=9))
-    got = preimage_in_set(h, 2, s)
+    got = _preimages(h, 2, s)
     assert got == sorted(x for x in s if h.eval(x) == 2)
 
 

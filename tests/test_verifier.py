@@ -5,10 +5,15 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
-from ivpoq.adversaries import ScriptedProver, unbounded_claw_prover
+from ivpoq.adversaries import (
+    ScriptedProver,
+    binding_attack,
+    estimate_conditional_acceptance,
+    unbounded_claw_prover,
+)
 from ivpoq.coherent_prover import HONEST_UNIQUE_RATE, HonestProver
 from ivpoq.commitment import make_scheme, run_classical_commit
-from ivpoq.hashing import GF2_AFFINE, identity_hash, sample_hash
+from ivpoq.hashing import AFFINE_MOD_PRIME, GF2_AFFINE, identity_hash, sample_hash
 from ivpoq.verifier import (
     GRID_ORACLE,
     ProtocolParams,
@@ -131,6 +136,49 @@ def test_malformed_prover_messages_raise():
     with pytest.raises(ProtocolViolation):
         for seed in range(10):  # hit a v1=1 session
             run_session(params, bad_eta, np.random.default_rng(seed))
+
+
+# One malformed reply per (message, kind) on const at ell=4.
+MALFORMED = {
+    ("v0", "none"): None,
+    ("v0", "wrong-shape"): 5,
+    ("v0", "float"): (1.0, 0),
+    ("v0", "out-of-range"): (0, 10**9),
+    ("d", "none"): None,
+    ("d", "wrong-shape"): (0, 0),
+    ("d", "float"): 0.0,
+    ("d", "out-of-range"): 10**6,
+    ("eta", "none"): None,
+    ("eta", "wrong-shape"): (0, 1),
+    ("eta", "float"): 0.0,
+    ("eta", "out-of-range"): 7,
+}
+
+
+@pytest.mark.parametrize("caller", ["run_session", "conditional", "binding_attack"])
+@pytest.mark.parametrize("message,kind", sorted(MALFORMED))
+def test_malformed_challenge_reply_is_a_violation(caller, message, kind):
+    sch = make_scheme("const", 4)
+    params = ProtocolParams(scheme=sch, epsilon=0.5)
+    bad = MALFORMED[message, kind]
+    # eta = v2 makes the two-challenge predictor output 0 on every xi, so
+    # unless a reply is rejected the binding attack opens both bits.
+    replies = {"eta_fn": lambda t, h0, h1, y, xi, d, v2: v2}
+    replies[f"{message}_fn"] = lambda *args: bad
+    prover = ScriptedProver(sch, **replies)
+    if caller == "run_session":
+        with pytest.raises(ProtocolViolation):
+            for seed in range(16):  # reach both challenge branches
+                run_session(params, prover, np.random.default_rng(seed))
+    elif caller == "conditional":
+        rng = np.random.default_rng(1)
+        h = sample_hash(AFFINE_MOD_PRIME, 4, 3, rng)
+        with pytest.raises(ProtocolViolation):
+            estimate_conditional_acceptance(params, ((b"", b""), h, h, 0), prover, 16, rng)
+    else:
+        res = binding_attack(params, prover, np.random.default_rng(2))
+        assert not res.success
+        assert res.failure_reason
 
 
 # preimage counting ---------------------------------------------------------------
