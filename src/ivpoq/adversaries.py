@@ -23,6 +23,7 @@ The soundness pipeline is
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Callable
 
@@ -126,6 +127,13 @@ class UnboundedClawProver(_ReplayableProver):
         check_ell(scheme.ell)
         super().__init__(b"unbounded-claw" + r)
         self.scheme = scheme
+        self._memo = None
+
+    def new_session(self, rng: np.random.Generator) -> "UnboundedClawProver":
+        """Same scheme and coins, empty memo: a memo lives for one session."""
+        session = copy.copy(self)
+        session._memo = None
+        return session
 
     # exact honest-law sampling, PRF-randomized per query ------------------
     def commit_message(self, j, prefix):
@@ -135,33 +143,40 @@ class UnboundedClawProver(_ReplayableProver):
         return law.alpha(cp.sample_index(law.counts, rng))
 
     def hash_response(self, t, h0, h1):
-        state = self._state_after_commit(t)
+        state = cp.consistent_state(self.scheme, t)
         ys, counts, _, _ = cp.hash_outcome_law(state, h0, h1)
         rng = self._rng("y", _prefix_key(t, h0, h1, 0))
         return int(ys[cp.sample_index(counts, rng)])
 
     def v0_response(self, t, h0, h1, y, xi):
-        state = self._state_after_hash(t, h0, h1, y)
-        if state.size == 0:
-            raise ProtocolViolation("claw prover queried on unreachable prefix")
-        rng = self._rng("v0", _prefix_key(t, h0, h1, y), xi)
-        return cp.answer_v0(state, rng)
+        state, key, _ = self._post_hash(t, h0, h1, y)
+        return cp.answer_v0(state, self._rng("v0", key, xi))
 
     def d_response(self, t, h0, h1, y, xi):
-        state = self._state_after_hash(t, h0, h1, y)
-        if state.size == 0:
-            raise ProtocolViolation("claw prover queried on unreachable prefix")
-        rng = self._rng("d", _prefix_key(t, h0, h1, y), xi)
-        d, _ = cp.sample_d(state, xi, rng)
-        return d
+        state, key, memo = self._post_hash(t, h0, h1, y)
+        if ("d", xi) not in memo:
+            memo["d", xi] = cp.sample_d(state, xi, self._rng("d", key, xi))
+        return memo["d", xi][0]
 
     def eta_response(self, t, h0, h1, y, xi, d, v2):
-        state = self._state_after_hash(t, h0, h1, y)
-        qubit = cp.residual_for_d(state, xi, d)
-        rng = self._rng("eta", _prefix_key(t, h0, h1, y), xi, d, v2)
-        return 0 if rng.random() < cp.eta0_prob(qubit, v2) else 1
+        state, key, memo = self._post_hash(t, h0, h1, y)
+        if ("eta", xi, d, v2) not in memo:
+            drawn = memo.get(("d", xi))
+            qubit = drawn[1] if drawn and drawn[0] == d else cp.residual_for_d(state, xi, d)
+            rng = self._rng("eta", key, xi, d, v2)
+            memo["eta", xi, d, v2] = 0 if rng.random() < cp.eta0_prob(qubit, v2) else 1
+        return memo["eta", xi, d, v2]
 
     # state reconstruction --------------------------------------------------
+    def _post_hash(self, t, h0, h1, y):
+        """(state, prefix key, answers) of the prefix; answers are fixed by (r, prefix, query)."""
+        if self._memo is None or self._memo[0] != (t, h0, h1, y):
+            state = cp.consistent_state(self.scheme, t, (h0, h1, y))
+            if state.size == 0:
+                raise ProtocolViolation("claw prover queried on unreachable prefix")
+            self._memo = ((t, h0, h1, y), state, _prefix_key(t, h0, h1, y), {})
+        return self._memo[1:]
+
     def _state_for_commit(self, prefix: Transcript) -> cp.SupportState:
         state = cp.SupportState.full(self.scheme.ell)
         for jj in range(1, len(prefix) // 2 + 1):
@@ -172,17 +187,6 @@ class UnboundedClawProver(_ReplayableProver):
                 return cp.SupportState(state.ell, state.s0[:0], state.s1[:0])
             state = cp.SupportState(state.ell, *law.split(idx))
         return state
-
-    def _state_after_commit(self, t: Transcript) -> cp.SupportState:
-        s0 = np.flatnonzero(self.scheme.consistent_mask(t, 0)).astype(np.int64)
-        s1 = np.flatnonzero(self.scheme.consistent_mask(t, 1)).astype(np.int64)
-        return cp.SupportState(self.scheme.ell, s0, s1)
-
-    def _state_after_hash(self, t, h0, h1, y) -> cp.SupportState:
-        state = self._state_after_commit(t)
-        s0 = state.s0[h0.eval_many(state.s0) == y]
-        s1 = state.s1[h1.eval_many(state.s1) == y]
-        return cp.SupportState(self.scheme.ell, s0, s1)
 
 
 def unbounded_claw_prover(scheme: CommitScheme, r: bytes = b"") -> UnboundedClawProver:
@@ -391,7 +395,7 @@ def binding_attack(
         xi = int(rng.integers(1 << ell))
         bprime, xprime = check_v0_reply(session.v0_response(t, h0, h1, y, xi), ell)
 
-        oracle = oracle_from_prover(prefix, prover, ell)
+        oracle = oracle_from_prover(prefix, session, ell)
         z_list = goldreich_levin(oracle, ell, gl_advantage, gl_confidence, rng)
     except ProverNondeterminism:
         raise

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import check_ell, dot2, parity_u32, to_hex, wht
+from .bits import check_ell, dot2, parity_u32, wht
 from .commitment import CommitScheme, Transcript
 from .hashing import HashFn
 from .verifier import run_commit
@@ -63,13 +63,6 @@ class SupportState:
 
     def sets(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return tuple(int(x) for x in self.s0), tuple(int(x) for x in self.s1)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "ell": self.ell,
-            "s0": [to_hex(int(x), self.ell) for x in self.s0],
-            "s1": [to_hex(int(x), self.ell) for x in self.s1],
-        }
 
 
 @dataclass
@@ -146,6 +139,16 @@ def run_coherent_commit(
     """
     session = HonestSession(scheme, rng)
     return run_commit(scheme, session, receiver_randomness), session.state
+
+
+def consistent_state(scheme: CommitScheme, t: Transcript, hash_step=None) -> SupportState:
+    """Brute-force support sets: every (b, x) consistent with transcript t
+    and, given hash_step = (h0, h1, y), with h_b(x) = y as well."""
+    s0, s1 = (np.flatnonzero(scheme.consistent_mask(t, b)).astype(np.int64) for b in (0, 1))
+    if hash_step is not None:
+        h0, h1, y = hash_step
+        s0, s1 = s0[h0.eval_many(s0) == y], s1[h1.eval_many(s1) == y]
+    return SupportState(scheme.ell, s0, s1)
 
 
 # hash measurement ------------------------------------------------------------
@@ -278,14 +281,8 @@ class HonestProver:
         Diagnostic path for conditional-acceptance estimates: the state
         is recomputed by brute force from (t, h0, h1, y).
         """
-        t, h0, h1, y = prefix
-        scheme = self.scheme
-        s0 = np.flatnonzero(scheme.consistent_mask(t, 0)).astype(np.int64)
-        s1 = np.flatnonzero(scheme.consistent_mask(t, 1)).astype(np.int64)
-        s0 = s0[h0.eval_many(s0) == y]
-        s1 = s1[h1.eval_many(s1) == y]
-        session = HonestSession(scheme, rng)
-        session.state = SupportState(scheme.ell, s0, s1)
+        session = HonestSession(self.scheme, rng)
+        session.state = consistent_state(self.scheme, prefix[0], prefix[1:])
         return session
 
 

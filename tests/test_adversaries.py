@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
+from ivpoq import adversaries
 from ivpoq.adversaries import (
     PredictionOracle,
     ProverNondeterminism,
@@ -24,13 +25,14 @@ from ivpoq.coherent_prover import (
     hash_outcome_law,
 )
 from ivpoq.commitment import make_scheme, run_classical_commit
-from ivpoq.hashing import AFFINE_MOD_PRIME, sample_hash
+from ivpoq.hashing import AFFINE_MOD_PRIME, GF2_AFFINE, HashFn, sample_hash
 from ivpoq.verifier import (
     GRID_ORACLE,
     ProtocolParams,
     ProtocolViolation,
     count_consistent_preimages,
     estimate_acceptance,
+    run_preamble,
     run_session,
     v2_decide,
 )
@@ -156,6 +158,46 @@ def test_claw_prover_replay_is_deterministic():
     d2 = prover.d_response(t, h0, h1, y, 13)
     assert d1 == d2
     assert prover.d_response(t, h0, h1, y, 14) is not None  # distinct query, any value
+
+
+def claw_answers(prover, prefix, xis=range(8)):
+    t, h0, h1, y = prefix
+    out = []
+    for xi in xis:
+        d = prover.d_response(t, h0, h1, y, xi)
+        etas = tuple(prover.eta_response(t, h0, h1, y, xi, d, v2) for v2 in (0, 1))
+        out.append((prover.v0_response(t, h0, h1, y, xi), d, etas))
+    return out
+
+
+def test_claw_prover_memo_follows_prefix_changes():
+    # one instance queried on A, then B, then A answers as fresh instances do
+    sch = make_scheme("const", 5)
+    params = ProtocolParams(scheme=sch, epsilon=0.5)
+    prover = unbounded_claw_prover(sch, r=b"memo")
+    a, b = (run_preamble(params, prover, np.random.default_rng([120, i]))[0] for i in range(2))
+    assert a != b
+    fresh_a = claw_answers(unbounded_claw_prover(sch, r=b"memo"), a)
+    fresh_b = claw_answers(unbounded_claw_prover(sch, r=b"memo"), b)
+    assert fresh_a != fresh_b
+    assert claw_answers(prover, a) == fresh_a
+    assert claw_answers(prover, b) == fresh_b
+    assert claw_answers(prover, a) == fresh_a
+
+
+def test_claw_prover_unreachable_prefix_is_a_violation():
+    # ident at ell=4 commits to (0, 3); a constant-0 hash never outputs y = 2
+    sch = make_scheme("ident", 4)
+    h = HashFn(GF2_AFFINE, 4, 4, rows=(0, 0), shift=0)
+    t, y = (b"\x00\x03", b""), 2
+    prover = unbounded_claw_prover(sch)
+    for reply in (
+        lambda: prover.v0_response(t, h, h, y, 1),
+        lambda: prover.d_response(t, h, h, y, 1),
+        lambda: prover.eta_response(t, h, h, y, 1, 0, 0),
+    ):
+        with pytest.raises(ProtocolViolation, match="unreachable prefix"):
+            reply()
 
 
 def test_claw_prover_overall_acceptance_matches_honest():
@@ -400,6 +442,50 @@ def test_binding_attack_succeeds_on_const():
             assert sch.open_verify(t, *res.decommit1)
             assert res.decommit0[0] == 0 and res.decommit1[0] == 1
     assert wins >= 15
+
+
+def test_binding_attack_memo_matches_fresh_prover_per_query(monkeypatch):
+    # reference: every GL query asks a fresh session, so nothing is memoised
+    sch = make_scheme("const", 5)
+    params = ProtocolParams(scheme=sch, epsilon=0.5)
+    prover = unbounded_claw_prover(sch)
+    memoised = [binding_attack(params, prover, np.random.default_rng([110, i])) for i in range(10)]
+
+    def reference_oracle(prefix, session, ell):
+        return PredictionOracle(
+            ell=ell, fn=lambda xi: predict_claw_parity(prefix, xi, prover.new_session(None))
+        )
+
+    monkeypatch.setattr(adversaries, "oracle_from_prover", reference_oracle)
+    reference = [binding_attack(params, prover, np.random.default_rng([110, i])) for i in range(10)]
+    assert memoised == reference
+    assert sum(res.success for res in reference) >= 5
+
+
+def test_binding_attack_queries_the_session():
+    sch = make_scheme("const", 5)
+    params = ProtocolParams(scheme=sch, epsilon=0.5)
+
+    class Counting(ScriptedProver):
+        def __init__(self):
+            super().__init__(sch)
+            self.d_queries = 0
+            self.sessions = []
+
+        def new_session(self, rng):
+            self.sessions.append(Counting())
+            return self.sessions[-1]
+
+        def d_response(self, t, h0, h1, y, xi):
+            self.d_queries += 1
+            return super().d_response(t, h0, h1, y, xi)
+
+    prover = Counting()
+    res = binding_attack(params, prover, np.random.default_rng(0))
+    (session,) = prover.sessions
+    assert res.gl_queries > 0
+    assert prover.d_queries == 0
+    assert session.d_queries == 2 * res.gl_queries  # each predictor call replays d once
 
 
 def test_binding_attack_aborting_prover_fails_cleanly():
