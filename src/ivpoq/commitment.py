@@ -35,6 +35,8 @@ Transcript = tuple[bytes, ...]  # flat (alpha_1, beta_1, ..., alpha_L, beta_L)
 
 # Per-scheme seed-bucket caches are bounded to roughly this many bytes.
 _CACHE_BYTES = 1 << 28
+# Seeds hashed per decode in an F_r fill: bounds the digests held at once.
+_FILL_BLOCK = 1 << 10
 
 
 class CommitScheme:
@@ -83,7 +85,7 @@ class CommitScheme:
     def consistent_set(self, t: Transcript, b: int) -> list[int]:
         return [int(x) for x in np.flatnonzero(self.consistent_mask(t, b))]
 
-    def receiver_mask(self, t: Transcript, ) -> np.ndarray:
+    def receiver_mask(self, t: Transcript) -> np.ndarray:
         """Mask of receiver seeds r replaying every beta_j of t."""
         n = 1 << self.ell
         mask = np.ones(n, dtype=bool)
@@ -227,15 +229,17 @@ class Hm2Scheme(CommitScheme):
         if self._xbytes is None:
             nb = self._seed_bytes
             self._xbytes = [x.to_bytes(nb, "big") for x in range(n)]
-        shift = 32 - self.out_bits
-        base = hashlib.sha256(b"hm2" + to_bytes(r, self.ell))
+        copy = hashlib.sha256(b"hm2" + to_bytes(r, self.ell)).copy
         fvals = np.empty(n, dtype=np.int32)
-        xbytes = self._xbytes
-        copy = base.copy
-        for x in range(n):
-            h = copy()
-            h.update(xbytes[x])
-            fvals[x] = int.from_bytes(h.digest()[:4], "big") >> shift
+        for lo in range(0, n, _FILL_BLOCK):
+            digests = []
+            for xb in self._xbytes[lo : lo + _FILL_BLOCK]:
+                h = copy()
+                h.update(xb)
+                digests.append(h.digest())
+            # Word 0 of each 32-byte digest, big-endian, as compress() reads it.
+            words = np.frombuffer(b"".join(digests), dtype=">u4")[::8]
+            fvals[lo : lo + len(digests)] = words >> (32 - self.out_bits)
         evals = parity_u32(np.arange(n, dtype=np.uint32) & np.uint32(r)).astype(np.int8)
         self._buckets[r] = (fvals, evals)
         if len(self._buckets) > self._max_cached:
@@ -305,9 +309,10 @@ class Hm2Scheme(CommitScheme):
         return {"name": self.name, "ell": self.ell, "a": self.a}
 
     def __getstate__(self):
-        # The F_r cache stays in this process; a copy starts empty.
+        # The F_r cache and seed bytes stay in this process; a copy rebuilds them.
         state = dict(self.__dict__)
         state["_buckets"] = OrderedDict()
+        state["_xbytes"] = None
         return state
 
 

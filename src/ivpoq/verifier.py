@@ -127,16 +127,6 @@ class ProtocolParams:
         brackets = grid_brackets(self.ell, self.epsilon, size0)
         return brackets[0] if brackets else None
 
-    def config_dict(self) -> dict:
-        return {
-            "scheme": self.scheme.params_dict(),
-            "epsilon": self.epsilon,
-            "grid_mode": self.grid_mode,
-            "lambda": self.lam,
-            "hash_family": self.hash_family,
-            "m": self.m,
-        }
-
 
 @dataclass
 class SessionRecord:

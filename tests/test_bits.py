@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ivpoq.bits import dot2, parity, parity_u32, to_hex, from_hex, wht
 
@@ -30,6 +32,17 @@ def test_wht_matches_direct_sum():
             sum(int(vec[x]) * (-1) ** dot2(d, x) for x in range(n)) for d in range(n)
         ]
         assert out.tolist() == direct
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 8).flatmap(
+    lambda ell: st.lists(st.integers(-(1 << 20), 1 << 20), min_size=1 << ell, max_size=1 << ell)
+))
+def test_wht_equals_sign_matrix_product(vec):
+    n = len(vec)
+    d, x = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    signs = 1 - 2 * parity_u32(d & x).astype(np.int64)
+    assert wht(np.array(vec)).tolist() == (signs @ np.array(vec, dtype=np.int64)).tolist()
 
 
 def test_wht_rejects_bad_length():

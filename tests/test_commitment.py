@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 
 import numpy as np
 import pytest
@@ -120,6 +121,30 @@ def test_consistent_sets_hm2_match_independent_scan():
         ]
         assert got == want
     assert 100 in sch.consistent_set(t, 1)
+
+
+@pytest.mark.parametrize("ell,a", [(5, 4), (8, 1), (9, 1), (12, 8), (17, 1)])
+def test_hm2_bucket_matches_reference_for_every_seed(ell, a):
+    # out_bits 1, 7, 8, 4, 16; seed widths of 1, 1, 2, 2, 3 bytes; ell=12
+    # and ell=17 span several fill blocks.
+    sch = make_scheme("hm2", ell, a=a)
+    n = 1 << ell
+    for r in (0, n - 1, 0x5A5A5 % n):
+        fvals, evals = sch._bucket(r)
+        assert fvals.dtype == np.int32 and evals.dtype == np.int8
+        want = [hm2_alpha2_reference(ell, a, r, x, 0) for x in range(n)]
+        assert fvals.tolist() == [int.from_bytes(m[:-1], "big") for m in want]
+        assert evals.tolist() == [m[-1] for m in want]
+
+
+def test_hm2_pickle_drops_cache_and_keeps_answers():
+    sch = make_scheme("hm2", 9, a=4)
+    t = run_classical_commit(sch, 1, 100, 313)
+    want = sch.consistent_mask(t, 1)
+    assert sch._buckets and sch._xbytes is not None
+    copy = pickle.loads(pickle.dumps(sch))
+    assert not copy._buckets and copy._xbytes is None
+    assert (copy.consistent_mask(t, 1) == want).all()
 
 
 def test_hiding_distance_controls():

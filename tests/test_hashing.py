@@ -3,11 +3,14 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ivpoq.hashing import (
     AFFINE_MOD_PRIME,
     GF2_AFFINE,
     HashFn,
+    _PRIMES,
     enumerate_family,
     family_size,
     identity_hash,
@@ -132,6 +135,22 @@ def test_large_k_switches_prime():
     h = sample_hash(AFFINE_MOD_PRIME, 24, 1 << 24, rng)
     assert h.p >= (1 << 40) * h.k
     assert 0 <= h.eval(12345) < h.k
+
+
+_M61 = _PRIMES[0]
+_X24 = st.one_of(st.just(0), st.integers((1 << 24) - 64, (1 << 24) - 1), st.integers(0, (1 << 24) - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, _M61 - 1),
+    st.integers(0, _M61 - 1),
+    st.integers(1, (1 << 21) - 1),
+    st.lists(_X24, min_size=1, max_size=16),
+)
+def test_eval_many_m61_matches_scalar_eval(a, b, k, xs):
+    h = HashFn(family=AFFINE_MOD_PRIME, ell=24, k=k, a=a, b=b, p=_M61)
+    assert h.eval_many(xs).tolist() == [h.eval(x) for x in xs]
 
 
 def test_json_roundtrip():
