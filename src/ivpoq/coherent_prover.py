@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import check_ell, dot2, parity_u32, wht
-from .commitment import CommitScheme, Transcript
+from .commitment import CommitRoundLaw, CommitScheme, Transcript
 from .hashing import HashFn
 from .verifier import run_commit
 
@@ -82,50 +82,17 @@ def sample_index(counts: np.ndarray, rng: np.random.Generator) -> int:
 
     counts are nonnegative integers with a positive sum below 2^63.
     """
-    cum = np.cumsum(counts, dtype=np.int64)
-    return int(np.searchsorted(cum, rng.integers(cum[-1]), side="right"))
+    cum = counts.cumsum(dtype=np.int64)
+    return int(cum.searchsorted(rng.integers(int(cum[-1])), side="right"))
 
 
 # commit phase ---------------------------------------------------------------
 
-class CommitRoundLaw:
-    """Exact law of the round-j sender message given the current state.
-
-    alpha(i) is observed on counts[i] of the state's |S0|+|S1| branches;
-    split(i) is the (s0, s1) support pair the state collapses to then.
-    Splits are materialized lazily so samplers only pay for the branch
-    they take.
-    """
-
-    def __init__(self, scheme: CommitScheme, state: SupportState, j: int, prefix: Transcript):
-        keys0, keys1, n_keys, decode = scheme.alpha_partition(j, state.s0, state.s1, prefix)
-        n0 = np.bincount(keys0, minlength=n_keys)
-        n1 = np.bincount(keys1, minlength=n_keys)
-        self._alive = np.flatnonzero(n0 + n1)
-        self._keys0 = keys0
-        self._keys1 = keys1
-        self._state = state
-        self.counts = (n0 + n1)[self._alive]
-        self._decode = decode
-
-    def alpha(self, i: int) -> bytes:
-        return self._decode(int(self._alive[i]))
-
-    def split(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        key = self._alive[i]
-        return self._state.s0[self._keys0 == key], self._state.s1[self._keys1 == key]
-
-    def index_of(self, alpha: bytes) -> int | None:
-        for i in range(len(self._alive)):
-            if self.alpha(i) == alpha:
-                return i
-        return None
-
-
 def commit_alpha_law(
     scheme: CommitScheme, state: SupportState, j: int, prefix: Transcript
 ) -> CommitRoundLaw:
-    return CommitRoundLaw(scheme, state, j, prefix)
+    """Exact law of the round-j sender message given the current state."""
+    return scheme.alpha_partition(j, state.s0, state.s1, prefix)
 
 
 def run_coherent_commit(
@@ -144,7 +111,7 @@ def run_coherent_commit(
 def consistent_state(scheme: CommitScheme, t: Transcript, hash_step=None) -> SupportState:
     """Brute-force support sets: every (b, x) consistent with transcript t
     and, given hash_step = (h0, h1, y), with h_b(x) = y as well."""
-    s0, s1 = (np.flatnonzero(scheme.consistent_mask(t, b)).astype(np.int64) for b in (0, 1))
+    s0, s1 = scheme.consistent_seeds(t, 0), scheme.consistent_seeds(t, 1)
     if hash_step is not None:
         h0, h1, y = hash_step
         s0, s1 = s0[h0.eval_many(s0) == y], s1[h1.eval_many(s1) == y]
@@ -163,10 +130,8 @@ def hash_outcome_law(state: SupportState, h0: HashFn, h1: HashFn):
         raise EmptyStateError("hash measurement on empty state")
     y0 = h0.eval_many(state.s0)
     y1 = h1.eval_many(state.s1)
-    ys = np.union1d(y0, y1)
-    n0 = np.bincount(np.searchsorted(ys, y0), minlength=len(ys))
-    n1 = np.bincount(np.searchsorted(ys, y1), minlength=len(ys))
-    return ys, n0 + n1, y0, y1
+    ys, counts = np.unique(np.concatenate((y0, y1)), return_counts=True)
+    return ys, counts, y0, y1
 
 
 def measure_hash(

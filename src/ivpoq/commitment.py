@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +38,66 @@ Transcript = tuple[bytes, ...]  # flat (alpha_1, beta_1, ..., alpha_L, beta_L)
 _CACHE_BYTES = 1 << 28
 # Seeds hashed per decode in an F_r fill: bounds the digests held at once.
 _FILL_BLOCK = 1 << 10
+
+
+class CommitRoundLaw:
+    """Exact law of one round's sender message over a support state (S0, S1).
+
+    Message i is observed on counts[i] of the |S0|+|S1| branches, in
+    ascending key order, and alpha(i) is its bytes; split(i) is the
+    (s0, s1) pair of ascending int64 seeds the state collapses to then.
+    Splits are made on demand, so a sampler pays only for the branch it
+    takes.
+    """
+
+    counts: np.ndarray
+
+    def alpha(self, i: int) -> bytes:
+        raise NotImplementedError
+
+    def split(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        raise NotImplementedError
+
+    def index_of(self, alpha: bytes) -> int | None:
+        for i in range(len(self.counts)):
+            if self.alpha(i) == alpha:
+                return i
+        return None
+
+
+class KeyedRoundLaw(CommitRoundLaw):
+    """The law from per-branch integer message keys in [0, n_keys)."""
+
+    def __init__(self, xs0, xs1, keys0, keys1, n_keys: int, decode):
+        both = np.bincount(keys0, minlength=n_keys) + np.bincount(keys1, minlength=n_keys)
+        self._alive = np.flatnonzero(both)
+        self.counts = both[self._alive]
+        self._xs = (xs0, xs1)
+        self._keys = (keys0, keys1)
+        self._decode = decode
+
+    def alpha(self, i):
+        return self._decode(int(self._alive[i]))
+
+    def split(self, i):
+        key = self._alive[i]
+        return tuple(xs[keys == key] for xs, keys in zip(self._xs, self._keys))
+
+
+class OneClassLaw(CommitRoundLaw):
+    """A round whose message is the same on every branch: the state survives whole."""
+
+    def __init__(self, xs0, xs1, msg: bytes):
+        size = len(xs0) + len(xs1)
+        self.counts = np.array([size] if size else [], dtype=np.int64)
+        self._split = (xs0, xs1)
+        self._msg = msg
+
+    def alpha(self, i):
+        return self._msg
+
+    def split(self, i):
+        return self._split
 
 
 class CommitScheme:
@@ -82,8 +143,12 @@ class CommitScheme:
                 mask[x] = self.open_verify(t, b, x)
         return mask
 
+    def consistent_seeds(self, t: Transcript, b: int) -> np.ndarray:
+        """X_{b,t}: the seeds replaying every alpha_j, as ascending int64."""
+        return np.flatnonzero(self.consistent_mask(t, b)).astype(np.int64, copy=False)
+
     def consistent_set(self, t: Transcript, b: int) -> list[int]:
-        return [int(x) for x in np.flatnonzero(self.consistent_mask(t, b))]
+        return self.consistent_seeds(t, b).tolist()
 
     def receiver_mask(self, t: Transcript) -> np.ndarray:
         """Mask of receiver seeds r replaying every beta_j of t."""
@@ -98,12 +163,10 @@ class CommitScheme:
 
     # coherent-execution fast path ----------------------------------------
     def alpha_partition(self, j: int, xs0: np.ndarray, xs1: np.ndarray, prefix: Transcript):
-        """Label both branches' seeds with integer keys of their round-j message.
+        """The exact law of the round-j message over the state (xs0, xs1).
 
-        Returns (keys0, keys1, n_keys, decode); the key space is shared
-        across branches and decode maps a key back to message bytes.
-        The generic path calls f_j per element; structured schemes
-        override with vectorized versions.
+        The generic path calls f_j per element and interns the messages
+        as integer keys; structured schemes override it.
         """
         table: dict[bytes, int] = {}
         inv: list[bytes] = []
@@ -121,7 +184,7 @@ class CommitScheme:
 
         keys0 = intern(0, xs0)
         keys1 = intern(1, xs1)
-        return keys0, keys1, len(inv), inv.__getitem__
+        return KeyedRoundLaw(xs0, xs1, keys0, keys1, len(inv), inv.__getitem__)
 
     # housekeeping ---------------------------------------------------------
     def params_dict(self) -> dict:
@@ -151,8 +214,7 @@ class ConstScheme(CommitScheme):
         return np.full(1 << self.ell, ok, dtype=bool)
 
     def alpha_partition(self, j, xs0, xs1, prefix):
-        zeros = np.zeros(len(xs0), dtype=np.int64), np.zeros(len(xs1), dtype=np.int64)
-        return zeros[0], zeros[1], 1, (lambda key: b"")
+        return OneClassLaw(xs0, xs1, b"")
 
 
 class IdentScheme(CommitScheme):
@@ -183,6 +245,47 @@ class IdentScheme(CommitScheme):
         return np.full(1 << self.ell, ok, dtype=bool)
 
 
+class Hm2Table(NamedTuple):
+    """One receiver seed's F_r table, indexed by message key.
+
+    Seed x's round-2 message on branch 0 has key k(x) = F_r(x)<<1 | e_r(x)
+    (branch 1 flips the low bit).  order holds the seeds stably sorted by
+    key, so class k is order[starts[k]:starts[k+1]] and ascending.
+    """
+
+    order: np.ndarray
+    starts: np.ndarray
+
+    def seeds(self, key: int) -> np.ndarray:
+        """Class `key` as ascending int64 seeds."""
+        return self.order[self.starts[key] : self.starts[key + 1]].astype(np.int64)
+
+
+class Hm2FullStateLaw(CommitRoundLaw):
+    """hm2's round-2 law on the full state, read off the indexed table.
+
+    Message key K is seen on branch 0's class K and on branch 1's class
+    K^1, so counts come from the class offsets and splits are slices.
+    """
+
+    def __init__(self, table: Hm2Table, decode):
+        starts = table.starts.astype(np.int64)
+        sizes = starts[1:] - starts[:-1]
+        # Swapping each (2m, 2m+1) pair puts |class K^1| at index K.
+        both = sizes + sizes.reshape(-1, 2)[:, ::-1].ravel()
+        self._alive = np.flatnonzero(both)
+        self.counts = both[self._alive]
+        self._table = table
+        self._decode = decode
+
+    def alpha(self, i):
+        return self._decode(int(self._alive[i]))
+
+    def split(self, i):
+        key = int(self._alive[i])
+        return self._table.seeds(key), self._table.seeds(key ^ 1)
+
+
 class Hm2Scheme(CommitScheme):
     """Two rounds, statistically hiding for ell - a >> 1.
 
@@ -203,8 +306,14 @@ class Hm2Scheme(CommitScheme):
         self.out_bits = ell - a
         self._seed_bytes = (ell + 7) // 8
         self._out_bytes = (self.out_bits + 7) // 8
-        self._buckets: OrderedDict[int, tuple[np.ndarray, np.ndarray]] = OrderedDict()
-        self._max_cached = max(4, _CACHE_BYTES // (5 << ell))
+        n = 1 << ell
+        self._n_keys = 2 << self.out_bits
+        # Narrowest dtypes for keys (a fill temporary), seeds and class
+        # offsets; keys of 16 bits or fewer make the stable argsort a radix sort.
+        self._dtypes = tuple(np.min_scalar_type(v) for v in (self._n_keys - 1, n - 1, n))
+        entry = n * self._dtypes[1].itemsize + (self._n_keys + 1) * self._dtypes[2].itemsize
+        self._buckets: OrderedDict[int, Hm2Table] = OrderedDict()
+        self._max_cached = max(4, _CACHE_BYTES // entry)
         self._xbytes: list[bytes] | None = None
 
     # the compressing function and the extractor -------------------------
@@ -219,8 +328,8 @@ class Hm2Scheme(CommitScheme):
         """e_r(x): GF(2) inner product of the seed mask with x."""
         return (r & x).bit_count() & 1
 
-    def _bucket(self, r: int) -> tuple[np.ndarray, np.ndarray]:
-        """(F_r(x), e_r(x)) for every x, cached per receiver seed."""
+    def _bucket(self, r: int) -> Hm2Table:
+        """r's table of every seed indexed by message key, cached per receiver seed."""
         hit = self._buckets.get(r)
         if hit is not None:
             self._buckets.move_to_end(r)
@@ -229,8 +338,9 @@ class Hm2Scheme(CommitScheme):
         if self._xbytes is None:
             nb = self._seed_bytes
             self._xbytes = [x.to_bytes(nb, "big") for x in range(n)]
+        key_t, seed_t, start_t = self._dtypes
         copy = hashlib.sha256(b"hm2" + to_bytes(r, self.ell)).copy
-        fvals = np.empty(n, dtype=np.int32)
+        keys = np.empty(n, dtype=key_t)
         for lo in range(0, n, _FILL_BLOCK):
             digests = []
             for xb in self._xbytes[lo : lo + _FILL_BLOCK]:
@@ -239,12 +349,19 @@ class Hm2Scheme(CommitScheme):
                 digests.append(h.digest())
             # Word 0 of each 32-byte digest, big-endian, as compress() reads it.
             words = np.frombuffer(b"".join(digests), dtype=">u4")[::8]
-            fvals[lo : lo + len(digests)] = words >> (32 - self.out_bits)
-        evals = parity_u32(np.arange(n, dtype=np.uint32) & np.uint32(r)).astype(np.int8)
-        self._buckets[r] = (fvals, evals)
+            keys[lo : lo + len(digests)] = words >> (32 - self.out_bits)
+        keys <<= 1
+        keys |= parity_u32(np.arange(n, dtype=np.uint32) & np.uint32(r))
+        starts = np.zeros(self._n_keys + 1, dtype=start_t)
+        starts[1:] = np.bincount(keys, minlength=self._n_keys).cumsum()
+        table = Hm2Table(np.argsort(keys, kind="stable").astype(seed_t), starts)
+        self._buckets[r] = table
         if len(self._buckets) > self._max_cached:
             self._buckets.popitem(last=False)
-        return fvals, evals
+        return table
+
+    def _decode_key(self, key: int) -> bytes:
+        return to_bytes(int(key) >> 1, self.out_bits) + bytes([int(key) & 1])
 
     # message functions ----------------------------------------------------
     def sender_msg(self, j, b, x, prefix):
@@ -271,19 +388,26 @@ class Hm2Scheme(CommitScheme):
         return r
 
     # structured fast paths --------------------------------------------------
-    def consistent_mask(self, t, b):
+    def consistent_seeds(self, t, b):
         if len(t) != 4:
             raise ValueError("transcript must have 4 messages")
+        none = np.empty(0, dtype=np.int64)
         if t[0] != b"" or t[3] != b"":
-            return np.zeros(1 << self.ell, dtype=bool)
+            return none
         r = self._seed_from_beta1(t[1])
         alpha2 = t[2]
         if len(alpha2) != self._out_bytes + 1 or alpha2[-1] > 1:
-            return np.zeros(1 << self.ell, dtype=bool)
+            return none
         y0 = int.from_bytes(alpha2[:-1], "big")
-        c = alpha2[-1]
-        fvals, evals = self._bucket(r)
-        return (fvals == y0) & (evals == (c ^ b))
+        if y0 >> self.out_bits:
+            return none
+        # Branch b's seeds have table key (y0<<1 | c) ^ b.
+        return self._bucket(r).seeds((y0 << 1 | alpha2[-1]) ^ b)
+
+    def consistent_mask(self, t, b):
+        mask = np.zeros(1 << self.ell, dtype=bool)
+        mask[self.consistent_seeds(t, b)] = True
+        return mask
 
     def receiver_mask(self, t):
         mask = np.zeros(1 << self.ell, dtype=bool)
@@ -292,18 +416,11 @@ class Hm2Scheme(CommitScheme):
 
     def alpha_partition(self, j, xs0, xs1, prefix):
         if j == 1:
-            z0 = np.zeros(len(xs0), dtype=np.int64)
-            z1 = np.zeros(len(xs1), dtype=np.int64)
-            return z0, z1, 1, (lambda key: b"")
-        r = self._seed_from_beta1(prefix[1])
-        fvals, evals = self._bucket(r)
-        keys0 = (fvals[xs0].astype(np.int64) << 1) | evals[xs0]
-        keys1 = (fvals[xs1].astype(np.int64) << 1) | (evals[xs1] ^ 1)
-
-        def decode(key: int) -> bytes:
-            return to_bytes(int(key) >> 1, self.out_bits) + bytes([int(key) & 1])
-
-        return keys0, keys1, 2 << self.out_bits, decode
+            return OneClassLaw(xs0, xs1, b"")
+        if len(xs0) == len(xs1) == 1 << self.ell:  # distinct seeds: the full state
+            table = self._bucket(self._seed_from_beta1(prefix[1]))
+            return Hm2FullStateLaw(table, self._decode_key)
+        return super().alpha_partition(j, xs0, xs1, prefix)
 
     def params_dict(self):
         return {"name": self.name, "ell": self.ell, "a": self.a}

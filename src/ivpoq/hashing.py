@@ -28,6 +28,13 @@ AFFINE_MOD_PRIME = "affine-mod-prime"
 
 # Mersenne primes large enough for every desk-scale (ell, k).
 _PRIMES = ((1 << 61) - 1, (1 << 89) - 1, (1 << 127) - 1)
+# Constants of the 2^61 - 1 fast path.
+_M61 = np.uint64(_PRIMES[0])
+_U24, _U37, _U61 = np.uint64(24), np.uint64(37), np.uint64(61)
+_LOW24 = (1 << 24) - 1
+_LOW37 = np.uint64((1 << 37) - 1)
+# Up to this many seeds, eval_many computes with Python ints.
+_SCALAR_MAX = 32
 
 
 def _choose_prime(ell: int, k: int) -> int:
@@ -75,24 +82,24 @@ class HashFn:
             for row in self.rows:
                 y = (y << 1) | parity_u32(u & np.uint32(row))
             return y ^ self.shift
-        if self.p == _PRIMES[0]:
+        if self.p == _PRIMES[0] and arr.size > _SCALAR_MAX:
             return self._eval_many_m61(arr)
-        return np.fromiter((self.eval(int(x)) for x in arr), dtype=np.int64, count=arr.size)
+        # Python ints: exact for every prime, and faster than numpy on few seeds.
+        a, b, p, k = self.a, self.b, self.p, self.k
+        return np.array([(a * x + b) % p % k for x in arr.tolist()], dtype=np.int64)
 
     def _eval_many_m61(self, arr: np.ndarray) -> np.ndarray:
         # (a*x + b) mod (2^61 - 1) in uint64 pieces: split a = a_hi 2^24 + a_lo,
         # reduce a_hi*x*2^24 with 2^61 = 1 (mod p); x < 2^24 keeps products in range.
-        m61 = np.uint64(self.p)
-        x = arr.astype(np.uint64)
-        a_hi = np.uint64(self.a >> 24)
-        a_lo = np.uint64(self.a & ((1 << 24) - 1))
-        t = a_hi * x
-        term = (t >> np.uint64(37)) + ((t & np.uint64((1 << 37) - 1)) << np.uint64(24))
-        tot = term + a_lo * x + np.uint64(self.b)
-        tot = (tot & m61) + (tot >> np.uint64(61))
-        tot = (tot & m61) + (tot >> np.uint64(61))
-        tot = np.where(tot >= m61, tot - m61, tot)
-        return (tot % np.uint64(self.k)).astype(np.int64)
+        x = arr.view(np.uint64)
+        t = np.uint64(self.a >> 24) * x
+        tot = (t >> _U37) + ((t & _LOW37) << _U24) + np.uint64(self.a & _LOW24) * x
+        tot += np.uint64(self.b)
+        # tot < 2^63, so one fold leaves it below 2p; below p, tot - p wraps
+        # past tot, so the minimum is the reduced value either way.
+        tot = (tot & _M61) + (tot >> _U61)
+        tot = np.minimum(tot, tot - _M61)
+        return (tot % np.uint64(self.k)).view(np.int64)
 
     def to_json_dict(self) -> dict:
         d = {"family": self.family, "ell": self.ell, "k": self.k}

@@ -297,10 +297,10 @@ def count_consistent_preimages(
 ) -> tuple[int, int | None]:
     """Classify |X_{b,t} n h^-1(y)| as 0, 1 or 2 ("many") with a witness.
 
-    One brute-force scan standing in for the decider's three NP-oracle
+    Filtering X_{b,t} by h stands in for the decider's three NP-oracle
     uses; the witness is the lexicographically least element.
     """
-    xs = np.flatnonzero(scheme.consistent_mask(t, b))
+    xs = scheme.consistent_seeds(t, b)
     if len(xs) == 0:
         return 0, None
     hits = xs[h.eval_many(xs) == y]
@@ -319,7 +319,12 @@ def v2_decide(params: ProtocolParams, record: SessionRecord) -> tuple[bool, str]
     """
     scheme = params.scheme
     c0, x0 = count_consistent_preimages(scheme, record.t, record.h0, record.y, 0)
-    c1, x1 = count_consistent_preimages(scheme, record.t, record.h1, record.y, 1)
+    # Unless c0 is 1 the verdict is the coin, whatever the b=1 count.
+    c1, x1 = (
+        count_consistent_preimages(scheme, record.t, record.h1, record.y, 1)
+        if c0 == 1
+        else (None, None)
+    )
     if c0 != 1 or c1 != 1:
         return record.v2coin < 7, REASON_COIN
     if record.v1 == 0:

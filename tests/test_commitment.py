@@ -4,7 +4,11 @@ import pickle
 import numpy as np
 import pytest
 
+from ivpoq import commitment
 from ivpoq.commitment import (
+    CommitScheme,
+    Hm2FullStateLaw,
+    KeyedRoundLaw,
     hiding_distance,
     make_scheme,
     run_classical_commit,
@@ -129,12 +133,65 @@ def test_hm2_bucket_matches_reference_for_every_seed(ell, a):
     # and ell=17 span several fill blocks.
     sch = make_scheme("hm2", ell, a=a)
     n = 1 << ell
+    n_keys = 2 << (ell - a)
     for r in (0, n - 1, 0x5A5A5 % n):
-        fvals, evals = sch._bucket(r)
-        assert fvals.dtype == np.int32 and evals.dtype == np.int8
+        table = sch._bucket(r)
         want = [hm2_alpha2_reference(ell, a, r, x, 0) for x in range(n)]
-        assert fvals.tolist() == [int.from_bytes(m[:-1], "big") for m in want]
-        assert evals.tolist() == [m[-1] for m in want]
+        classes = [[] for _ in range(n_keys)]
+        for x, m in enumerate(want):
+            classes[int.from_bytes(m[:-1], "big") << 1 | m[-1]].append(x)
+        assert len(table.starts) == n_keys + 1
+        for key in range(n_keys):
+            got = table.seeds(key)
+            assert got.dtype == np.int64 and got.tolist() == classes[key]
+    # The cache bound counts the bytes of a real entry.
+    entry = sum(arr.nbytes for arr in table)
+    assert sch._max_cached == max(4, commitment._CACHE_BYTES // entry)
+
+
+def _law_by_alpha(law):
+    """{alpha: (count, s0, s1)} of a round law, its splits as lists."""
+    out = {}
+    for i in range(len(law.counts)):
+        s0, s1 = law.split(i)
+        out[law.alpha(i)] = (int(law.counts[i]), s0.tolist(), s1.tolist())
+    return out
+
+
+@pytest.mark.parametrize("ell,a,r", [(5, 4, 0), (6, 3, 17), (8, 4, 200), (9, 1, 313), (12, 8, 4095)])
+def test_hm2_indexed_partition_equals_generic_law(ell, a, r):
+    # The indexed law on the full state (class offsets and slices) against
+    # the base class's per-seed sender_msg path; other states take that path.
+    sch = make_scheme("hm2", ell, a=a)
+    n = 1 << ell
+    prefix = (b"", r.to_bytes((ell + 7) // 8, "big"))
+    full = np.arange(n, dtype=np.int64)
+    sparse0 = full[::3]
+    sparse1 = np.flatnonzero(np.random.default_rng([ell, r]).random(n) < 0.4).astype(np.int64)
+    law = sch.alpha_partition(2, full, full.copy(), prefix)
+    assert type(law) is Hm2FullStateLaw
+    alphas = [law.alpha(i) for i in range(len(law.counts))]
+    # Ascending message order is ascending key order, the order draws use.
+    assert alphas == sorted(alphas) and len(set(alphas)) == len(alphas)
+    assert law.counts.dtype == np.int64 and law.counts.min() > 0
+    assert _law_by_alpha(law) == _law_by_alpha(CommitScheme.alpha_partition(sch, 2, full, full, prefix))
+    for i in range(len(law.counts)):
+        s0, s1 = law.split(i)
+        assert s0.dtype == s1.dtype == np.int64
+        assert law.index_of(law.alpha(i)) == i
+    # A state that is not full has no class structure to read off.
+    law = sch.alpha_partition(2, sparse0, sparse1, prefix)
+    assert type(law) is KeyedRoundLaw
+    assert _law_by_alpha(law) == _law_by_alpha(CommitScheme.alpha_partition(sch, 2, sparse0, sparse1, prefix))
+
+
+def test_one_class_rounds_keep_the_state():
+    xs0, xs1 = np.arange(8, dtype=np.int64), np.arange(8, dtype=np.int64)[::2]
+    for sch in (make_scheme("hm2", 3, a=1), make_scheme("const", 3)):
+        law = sch.alpha_partition(1, xs0, xs1, ())
+        assert law.counts.tolist() == [12] and law.alpha(0) == b""
+        s0, s1 = law.split(0)
+        assert s0 is xs0 and s1 is xs1
 
 
 def test_hm2_pickle_drops_cache_and_keeps_answers():

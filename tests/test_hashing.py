@@ -150,7 +150,34 @@ _X24 = st.one_of(st.just(0), st.integers((1 << 24) - 64, (1 << 24) - 1), st.inte
 )
 def test_eval_many_m61_matches_scalar_eval(a, b, k, xs):
     h = HashFn(family=AFFINE_MOD_PRIME, ell=24, k=k, a=a, b=b, p=_M61)
-    assert h.eval_many(xs).tolist() == [h.eval(x) for x in xs]
+    want = [h.eval(x) for x in xs]
+    assert h.eval_many(xs).tolist() == want
+    # eval_many takes Python ints on short arrays; check the uint64 kernel itself.
+    assert h._eval_many_m61(np.array(xs, dtype=np.int64)).tolist() == want
+
+
+@pytest.mark.parametrize("k", [1, 7, 1 << 25])
+@pytest.mark.parametrize(
+    "a,b",
+    [
+        (_M61 - 1, _M61 - 1),
+        (_M61 - 1, 0),
+        (0, _M61 - 1),
+        (((1 << 37) - 1) << 24, _M61 - 2),
+        (_M61 - 1, (1 << 24) - 1),
+    ],
+)
+def test_eval_many_m61_at_its_bounds(a, b, k):
+    # The largest a, b and x put the uint64 sums nearest 2^63 and the
+    # folded value nearest 2p.  In the last pair a*x + b = 0 (mod p) at
+    # x = 2^24-1, where the fold lands on p itself and only the final
+    # subtraction reduces it.
+    h = HashFn(family=AFFINE_MOD_PRIME, ell=24, k=k, a=a, b=b, p=_M61)
+    xs = [0, 1, (1 << 24) - 2, (1 << 24) - 1]
+    want = [h.eval(x) for x in xs]
+    assert h._eval_many_m61(np.array(xs, dtype=np.int64)).tolist() == want
+    many = np.array(xs * 20, dtype=np.int64)  # long enough for the kernel path
+    assert h.eval_many(many).tolist() == want * 20
 
 
 def test_json_roundtrip():

@@ -290,6 +290,42 @@ def test_v2_unique_claw_equation_test_closed_form():
         assert reason in (REASON_PASS, REASON_FAIL)
 
 
+def _v2_two_counts(params, record):
+    """v2_decide as it reads with both preimage counts always made."""
+    c0, x0 = count_consistent_preimages(params.scheme, record.t, record.h0, record.y, 0)
+    c1, x1 = count_consistent_preimages(params.scheme, record.t, record.h1, record.y, 1)
+    if c0 != 1 or c1 != 1:
+        return record.v2coin < 7, REASON_COIN
+    if record.v1 == 0:
+        ok = record.xprime == (x0 if record.bprime == 0 else x1)
+    elif (record.xi & x0).bit_count() % 2 != (record.xi & x1).bit_count() % 2:
+        ok = record.eta == (record.xi & x0).bit_count() % 2
+    else:
+        ok = record.eta == (record.v2 ^ (record.d & (x0 ^ x1)).bit_count() % 2)
+    return ok, (REASON_PASS if ok else REASON_FAIL)
+
+
+@pytest.mark.parametrize(
+    "name,kwargs,grid", [("hm2", {"a": 3}, GRID_ORACLE), ("const", {}, "uniform")]
+)
+def test_v2_short_circuit_matches_two_count_reference(name, kwargs, grid):
+    sch = make_scheme(name, 6 if name == "hm2" else 5, **kwargs)
+    params = ProtocolParams(scheme=sch, epsilon=0.5, grid_mode=grid)
+    prover = HonestProver(sch)
+    reasons, only_c0_unique = set(), 0
+    for seed in range(400):
+        rec = run_session(params, prover, np.random.default_rng([12, seed]))
+        got = v2_decide(params, rec)
+        assert got == _v2_two_counts(params, rec)
+        reasons.add(got[1])
+        c0, _ = count_consistent_preimages(sch, rec.t, rec.h0, rec.y, 0)
+        c1, _ = count_consistent_preimages(sch, rec.t, rec.h1, rec.y, 1)
+        only_c0_unique += c0 == 1 and c1 != 1
+    # Every verdict kind, and coin sessions that needed the b=1 count to tell.
+    assert reasons == {REASON_PASS, REASON_FAIL, REASON_COIN}
+    assert only_c0_unique > 0
+
+
 # acceptance estimation -----------------------------------------------------------------
 
 def test_law_of_total_acceptance_accounting():
