@@ -54,25 +54,28 @@ def from_hex(s: str) -> int:
 
 
 def wht(vec: np.ndarray) -> np.ndarray:
-    """In-place-style Walsh-Hadamard transform, exact over int64.
+    """Walsh-Hadamard transform along the last axis, exact over int64.
 
-    out[d] = sum_x (-1)^(d.x) vec[x].  Length must be a power of two.
-    Entries stay integers throughout; no rounding happens here.
+    out[..., d] = sum_x (-1)^(d.x) vec[..., x], so a matrix is transformed
+    row by row.  The last axis must have power-of-two length.  Entries
+    stay integers throughout; no rounding happens here.
     """
-    v = np.array(vec, dtype=np.int64, copy=True)
-    n = v.shape[0]
+    src = np.array(vec, dtype=np.int64, copy=True)
+    shape = src.shape
+    n = shape[-1]
     if n & (n - 1):
         raise ValueError("WHT length must be a power of two")
-    h = 1
-    while h < n:
-        v = v.reshape(-1, 2, h)
-        a = v[:, 0, :].copy()
-        b = v[:, 1, :].copy()
-        v[:, 0, :] = a + b
-        v[:, 1, :] = a - b
-        v = v.reshape(n)
-        h *= 2
-    return v
+    # Constant-geometry butterflies between two buffers: each stage writes
+    # the sums and differences of adjacent pairs to the two halves, and
+    # after log2(n) stages the pair shuffles compose to the identity.
+    dst = np.empty_like(src)
+    for _ in range(n.bit_length() - 1):
+        pairs = src.reshape(*shape[:-1], n // 2, 2)
+        halves = dst.reshape(*shape[:-1], 2, n // 2)
+        np.add(pairs[..., 0], pairs[..., 1], out=halves[..., 0, :])
+        np.subtract(pairs[..., 0], pairs[..., 1], out=halves[..., 1, :])
+        src, dst = dst, src
+    return src
 
 
 def rng_from_key(*parts: bytes | int | str) -> np.random.Generator:

@@ -17,13 +17,13 @@ probabilities involve cos^2(pi/8), draws a float.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .bits import check_ell, dot2, parity_u32, wht
 from .commitment import CommitRoundLaw, CommitScheme, Transcript
 from .hashing import HashFn
-from .verifier import run_commit
 
 COS_PI8 = np.cos(np.pi / 8)
 SIN_PI8 = np.sin(np.pi / 8)
@@ -46,8 +46,9 @@ class SupportState:
 
     @classmethod
     def full(cls, ell: int) -> "SupportState":
-        xs = np.arange(1 << ell, dtype=np.int64)
-        return cls(ell, xs, xs.copy())
+        """Every seed on both branches, sharing one read-only array per ell."""
+        xs = _all_seeds(ell)
+        return cls(ell, xs, xs)
 
     @classmethod
     def from_sets(cls, ell, s0, s1) -> "SupportState":
@@ -63,6 +64,13 @@ class SupportState:
 
     def sets(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return tuple(int(x) for x in self.s0), tuple(int(x) for x in self.s1)
+
+
+@lru_cache(maxsize=4)  # a process uses one or two lengths; each array is 8 * 2^ell bytes
+def _all_seeds(ell: int) -> np.ndarray:
+    xs = np.arange(1 << ell, dtype=np.int64)
+    xs.setflags(write=False)
+    return xs
 
 
 @dataclass
@@ -104,6 +112,8 @@ def run_coherent_commit(
     number of (b, x) branches consistent with it; the support sets are
     filtered to the matching seeds and the receiver replies g_j(r, ...).
     """
+    from .verifier import run_commit  # the verifier module imports this one
+
     session = HonestSession(scheme, rng)
     return run_commit(scheme, session, receiver_randomness), session.state
 
@@ -181,7 +191,8 @@ def _d_amplitudes(state: SupportState, xi: int) -> tuple[np.ndarray, np.ndarray]
     np.add.at(w[1], state.s0[c0 == 1], 1)
     np.add.at(w[0], state.s1[c1 == 0], 1)
     np.add.at(w[1], state.s1[c1 == 1], 1)
-    return wht(w[0]), wht(w[1])
+    a0, a1 = wht(w)
+    return a0, a1
 
 
 def residual_for_d(state: SupportState, xi: int, d: int) -> ResidualQubit:

@@ -422,6 +422,23 @@ class Hm2Scheme(CommitScheme):
             return Hm2FullStateLaw(table, self._decode_key)
         return super().alpha_partition(j, xs0, xs1, prefix)
 
+    def commit_from_full(self, r: int, u: int) -> tuple[Transcript, np.ndarray, np.ndarray]:
+        """Both rounds from the full state, given round 2's draw u < 2^(ell+1).
+
+        Returns the transcript and the classes (K, K^1) that
+        Hm2FullStateLaw's split gives for the key K that sample_index picks
+        with draw u, as views of r's table (its narrow seed dtype).  Key K
+        counts |class K| + |class K^1| branches, so the cumulative count
+        through key 2m+1 is 2*starts[2m+2] and through key 2m it is
+        starts[2m] + starts[2m+2]: one searchsorted finds K.
+        """
+        order, starts = self._bucket(r)
+        m = int(starts[2::2].searchsorted(u >> 1, side="right"))
+        key = 2 * m + (int(starts[2 * m]) + int(starts[2 * m + 2]) <= u)
+        t = (b"", to_bytes(r, self.ell), self._decode_key(key), b"")
+        other = key ^ 1
+        return t, order[starts[key] : starts[key + 1]], order[starts[other] : starts[other + 1]]
+
     def params_dict(self):
         return {"name": self.name, "ell": self.ell, "a": self.a}
 

@@ -31,7 +31,7 @@ _PRIMES = ((1 << 61) - 1, (1 << 89) - 1, (1 << 127) - 1)
 # Constants of the 2^61 - 1 fast path.
 _M61 = np.uint64(_PRIMES[0])
 _U24, _U37, _U61 = np.uint64(24), np.uint64(37), np.uint64(61)
-_LOW24 = (1 << 24) - 1
+_LOW24 = np.uint64((1 << 24) - 1)
 _LOW37 = np.uint64((1 << 37) - 1)
 # Up to this many seeds, eval_many computes with Python ints.
 _SCALAR_MAX = 32
@@ -89,17 +89,7 @@ class HashFn:
         return np.array([(a * x + b) % p % k for x in arr.tolist()], dtype=np.int64)
 
     def _eval_many_m61(self, arr: np.ndarray) -> np.ndarray:
-        # (a*x + b) mod (2^61 - 1) in uint64 pieces: split a = a_hi 2^24 + a_lo,
-        # reduce a_hi*x*2^24 with 2^61 = 1 (mod p); x < 2^24 keeps products in range.
-        x = arr.view(np.uint64)
-        t = np.uint64(self.a >> 24) * x
-        tot = (t >> _U37) + ((t & _LOW37) << _U24) + np.uint64(self.a & _LOW24) * x
-        tot += np.uint64(self.b)
-        # tot < 2^63, so one fold leaves it below 2p; below p, tot - p wraps
-        # past tot, so the minimum is the reduced value either way.
-        tot = (tot & _M61) + (tot >> _U61)
-        tot = np.minimum(tot, tot - _M61)
-        return (tot % np.uint64(self.k)).view(np.int64)
+        return _eval_m61(arr, np.uint64(self.a), np.uint64(self.b), np.uint64(self.k))
 
     def to_json_dict(self) -> dict:
         d = {"family": self.family, "ell": self.ell, "k": self.k}
@@ -125,6 +115,41 @@ class HashFn:
         return cls(
             family=AFFINE_MOD_PRIME, ell=d["ell"], k=d["k"], a=d["a"], b=d["b"], p=d["p"]
         )
+
+
+def _eval_m61(arr: np.ndarray, a, b, k) -> np.ndarray:
+    """((a*x + b) mod (2^61 - 1)) mod k for int64 seeds x < 2^24.
+
+    a, b and k are uint64 scalars, or uint64 arrays shaped like arr (one
+    member per seed).  Split a = a_hi 2^24 + a_lo and reduce a_hi*x*2^24
+    with 2^61 = 1 (mod p); x < 2^24 keeps every product in range.
+    """
+    x = arr.view(np.uint64)
+    t = (a >> _U24) * x
+    tot = (t >> _U37) + ((t & _LOW37) << _U24) + (a & _LOW24) * x
+    tot += b
+    # tot < 2^63, so one fold leaves it below 2p; below p, tot - p wraps
+    # past tot, so the minimum is the reduced value either way.
+    tot = (tot & _M61) + (tot >> _U61)
+    tot = np.minimum(tot, tot - _M61)
+    return (tot % k).view(np.int64)
+
+
+def eval_segments(hashes: list[HashFn], xs: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Each member of hashes applied to its run of seeds, concatenated.
+
+    hashes[i] evaluates the lens[i] int64 seeds of xs after the runs of
+    the members before it.  When every member is affine mod 2^61 - 1 this
+    is one kernel call with per-seed (a, b, k); otherwise member by member.
+    """
+    if not all(h.p == _PRIMES[0] for h in hashes):
+        runs = np.split(xs, np.cumsum(lens)[:-1])
+        return np.concatenate([h.eval_many(run) for h, run in zip(hashes, runs)])
+    a, b, k = (
+        np.repeat(np.array(vals, dtype=np.uint64), lens)
+        for vals in zip(*((h.a, h.b, h.k) for h in hashes))
+    )
+    return _eval_m61(xs, a, b, k)
 
 
 def sample_hash(family: str, ell: int, k: int, rng: np.random.Generator) -> HashFn:

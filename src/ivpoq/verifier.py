@@ -9,6 +9,11 @@ pure function of the resulting record: V1 appends three fair coin bits
 to the transcript, so the 7/8-acceptance branch of V2 is derandomized
 and every run replays to the same verdict.
 
+run_block is the lockstep engine for honest sessions: a block of them
+advances step by step, each on its own stream with run_session's draws,
+while the hashing, the y law and the Hadamard transforms run once for
+the block; decide_block is V2 over such a block.
+
 V2's hard steps (counting consistent preimages and finding witnesses)
 go through count_consistent_preimages, a brute-force stand-in for the
 three NP-oracle queries an efficient-but-oracle-aided decider would
@@ -28,9 +33,18 @@ from functools import lru_cache
 import numpy as np
 
 from . import stats
-from .bits import dot2, from_hex, to_hex
-from .commitment import CommitScheme, Transcript, make_scheme
-from .hashing import AFFINE_MOD_PRIME, HashFn, sample_hash
+from .bits import dot2, from_hex, parity_u32, to_hex, wht
+from .coherent_prover import (
+    HonestProver,
+    HonestSession,
+    ResidualQubit,
+    SupportState,
+    measure_rotated,
+    sample_d,
+    sample_index,
+)
+from .commitment import CommitScheme, Hm2Scheme, Transcript, make_scheme
+from .hashing import AFFINE_MOD_PRIME, HashFn, eval_segments, sample_hash
 
 getcontext().prec = 80
 
@@ -325,6 +339,10 @@ def v2_decide(params: ProtocolParams, record: SessionRecord) -> tuple[bool, str]
         if c0 == 1
         else (None, None)
     )
+    return _verdict(record, c0, x0, c1, x1)
+
+
+def _verdict(record: SessionRecord, c0, x0, c1, x1) -> tuple[bool, str]:
     if c0 != 1 or c1 != 1:
         return record.v2coin < 7, REASON_COIN
     if record.v1 == 0:
@@ -336,6 +354,170 @@ def v2_decide(params: ProtocolParams, record: SessionRecord) -> tuple[bool, str]
         else:
             ok = record.eta == (record.v2 ^ dot2(record.d, x0 ^ x1))
     return ok, (REASON_PASS if ok else REASON_FAIL)
+
+
+# the lockstep engine -----------------------------------------------------------
+
+# Bytes of a lockstep block's largest arrays: at most 2^(ell+1) support
+# seeds and two Hadamard-transform rows of 2^ell int64 per session.
+_BLOCK_BYTES = 1 << 20
+
+
+def block_sessions(ell: int) -> int:
+    """Sessions per lockstep block, so that its arrays stay within _BLOCK_BYTES."""
+    return max(1, _BLOCK_BYTES >> (ell + 4))
+
+
+def run_block(params: ProtocolParams, seed: int, lo: int, hi: int) -> list[SessionRecord]:
+    """Honest sessions lo..hi-1, advanced step by step in lockstep.
+
+    Record i equals run_session(params, HonestProver(params.scheme),
+    default_rng([seed, i])): each session keeps that stream and makes the
+    same draws in the same order, while the deterministic work between
+    draws runs once per block: hm2's round-2 class, one hash kernel call
+    on every session's support, the y law as a segmented sort, and the
+    Hadamard-measurement law as one transform of a (rows, 2^ell) matrix.
+    """
+    ell = params.ell
+    rngs = [np.random.default_rng([seed, i]) for i in range(lo, hi)]
+    ts, supports = _commit_step(params.scheme, rngs)
+    # Grid index and hash pair.  An honest commit leaves S0 = X_{0,t}.
+    js, hashes = [], []
+    for rng, s0 in zip(rngs, supports[::2]):
+        j = params.best_grid_index(len(s0)) if params.grid_mode == GRID_ORACLE else None
+        if j is None:
+            j = int(rng.integers(params.m))
+        js.append(j)
+        hashes += (
+            sample_hash(params.hash_family, ell, params.ks[j], rng),
+            sample_hash(params.hash_family, ell, params.ks[j], rng),
+        )
+    ys, xs, seg = _hash_step(params, rngs, supports, hashes)
+    offsets = [0] + np.bincount(seg, minlength=len(supports)).cumsum().tolist()
+    # The challenge: v1 and xi for every session, then each one's answer.
+    v1s, xis = zip(*[(int(rng.integers(2)), int(rng.integers(1 << ell))) for rng in rngs])
+    wht_rows = [
+        i for i, v1 in enumerate(v1s) if v1 and offsets[2 * i + 2] - offsets[2 * i] > 2
+    ]
+    if wht_rows:
+        amps, weights = _d_laws(ell, xs, seg, wht_rows, xis)
+    records, w = [], 0
+    for i, rng in enumerate(rngs):
+        h0, h1 = hashes[2 * i], hashes[2 * i + 1]
+        record = SessionRecord(
+            scheme=params.scheme.name, ell=ell, t=ts[i], j=js[i], k=h0.k, h0=h0, h1=h1,
+            y=ys[i], v1=v1s[i], xi=xis[i],
+        )
+        lo0, lo1, end = offsets[2 * i : 2 * i + 3]
+        if record.v1 == 0:
+            idx = int(rng.integers(end - lo0))
+            record.bprime, record.xprime = int(idx >= lo1 - lo0), int(xs[lo0 + idx])
+        else:
+            if end - lo0 <= 2:
+                state = SupportState(ell, xs[lo0:lo1], xs[lo1:end])
+                record.d, qubit = sample_d(state, record.xi, rng)
+            else:
+                record.d = sample_index(weights[w], rng)
+                a0, a1 = amps[2 * w : 2 * w + 2, record.d].tolist()
+                qubit = ResidualQubit(float(a0), float(a1))
+                w += 1
+            record.v2 = int(rng.integers(2))
+            record.eta = measure_rotated(qubit, record.v2, rng)
+        record.v2coin = int(rng.integers(8))
+        records.append(record)
+    return records
+
+
+def _commit_step(scheme: CommitScheme, rngs: list) -> tuple[list[Transcript], list[np.ndarray]]:
+    """Each session's receiver seed r and commit rounds from the full state.
+
+    Returns the transcripts and the supports [S0 of session 0, S1 of
+    session 0, S0 of session 1, ...].  hm2 reads round 2 off r's table;
+    other schemes commit session by session through HonestSession.
+    """
+    n = 1 << scheme.ell
+    ts, supports = [], []
+    for rng in rngs:
+        r = int(rng.integers(n))
+        if isinstance(scheme, Hm2Scheme):
+            rng.integers(2 * n)  # round 1 has one message, seen on all 2n branches
+            t, s0, s1 = scheme.commit_from_full(r, int(rng.integers(2 * n)))
+        else:
+            session = HonestSession(scheme, rng)
+            t = run_commit(scheme, session, r)
+            s0, s1 = session.state.s0, session.state.s1
+        ts.append(t)
+        supports += (s0, s1)
+    return ts, supports
+
+
+def _hash_step(params: ProtocolParams, rngs: list, supports: list, hashes: list):
+    """Every session's y and the support seeds that survive it.
+
+    Seeds sit in segments 2i + b (session i, branch b).  y is the u-th
+    smallest hash value of session i's seeds for its draw u, which is
+    sample_index over np.unique's counts.  Returns (ys, seeds, segments)
+    of the survivors, in segment order.
+    """
+    lens = np.array([len(xs) for xs in supports], dtype=np.int64)
+    xs = np.concatenate(supports).astype(np.int64, copy=False)
+    hv = eval_segments(hashes, xs, lens)
+    seg = np.repeat(np.arange(len(lens)), lens)
+    sizes = lens[0::2] + lens[1::2]
+    us = np.array([rng.integers(size) for rng, size in zip(rngs, sizes.tolist())], dtype=np.int64)
+    shift = max(params.ks).bit_length()
+    ranked = np.sort(((seg >> 1) << shift) | hv)
+    ys = ranked[np.cumsum(sizes) - sizes + us] & ((1 << shift) - 1)
+    kept = hv == ys[seg >> 1]
+    return ys.tolist(), xs[kept], seg[kept]
+
+
+def _d_laws(ell: int, xs, seg, wht_rows: list[int], xis) -> tuple[np.ndarray, np.ndarray]:
+    """The amplitudes and weights of d for sessions wht_rows.
+
+    Session wht_rows[w] owns rows 2w + c of a (2 len(wht_rows), 2^ell)
+    indicator matrix, row c holding its seeds x with xi.x ^ b = c; one
+    WHT gives the amplitudes (a_0(d), a_1(d)), and row w of the weights
+    is a_0^2 + a_1^2, the integer counts sample_d draws d from.
+    """
+    row_of = np.full(len(xis), -1, dtype=np.int64)
+    row_of[wht_rows] = np.arange(len(wht_rows))
+    on = row_of[seg >> 1] >= 0
+    xw, sw = xs[on], seg[on]
+    clause = parity_u32(xw & np.array(xis, dtype=np.int64)[sw >> 1]).astype(np.int64) ^ (sw & 1)
+    amps = np.zeros((2 * len(wht_rows), 1 << ell), dtype=np.int64)
+    amps[2 * row_of[sw >> 1] + clause, xw] = 1
+    amps = wht(amps)
+    return amps, amps[0::2] * amps[0::2] + amps[1::2] * amps[1::2]
+
+
+def decide_block(params: ProtocolParams, records: list[SessionRecord]) -> list[tuple[bool, str]]:
+    """v2_decide on each record, its preimage counts made for all records at once."""
+    first = _count_block(params.scheme, records, 0)
+    # As in v2_decide, the b=1 count is made only where the b=0 count is 1.
+    pending = [i for i, (c0, _) in enumerate(first) if c0 == 1]
+    second = dict(zip(pending, _count_block(params.scheme, [records[i] for i in pending], 1)))
+    return [
+        _verdict(record, *first[i], *second.get(i, (None, None)))
+        for i, record in enumerate(records)
+    ]
+
+
+def _count_block(scheme: CommitScheme, records: list[SessionRecord], b: int) -> list[tuple]:
+    """count_consistent_preimages(scheme, r.t, r.h_b, r.y, b) for each record r."""
+    if not records:
+        return []
+    sets = [scheme.consistent_seeds(record.t, b) for record in records]
+    lens = np.array([len(xs) for xs in sets], dtype=np.int64)
+    xs = np.concatenate(sets)
+    hashes = [record.h1 if b else record.h0 for record in records]
+    sid = np.repeat(np.arange(len(records)), lens)
+    hits = eval_segments(hashes, xs, lens) == np.array([r.y for r in records], dtype=np.int64)[sid]
+    counts = np.bincount(sid[hits], minlength=len(records)).tolist()
+    # Each set is ascending, so a record's first hit is its least witness.
+    found = xs[hits].tolist()
+    first = np.cumsum(counts) - counts
+    return [(min(c, 2), found[f] if c else None) for c, f in zip(counts, first.tolist())]
 
 
 @dataclass
@@ -382,13 +564,22 @@ class AcceptanceReport:
 
 
 def _acceptance_counts(params, prover, start, stop, seed):
+    if type(prover) is HonestProver and prover.scheme is params.scheme:
+        step = block_sessions(params.ell)
+        verdicts = (
+            verdict
+            for lo in range(start, stop, step)
+            for verdict in decide_block(params, run_block(params, seed, lo, min(lo + step, stop)))
+        )
+    else:
+        verdicts = (
+            v2_decide(params, run_session(params, prover, np.random.default_rng([seed, i])))
+            for i in range(start, stop)
+        )
     accepts = unique = unique_accepts = 0
     reasons = {REASON_PASS: 0, REASON_FAIL: 0, REASON_COIN: 0}
     coin_accepts = 0
-    for i in range(start, stop):
-        rng = np.random.default_rng([seed, i])
-        record = run_session(params, prover, rng)
-        ok, reason = v2_decide(params, record)
+    for ok, reason in verdicts:
         reasons[reason] += 1
         accepts += ok
         if reason == REASON_COIN:
@@ -410,7 +601,9 @@ def estimate_acceptance(
 
     Session i always uses the RNG stream derived from (seed, i), so the
     result is independent of the worker count; worker tallies merge by
-    summation.
+    summation.  The honest prover's sessions run in lockstep blocks
+    (run_block, decide_block), any other prover's through run_session
+    and v2_decide one at a time; both give the same records.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

@@ -45,6 +45,23 @@ def test_wht_equals_sign_matrix_product(vec):
     assert wht(np.array(vec)).tolist() == (signs @ np.array(vec, dtype=np.int64)).tolist()
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 8).flatmap(
+    lambda ell: st.lists(
+        st.lists(st.integers(-(1 << 20), 1 << 20), min_size=1 << ell, max_size=1 << ell),
+        min_size=1,
+        max_size=6,
+    )
+))
+def test_wht_of_a_matrix_is_row_by_row(rows):
+    # The lockstep engine transforms a (rows, 2^ell) matrix in one call.
+    mat = np.array(rows, dtype=np.int64)
+    out = wht(mat)
+    assert out.shape == mat.shape
+    assert out.tolist() == [wht(row).tolist() for row in mat]
+    assert mat.tolist() == rows  # the input is left alone
+
+
 def test_wht_rejects_bad_length():
     with pytest.raises(ValueError):
         wht(np.zeros(6, dtype=np.int64))

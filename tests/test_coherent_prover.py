@@ -5,6 +5,7 @@ import pytest
 from scipy import stats as sstats
 
 import dense_oracle
+from ivpoq.adversaries import binding_attack, unbounded_claw_prover
 from ivpoq.commitment import make_scheme, run_classical_commit
 from ivpoq.coherent_prover import (
     COS_PI8,
@@ -24,6 +25,7 @@ from ivpoq.coherent_prover import (
 )
 from ivpoq.hashing import HashFn, AFFINE_MOD_PRIME, identity_hash, sample_hash
 from ivpoq.lemma_harness import coherent_transcript_law
+from ivpoq.verifier import ProtocolParams, run_session
 
 
 def const_hash(ell, k, value):
@@ -37,6 +39,23 @@ def test_const_commit_keeps_full_state():
     t, state = run_coherent_commit(sch, 3, np.random.default_rng(0))
     assert t == (b"", b"")
     assert state.sets() == (tuple(range(32)), tuple(range(32)))
+
+
+def test_full_state_is_shared_and_never_written():
+    # One read-only seed array per ell backs every full state; a session
+    # that wrote into it would raise instead of corrupting later sessions.
+    full = SupportState.full(6)
+    assert full.s0 is full.s1 is SupportState.full(6).s0
+    assert not full.s0.flags.writeable
+    with pytest.raises(ValueError):
+        full.s0[0] = 1
+    for name, kwargs in (("hm2", {"a": 3}), ("const", {}), ("ident", {})):
+        sch = make_scheme(name, 6, **kwargs)
+        params = ProtocolParams(scheme=sch, epsilon=0.5)
+        for seed in range(40):
+            run_session(params, HonestProver(sch), np.random.default_rng([4, seed]))
+        binding_attack(params, unbounded_claw_prover(sch), np.random.default_rng(1))
+    assert full.s0.tolist() == list(range(64))
 
 
 def test_ident_commit_collapses_single_branch():

@@ -12,6 +12,7 @@ from ivpoq.hashing import (
     HashFn,
     _PRIMES,
     enumerate_family,
+    eval_segments,
     family_size,
     identity_hash,
     pairwise_bias_bound,
@@ -178,6 +179,32 @@ def test_eval_many_m61_at_its_bounds(a, b, k):
     assert h._eval_many_m61(np.array(xs, dtype=np.int64)).tolist() == want
     many = np.array(xs * 20, dtype=np.int64)  # long enough for the kernel path
     assert h.eval_many(many).tolist() == want * 20
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(_PRIMES[:2]),
+            st.integers(0, _M61 - 1),
+            st.integers(0, _M61 - 1),
+            st.integers(1, (1 << 21) - 1),
+            st.lists(_X24, max_size=40),
+        ),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_eval_segments_equals_member_by_member(members):
+    # One kernel call with per-seed (a, b, k) when every p is 2^61 - 1,
+    # member by member otherwise; empty runs included.
+    hashes = [
+        HashFn(family=AFFINE_MOD_PRIME, ell=24, k=k, a=a, b=b, p=p) for p, a, b, k, _ in members
+    ]
+    runs = [np.array(xs, dtype=np.int64) for *_, xs in members]
+    lens = np.array([len(run) for run in runs], dtype=np.int64)
+    want = [y for h, run in zip(hashes, runs) for y in h.eval_many(run).tolist()]
+    assert eval_segments(hashes, np.concatenate(runs), lens).tolist() == want
 
 
 def test_json_roundtrip():

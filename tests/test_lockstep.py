@@ -1,0 +1,94 @@
+"""The lockstep block engine against the one-session reference.
+
+run_block advances honest sessions in lockstep, each on its own
+default_rng([seed, i]) stream; every record must equal run_session's on
+that stream, field for field, and decide_block must give v2_decide's
+verdict.  The cases cover hm2 on both grids at three lengths, const and
+ident, and their seeds reach both challenge branches and, where the
+scheme allows it, both ways of drawing d.
+"""
+
+import numpy as np
+import pytest
+
+from ivpoq.coherent_prover import HonestProver, consistent_state
+from ivpoq.commitment import make_scheme
+from ivpoq.verifier import (
+    GRID_ORACLE,
+    GRID_UNIFORM,
+    ProtocolParams,
+    block_sessions,
+    decide_block,
+    estimate_acceptance,
+    run_block,
+    run_session,
+    v2_decide,
+)
+
+
+def _params(name, ell, kwargs, grid):
+    sch = make_scheme(name, ell, **kwargs)
+    return ProtocolParams(scheme=sch, epsilon=0.01 if ell >= 8 else 0.2, grid_mode=grid)
+
+
+def _challenge_path(params, record):
+    """v0, or how d was drawn: by WHT above two support points, else by rejection."""
+    if record.v1 == 0:
+        return "v0"
+    state = consistent_state(params.scheme, record.t, (record.h0, record.h1, record.y))
+    return "wht" if state.size > 2 else "rejection"
+
+
+CASES = [
+    ("hm2", 6, {"a": 3}, GRID_UNIFORM, 120),
+    ("hm2", 6, {"a": 3}, GRID_ORACLE, 120),
+    ("hm2", 8, {"a": 4}, GRID_UNIFORM, 200),
+    ("hm2", 8, {"a": 4}, GRID_ORACLE, 200),
+    ("hm2", 12, {"a": 8}, GRID_UNIFORM, 60),
+    ("hm2", 12, {"a": 8}, GRID_ORACLE, 60),
+    ("const", 5, {}, GRID_UNIFORM, 120),
+    ("const", 5, {}, GRID_ORACLE, 120),
+    ("ident", 5, {}, GRID_UNIFORM, 80),
+]
+
+
+@pytest.mark.parametrize("name,ell,kwargs,grid,sessions", CASES)
+def test_block_records_equal_run_session(name, ell, kwargs, grid, sessions):
+    params = _params(name, ell, kwargs, grid)
+    seed, lo = 40 + ell, 7
+    # Two blocks with uneven bounds: records depend on i alone, not on the block.
+    cut = lo + sessions // 3
+    records = run_block(params, seed, lo, cut) + run_block(params, seed, cut, lo + sessions)
+    verdicts = decide_block(params, records)
+    prover = HonestProver(params.scheme)
+    paths = set()
+    for i, (record, verdict) in enumerate(zip(records, verdicts), start=lo):
+        want = run_session(params, prover, np.random.default_rng([seed, i]))
+        assert record == want, i
+        assert record.to_json_dict() == want.to_json_dict()
+        assert verdict == v2_decide(params, want)
+        paths.add(_challenge_path(params, want))
+    # ident's support after the hash step is one seed, so d is never drawn by WHT.
+    assert paths == ({"v0", "rejection"} if name == "ident" else {"v0", "wht", "rejection"})
+
+
+class _ScalarHonestProver(HonestProver):
+    """The honest prover, driven session by session through run_session."""
+
+
+@pytest.mark.parametrize(
+    "name,ell,kwargs,grid,trials",
+    [
+        ("hm2", 8, {"a": 4}, GRID_UNIFORM, 2 * block_sessions(8) + 37),
+        ("hm2", 12, {"a": 8}, GRID_ORACLE, 3 * block_sessions(12) + 5),
+        ("const", 5, {}, GRID_UNIFORM, 300),
+    ],
+)
+def test_estimate_acceptance_engine_matches_scalar_loop(name, ell, kwargs, grid, trials):
+    # Several blocks, the last one short; estimate_acceptance runs the engine
+    # only for HonestProver itself, so the subclass takes the scalar loop.
+    params = _params(name, ell, kwargs, grid)
+    engine = estimate_acceptance(params, HonestProver(params.scheme), trials, seed=17)
+    scalar = estimate_acceptance(params, _ScalarHonestProver(params.scheme), trials, seed=17)
+    assert engine.to_json_dict() == scalar.to_json_dict()
+    assert engine.unique_trials > 0

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sstats
 
 from ivpoq.adversaries import (
@@ -13,7 +15,7 @@ from ivpoq.adversaries import (
 )
 from ivpoq.coherent_prover import HONEST_UNIQUE_RATE, HonestProver
 from ivpoq.commitment import make_scheme, run_classical_commit
-from ivpoq.hashing import AFFINE_MOD_PRIME, GF2_AFFINE, identity_hash, sample_hash
+from ivpoq.hashing import AFFINE_MOD_PRIME, GF2_AFFINE, HashFn, identity_hash, sample_hash
 from ivpoq.verifier import (
     GRID_ORACLE,
     ProtocolParams,
@@ -24,9 +26,11 @@ from ivpoq.verifier import (
     SessionRecord,
     compute_m,
     count_consistent_preimages,
+    decide_block,
     estimate_acceptance,
     grid_sizes,
     record_to_json,
+    run_block,
     run_session,
     v2_decide,
 )
@@ -99,6 +103,66 @@ def test_record_json_roundtrip_replays_verdict():
         assert v2_decide(params, back) == verdict
 
 
+@st.composite
+def hash_fns(draw, ell):
+    if draw(st.booleans()):
+        j = draw(st.integers(0, ell))
+        rows = tuple(draw(st.lists(st.integers(0, (1 << ell) - 1), min_size=j, max_size=j)))
+        shift = draw(st.integers(0, (1 << j) - 1))
+        return HashFn(family=GF2_AFFINE, ell=ell, k=1 << j, rows=rows, shift=shift)
+    p = draw(st.sampled_from([(1 << 61) - 1, (1 << 89) - 1, (1 << 127) - 1]))
+    return HashFn(
+        family=AFFINE_MOD_PRIME, ell=ell, k=draw(st.integers(1, 1 << 30)),
+        a=draw(st.integers(0, p - 1)), b=draw(st.integers(0, p - 1)), p=p,
+    )
+
+
+@st.composite
+def session_records(draw):
+    ell = draw(st.integers(1, 24))
+    seed = st.integers(0, (1 << ell) - 1)
+    h0 = draw(hash_fns(ell))
+    record = SessionRecord(
+        scheme=draw(st.sampled_from(["hm2", "const", "ident"])),
+        ell=ell,
+        t=tuple(draw(st.lists(st.binary(max_size=5), max_size=4))),
+        j=draw(st.integers(0, 3000)),
+        k=h0.k,
+        h0=h0,
+        h1=draw(hash_fns(ell)),
+        y=draw(st.integers(0, h0.k - 1)),
+        v1=draw(st.integers(0, 1)),
+        xi=draw(seed),
+        v2coin=draw(st.integers(0, 7)),
+        verdict=draw(st.sampled_from([None, True, False])),
+        verdict_reason=draw(st.sampled_from([None, REASON_PASS, REASON_FAIL, REASON_COIN])),
+    )
+    if record.v1 == 0:
+        record.bprime, record.xprime = draw(st.integers(0, 1)), draw(seed)
+    else:
+        record.d = draw(seed)
+        record.v2, record.eta = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+    return record
+
+
+@settings(max_examples=80, deadline=None)
+@given(session_records())
+def test_session_record_and_hash_survive_a_json_round_trip(record):
+    for h in (record.h0, record.h1):
+        assert HashFn.from_json_dict(json.loads(json.dumps(h.to_json_dict()))) == h
+    assert SessionRecord.from_json_dict(json.loads(record_to_json(record))) == record
+
+
+def test_engine_records_round_trip_and_replay():
+    sch = make_scheme("hm2", 8, a=4)
+    params = ProtocolParams(scheme=sch, epsilon=0.01)
+    records = run_block(params, 23, 0, 150)
+    for record, verdict in zip(records, decide_block(params, records)):
+        back = SessionRecord.from_json_dict(json.loads(record_to_json(record)))
+        assert back == record
+        assert v2_decide(params, back) == verdict
+
+
 def test_challenge_draws_uniform():
     sch = make_scheme("const", 4)
     params = ProtocolParams(scheme=sch, epsilon=0.5)
@@ -136,6 +200,46 @@ def test_malformed_prover_messages_raise():
     with pytest.raises(ProtocolViolation):
         for seed in range(10):  # hit a v1=1 session
             run_session(params, bad_eta, np.random.default_rng(seed))
+
+
+_NOT_BYTES = st.one_of(
+    st.none(),
+    st.text(max_size=4),
+    st.integers(),
+    st.floats(),
+    st.binary(max_size=4).map(bytearray),
+    st.lists(st.integers(0, 255), max_size=4).map(tuple),
+)
+_BAD_Y = st.one_of(
+    st.none(),
+    st.floats(),
+    st.tuples(st.integers(0, 3)),
+    st.integers(max_value=-1),
+    st.integers(-(1 << 63), -1).map(np.int64),
+    st.integers(1 << 20, (1 << 63) - 1).map(np.int64),
+    st.integers(1 << 20, (1 << 64) - 1).map(np.uint64),
+    st.integers(1 << 20, 1 << 100),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["const", "hm2"]),
+    st.one_of(st.tuples(st.just("commit"), _NOT_BYTES), st.tuples(st.just("y"), _BAD_Y)),
+)
+def test_malformed_commit_or_y_is_a_violation_and_nothing_else(name, bad):
+    # Every k the grid offers at ell=4 is below 2^20, so each bad y is out
+    # of range or of the wrong type; a commit message must be bytes.
+    message, reply = bad
+    sch = make_scheme(name, 4, **({"a": 2} if name == "hm2" else {}))
+    params = ProtocolParams(scheme=sch, epsilon=0.5)
+    assert max(params.ks) < 1 << 20
+    if message == "commit":
+        prover = ScriptedProver(sch, commit=lambda j, prefix: reply)
+    else:
+        prover = ScriptedProver(sch, y_fn=lambda t, h0, h1: reply)
+    with pytest.raises(ProtocolViolation):
+        run_session(params, prover, np.random.default_rng(0))
 
 
 # One malformed reply per (message, kind) on const at ell=4.
