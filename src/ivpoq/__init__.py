@@ -18,7 +18,7 @@ from .amplification import (
 )
 from .adversaries import (
     binding_attack,
-    classical_honest_prover,
+    ClassicalHonestProver,
     estimate_conditional_acceptance,
     goldreich_levin,
     predict_claw_parity,
@@ -34,7 +34,6 @@ from .coherent_prover import (
     answer_v0,
     measure_hash,
     measure_rotated,
-    run_coherent_commit,
     sample_d,
 )
 from .commitment import (
@@ -63,6 +62,7 @@ from .verifier import (
     compute_m,
     count_consistent_preimages,
     estimate_acceptance,
+    run_coherent_commit,
     run_session,
     v2_decide,
 )

@@ -110,10 +110,6 @@ class ClassicalHonestProver(_ReplayableProver):
         return dot2(xi, self.x)
 
 
-def classical_honest_prover(scheme: CommitScheme, b: int, x: int) -> ClassicalHonestProver:
-    return ClassicalHonestProver(scheme, b, x)
-
-
 class UnboundedClawProver(_ReplayableProver):
     """Classical prover that brute-forces the support sets.
 
@@ -163,8 +159,7 @@ class UnboundedClawProver(_ReplayableProver):
         if ("eta", xi, d, v2) not in memo:
             drawn = memo.get(("d", xi))
             qubit = drawn[1] if drawn and drawn[0] == d else cp.residual_for_d(state, xi, d)
-            rng = self._rng("eta", key, xi, d, v2)
-            memo["eta", xi, d, v2] = 0 if rng.random() < cp.eta0_prob(qubit, v2) else 1
+            memo["eta", xi, d, v2] = cp.measure_rotated(qubit, v2, self._rng("eta", key, xi, d, v2))
         return memo["eta", xi, d, v2]
 
     # state reconstruction --------------------------------------------------
@@ -276,13 +271,16 @@ def oracle_from_prover(prefix, prover, ell: int) -> PredictionOracle:
 
 # Goldreich-Levin list decoding --------------------------------------------------
 
+# At most 2^14 - 1 XOR-combination queries per coordinate.
+_GL_MAX_BATCH_LOG2 = 14
+
+
 def goldreich_levin(
     oracle: PredictionOracle,
     ell: int,
     advantage: float,
     confidence: float,
     rng: np.random.Generator,
-    max_batch_log2: int = 14,
 ) -> list[int]:
     """List-decode all s with Pr_xi[oracle(xi) = xi.s] >= 1/2 + advantage.
 
@@ -304,7 +302,7 @@ def goldreich_levin(
     check_ell(ell)
     need = ell / (4.0 * advantage * advantage * confidence)
     t = max(1, int(np.ceil(np.log2(need + 1))))
-    t = min(t, max_batch_log2)
+    t = min(t, _GL_MAX_BATCH_LOG2)
     n_comb = (1 << t) - 1
 
     # unit-vector probe: exact for noiseless linear oracles
@@ -351,6 +349,11 @@ def goldreich_levin(
 
 # the binding attack --------------------------------------------------------------
 
+# The predictor advantage the attack list-decodes at, and GL's failure bound.
+_GL_ADVANTAGE = 0.2
+_GL_CONFIDENCE = 0.25
+
+
 @dataclass
 class BindingResult:
     success: bool
@@ -370,13 +373,7 @@ class BindingResult:
         }
 
 
-def binding_attack(
-    params: ProtocolParams,
-    prover,
-    rng: np.random.Generator,
-    gl_advantage: float = 0.2,
-    gl_confidence: float = 0.25,
-) -> BindingResult:
+def binding_attack(params: ProtocolParams, prover, rng: np.random.Generator) -> BindingResult:
     """Assemble a double opening of one transcript from a cheating prover.
 
     Plays the commit phase honestly as the receiver, lets the prover fix
@@ -396,7 +393,7 @@ def binding_attack(
         bprime, xprime = check_v0_reply(session.v0_response(t, h0, h1, y, xi), ell)
 
         oracle = oracle_from_prover(prefix, session, ell)
-        z_list = goldreich_levin(oracle, ell, gl_advantage, gl_confidence, rng)
+        z_list = goldreich_levin(oracle, ell, _GL_ADVANTAGE, _GL_CONFIDENCE, rng)
     except ProverNondeterminism:
         raise
     except ProtocolViolation as exc:

@@ -31,8 +31,6 @@ from .verifier import (
     v2_decide,
 )
 
-_SCHEME_KW = {"hm2": ("a",)}
-
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scheme", choices=["hm2", "ident", "const"], default="hm2")
@@ -116,9 +114,7 @@ def _make_params(args) -> ProtocolParams:
     if args.scheme == "hm2":
         kwargs["a"] = args.a if args.a is not None else min(8, max(1, args.ell // 2))
     scheme = make_scheme(args.scheme, args.ell, **kwargs)
-    return ProtocolParams(
-        scheme=scheme, epsilon=args.epsilon, grid_mode=args.grid, lam=args.lam
-    )
+    return ProtocolParams(scheme=scheme, epsilon=args.epsilon, grid_mode=args.grid)
 
 
 def _resolved_config(args) -> dict:
@@ -170,7 +166,7 @@ def cmd_completeness(args) -> int:
 def cmd_soundness(args) -> int:
     params = _make_params(args)
     if args.prover == "classical-honest":
-        factory = lambda r: adversaries.classical_honest_prover(
+        factory = lambda r: adversaries.ClassicalHonestProver(
             params.scheme, 0, int.from_bytes(r, "big") % (1 << params.ell)
         )
     else:

@@ -103,21 +103,6 @@ def commit_alpha_law(
     return scheme.alpha_partition(j, state.s0, state.s1, prefix)
 
 
-def run_coherent_commit(
-    scheme: CommitScheme, receiver_randomness: int, rng: np.random.Generator
-) -> tuple[Transcript, SupportState]:
-    """Coherent commit phase: each alpha_j is measured, never chosen.
-
-    At round j the observed message has Pr[alpha] proportional to the
-    number of (b, x) branches consistent with it; the support sets are
-    filtered to the matching seeds and the receiver replies g_j(r, ...).
-    """
-    from .verifier import run_commit  # the verifier module imports this one
-
-    session = HonestSession(scheme, rng)
-    return run_commit(scheme, session, receiver_randomness), session.state
-
-
 def consistent_state(scheme: CommitScheme, t: Transcript, hash_step=None) -> SupportState:
     """Brute-force support sets: every (b, x) consistent with transcript t
     and, given hash_step = (h0, h1, y), with h_b(x) = y as well."""

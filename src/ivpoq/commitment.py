@@ -37,7 +37,10 @@ Transcript = tuple[bytes, ...]  # flat (alpha_1, beta_1, ..., alpha_L, beta_L)
 # Per-scheme seed-bucket caches are bounded to roughly this many bytes.
 _CACHE_BYTES = 1 << 28
 # Seeds hashed per decode in an F_r fill: bounds the digests held at once.
+# A multiple of 256, so each block holds whole runs of one seed's high bytes.
 _FILL_BLOCK = 1 << 10
+# The one-byte strings, each a seed's last byte in an F_r fill.
+_LAST_BYTES = [bytes([v]) for v in range(256)]
 
 
 class CommitRoundLaw:
@@ -209,10 +212,6 @@ class ConstScheme(CommitScheme):
         ok = t == (b"", b"")
         return np.full(1 << self.ell, ok, dtype=bool)
 
-    def receiver_mask(self, t):
-        ok = t == (b"", b"")
-        return np.full(1 << self.ell, ok, dtype=bool)
-
     def alpha_partition(self, j, xs0, xs1, prefix):
         return OneClassLaw(xs0, xs1, b"")
 
@@ -239,10 +238,6 @@ class IdentScheme(CommitScheme):
             if x < 1 << self.ell:
                 mask[x] = True
         return mask
-
-    def receiver_mask(self, t):
-        ok = t[1] == b""
-        return np.full(1 << self.ell, ok, dtype=bool)
 
 
 class Hm2Table(NamedTuple):
@@ -314,7 +309,6 @@ class Hm2Scheme(CommitScheme):
         entry = n * self._dtypes[1].itemsize + (self._n_keys + 1) * self._dtypes[2].itemsize
         self._buckets: OrderedDict[int, Hm2Table] = OrderedDict()
         self._max_cached = max(4, _CACHE_BYTES // entry)
-        self._xbytes: list[bytes] | None = None
 
     # the compressing function and the extractor -------------------------
     def compress(self, r: int, x: int) -> int:
@@ -335,18 +329,22 @@ class Hm2Scheme(CommitScheme):
             self._buckets.move_to_end(r)
             return hit
         n = 1 << self.ell
-        if self._xbytes is None:
-            nb = self._seed_bytes
-            self._xbytes = [x.to_bytes(nb, "big") for x in range(n)]
         key_t, seed_t, start_t = self._dtypes
-        copy = hashlib.sha256(b"hm2" + to_bytes(r, self.ell)).copy
+        prefix = hashlib.sha256(b"hm2" + to_bytes(r, self.ell))
+        # Seeds x..x+255 with x a multiple of 256 share every byte but the
+        # last: hash the shared bytes once per run, then each last byte.
+        run, high = min(n, 256), self._seed_bytes - 1
         keys = np.empty(n, dtype=key_t)
         for lo in range(0, n, _FILL_BLOCK):
             digests = []
-            for xb in self._xbytes[lo : lo + _FILL_BLOCK]:
-                h = copy()
-                h.update(xb)
-                digests.append(h.digest())
+            for x in range(lo, min(lo + _FILL_BLOCK, n), run):
+                shared = prefix.copy()
+                shared.update((x >> 8).to_bytes(high, "big"))
+                copy = shared.copy
+                for last in _LAST_BYTES[:run]:
+                    h = copy()
+                    h.update(last)
+                    digests.append(h.digest())
             # Word 0 of each 32-byte digest, big-endian, as compress() reads it.
             words = np.frombuffer(b"".join(digests), dtype=">u4")[::8]
             keys[lo : lo + len(digests)] = words >> (32 - self.out_bits)
@@ -409,11 +407,6 @@ class Hm2Scheme(CommitScheme):
         mask[self.consistent_seeds(t, b)] = True
         return mask
 
-    def receiver_mask(self, t):
-        mask = np.zeros(1 << self.ell, dtype=bool)
-        mask[self._seed_from_beta1(t[1])] = True
-        return mask
-
     def alpha_partition(self, j, xs0, xs1, prefix):
         if j == 1:
             return OneClassLaw(xs0, xs1, b"")
@@ -443,10 +436,9 @@ class Hm2Scheme(CommitScheme):
         return {"name": self.name, "ell": self.ell, "a": self.a}
 
     def __getstate__(self):
-        # The F_r cache and seed bytes stay in this process; a copy rebuilds them.
+        # The F_r cache stays in this process; a copy refills it.
         state = dict(self.__dict__)
         state["_buckets"] = OrderedDict()
-        state["_xbytes"] = None
         return state
 
 

@@ -83,13 +83,10 @@ class HashFn:
                 y = (y << 1) | parity_u32(u & np.uint32(row))
             return y ^ self.shift
         if self.p == _PRIMES[0] and arr.size > _SCALAR_MAX:
-            return self._eval_many_m61(arr)
+            return _eval_m61(arr, np.uint64(self.a), np.uint64(self.b), np.uint64(self.k))
         # Python ints: exact for every prime, and faster than numpy on few seeds.
         a, b, p, k = self.a, self.b, self.p, self.k
         return np.array([(a * x + b) % p % k for x in arr.tolist()], dtype=np.int64)
-
-    def _eval_many_m61(self, arr: np.ndarray) -> np.ndarray:
-        return _eval_m61(arr, np.uint64(self.a), np.uint64(self.b), np.uint64(self.k))
 
     def to_json_dict(self) -> dict:
         d = {"family": self.family, "ell": self.ell, "k": self.k}

@@ -19,10 +19,10 @@ from .commitment import (
     hiding_distance,
     transcript_distributions,
 )
-from .coherent_prover import SupportState, commit_alpha_law, run_coherent_commit
-from .hashing import GF2_AFFINE, enumerate_family, family_size, sample_hash
+from .coherent_prover import SupportState, commit_alpha_law
+from .hashing import AFFINE_MOD_PRIME, GF2_AFFINE, enumerate_family, family_size, sample_hash
 from .stats import hoeffding_halfwidth, wilson_interval
-from .verifier import grid_brackets, grid_sizes
+from .verifier import grid_brackets, grid_sizes, run_coherent_commit
 
 HOLDS = "holds"
 VIOLATED = "violated"
@@ -152,11 +152,7 @@ def grid_bounds_ok(j: int, k: int, size0: int, size1: int, eps: Fraction) -> boo
 
 
 def check_unique_claw_prob(
-    n: int,
-    epsilon: float,
-    trials: int,
-    rng: np.random.Generator,
-    hash_family: str = "affine-mod-prime",
+    n: int, epsilon: float, trials: int, rng: np.random.Generator
 ) -> LemmaReport:
     """Estimate the both-preimages-unique probability on synthetic sets.
 
@@ -181,8 +177,8 @@ def check_unique_claw_prob(
     total = 0.0
     values = []
     for _ in range(trials):
-        h0 = sample_hash(hash_family, ell, k, rng)
-        h1 = sample_hash(hash_family, ell, k, rng)
+        h0 = sample_hash(AFFINE_MOD_PRIME, ell, k, rng)
+        h1 = sample_hash(AFFINE_MOD_PRIME, ell, k, rng)
         g0 = _unique_values(h0, x0)
         g1 = _unique_values(h1, x1)
         q = 2 * len(g0 & g1) / (2 * n)

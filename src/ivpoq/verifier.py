@@ -12,7 +12,7 @@ and every run replays to the same verdict.
 run_block is the lockstep engine for honest sessions: a block of them
 advances step by step, each on its own stream with run_session's draws,
 while the hashing, the y law and the Hadamard transforms run once for
-the block; decide_block is V2 over such a block.
+the block; decide_block is V2 over a block of any prover's records.
 
 V2's hard steps (counting consistent preimages and finding witnesses)
 go through count_consistent_preimages, a brute-force stand-in for the
@@ -119,8 +119,6 @@ class ProtocolParams:
     scheme: CommitScheme
     epsilon: float = 0.01
     grid_mode: str = GRID_UNIFORM
-    lam: int = 40
-    hash_family: str = AFFINE_MOD_PRIME
     m: int = field(init=False)
     ks: tuple[int, ...] = field(init=False)
 
@@ -247,6 +245,19 @@ def run_commit(scheme: CommitScheme, session, r: int) -> Transcript:
     return tuple(msgs)
 
 
+def run_coherent_commit(
+    scheme: CommitScheme, receiver_randomness: int, rng: np.random.Generator
+) -> tuple[Transcript, SupportState]:
+    """Coherent commit phase: each alpha_j is measured, never chosen.
+
+    At round j the observed message has Pr[alpha] proportional to the
+    number of (b, x) branches consistent with it; the support sets are
+    filtered to the matching seeds and the receiver replies g_j(r, ...).
+    """
+    session = HonestSession(scheme, rng)
+    return run_commit(scheme, session, receiver_randomness), session.state
+
+
 def run_preamble(params: ProtocolParams, session, rng: np.random.Generator) -> tuple[tuple, int]:
     """Commit rounds, grid choice and hash pair; returns ((t, h0, h1, y), j).
 
@@ -262,8 +273,8 @@ def run_preamble(params: ProtocolParams, session, rng: np.random.Generator) -> t
     if j_idx is None:
         j_idx = int(rng.integers(params.m))
     k = params.ks[j_idx]
-    h0 = sample_hash(params.hash_family, scheme.ell, k, rng)
-    h1 = sample_hash(params.hash_family, scheme.ell, k, rng)
+    h0 = sample_hash(AFFINE_MOD_PRIME, scheme.ell, k, rng)
+    h1 = sample_hash(AFFINE_MOD_PRIME, scheme.ell, k, rng)
     y = check_reply(session.hash_response(t, h0, h1), k, "y")
     return (t, h0, h1, y), j_idx
 
@@ -389,8 +400,8 @@ def run_block(params: ProtocolParams, seed: int, lo: int, hi: int) -> list[Sessi
             j = int(rng.integers(params.m))
         js.append(j)
         hashes += (
-            sample_hash(params.hash_family, ell, params.ks[j], rng),
-            sample_hash(params.hash_family, ell, params.ks[j], rng),
+            sample_hash(AFFINE_MOD_PRIME, ell, params.ks[j], rng),
+            sample_hash(AFFINE_MOD_PRIME, ell, params.ks[j], rng),
         )
     ys, xs, seg = _hash_step(params, rngs, supports, hashes)
     offsets = [0] + np.bincount(seg, minlength=len(supports)).cumsum().tolist()
@@ -564,29 +575,25 @@ class AcceptanceReport:
 
 
 def _acceptance_counts(params, prover, start, stop, seed):
-    if type(prover) is HonestProver and prover.scheme is params.scheme:
-        step = block_sessions(params.ell)
-        verdicts = (
-            verdict
-            for lo in range(start, stop, step)
-            for verdict in decide_block(params, run_block(params, seed, lo, min(lo + step, stop)))
-        )
-    else:
-        verdicts = (
-            v2_decide(params, run_session(params, prover, np.random.default_rng([seed, i])))
-            for i in range(start, stop)
-        )
-    accepts = unique = unique_accepts = 0
+    honest = type(prover) is HonestProver and prover.scheme is params.scheme
+    step = block_sessions(params.ell)
+    accepts = unique = unique_accepts = coin_accepts = 0
     reasons = {REASON_PASS: 0, REASON_FAIL: 0, REASON_COIN: 0}
-    coin_accepts = 0
-    for ok, reason in verdicts:
-        reasons[reason] += 1
-        accepts += ok
-        if reason == REASON_COIN:
-            coin_accepts += ok
+    for lo in range(start, stop, step):
+        hi = min(lo + step, stop)
+        if honest:
+            records = run_block(params, seed, lo, hi)
         else:
-            unique += 1
-            unique_accepts += ok
+            rngs = (np.random.default_rng([seed, i]) for i in range(lo, hi))
+            records = [run_session(params, prover, rng) for rng in rngs]
+        for ok, reason in decide_block(params, records):
+            reasons[reason] += 1
+            accepts += ok
+            if reason == REASON_COIN:
+                coin_accepts += ok
+            else:
+                unique += 1
+                unique_accepts += ok
     return accepts, unique, unique_accepts, coin_accepts, reasons
 
 
@@ -602,8 +609,8 @@ def estimate_acceptance(
     Session i always uses the RNG stream derived from (seed, i), so the
     result is independent of the worker count; worker tallies merge by
     summation.  The honest prover's sessions run in lockstep blocks
-    (run_block, decide_block), any other prover's through run_session
-    and v2_decide one at a time; both give the same records.
+    (run_block), any other prover's through run_session one at a time;
+    both give the same records, and decide_block decides each block.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

@@ -18,9 +18,9 @@ import dense_oracle
 from sparse_law import sparse_challenge_law
 
 from ivpoq.adversaries import (
+    ClassicalHonestProver,
     PredictionOracle,
     binding_attack,
-    classical_honest_prover,
     goldreich_levin,
     unbounded_claw_prover,
 )
@@ -115,7 +115,7 @@ def test_criterion_03_law_of_total_acceptance(honest_run):
     t0 = time.time()
     claw = estimate_acceptance(params, unbounded_claw_prover(sch), 15_000, seed=103)
     classical = estimate_acceptance(
-        params, classical_honest_prover(sch, 0, 2025), 20_000, seed=104
+        params, ClassicalHonestProver(sch, 0, 2025), 20_000, seed=104
     )
     elapsed = time.time() - t0 + honest.elapsed
     # the quantum-equivalent provers carry the cos^2(pi/8) bonus on the

@@ -6,11 +6,11 @@ from scipy import stats as sstats
 
 from ivpoq import adversaries
 from ivpoq.adversaries import (
+    ClassicalHonestProver,
     PredictionOracle,
     ProverNondeterminism,
     ScriptedProver,
     binding_attack,
-    classical_honest_prover,
     estimate_conditional_acceptance,
     goldreich_levin,
     oracle_from_prover,
@@ -55,7 +55,7 @@ def find_unique_claw_prefix(scheme, params, seed=0, want_unique=True):
 def test_classical_honest_always_passes_v0_on_unique_claws():
     sch = make_scheme("hm2", 8, a=4)
     params = ProtocolParams(scheme=sch, epsilon=0.01, grid_mode=GRID_ORACLE)
-    prover = classical_honest_prover(sch, 0, 123)
+    prover = ClassicalHonestProver(sch, 0, 123)
     hits = 0
     for i in range(600):
         rec = run_session(params, prover, np.random.default_rng([31, i]))
@@ -71,10 +71,10 @@ def test_classical_honest_rate_equal_on_hm2_and_ident():
     trials = 4000
     hm2 = make_scheme("hm2", 8, a=4)
     p_hm2 = ProtocolParams(scheme=hm2, epsilon=0.01, grid_mode=GRID_ORACLE)
-    rep_hm2 = estimate_acceptance(p_hm2, classical_honest_prover(hm2, 0, 7), trials, seed=1)
+    rep_hm2 = estimate_acceptance(p_hm2, ClassicalHonestProver(hm2, 0, 7), trials, seed=1)
     ident = make_scheme("ident", 8)
     p_id = ProtocolParams(scheme=ident, epsilon=0.01, grid_mode=GRID_ORACLE)
-    rep_id = estimate_acceptance(p_id, classical_honest_prover(ident, 0, 7), trials, seed=2)
+    rep_id = estimate_acceptance(p_id, ClassicalHonestProver(ident, 0, 7), trials, seed=2)
     assert abs(rep_hm2.rate - rep_id.rate) < 0.025
     assert abs(rep_hm2.rate - 7 / 8) < 0.02
 
@@ -83,7 +83,7 @@ def test_classical_honest_unique_conditional_is_seven_eighths():
     # v1=0 passes always; v1=1 passes at 3/4 with d=0, eta = xi.x
     sch = make_scheme("hm2", 8, a=4)
     params = ProtocolParams(scheme=sch, epsilon=0.01, grid_mode=GRID_ORACLE)
-    rep = estimate_acceptance(params, classical_honest_prover(sch, 0, 55), 6000, seed=3)
+    rep = estimate_acceptance(params, ClassicalHonestProver(sch, 0, 55), 6000, seed=3)
     assert rep.unique_trials > 400
     assert abs(rep.unique_rate - 7 / 8) < 0.05
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ivpoq.adversaries import ScriptedProver, classical_honest_prover
+from ivpoq.adversaries import ClassicalHonestProver, ScriptedProver
 from ivpoq.amplification import (
     BernoulliProver,
     RepetitionPlan,
@@ -108,7 +108,7 @@ def test_per_randomness_profile_shapes():
     params = ProtocolParams(scheme=sch, epsilon=0.1, grid_mode=GRID_ORACLE)
     profile = per_randomness_profile(
         params,
-        lambda r: classical_honest_prover(sch, 0, int.from_bytes(r, "big") % 64),
+        lambda r: ClassicalHonestProver(sch, 0, int.from_bytes(r, "big") % 64),
         n_r=4,
         trials=80,
         threshold=0.95,

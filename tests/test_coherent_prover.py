@@ -20,12 +20,11 @@ from ivpoq.coherent_prover import (
     hash_outcome_law,
     measure_hash,
     measure_rotated,
-    run_coherent_commit,
     sample_d,
 )
 from ivpoq.hashing import HashFn, AFFINE_MOD_PRIME, identity_hash, sample_hash
 from ivpoq.lemma_harness import coherent_transcript_law
-from ivpoq.verifier import ProtocolParams, run_session
+from ivpoq.verifier import ProtocolParams, run_coherent_commit, run_session
 
 
 def const_hash(ell, k, value):

@@ -1,5 +1,6 @@
 import hashlib
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -198,10 +199,25 @@ def test_hm2_pickle_drops_cache_and_keeps_answers():
     sch = make_scheme("hm2", 9, a=4)
     t = run_classical_commit(sch, 1, 100, 313)
     want = sch.consistent_mask(t, 1)
-    assert sch._buckets and sch._xbytes is not None
+    assert sch._buckets
     copy = pickle.loads(pickle.dumps(sch))
-    assert not copy._buckets and copy._xbytes is None
+    assert not copy._buckets
     assert (copy.consistent_mask(t, 1) == want).all()
+
+
+def test_hm2_fill_holds_only_its_table():
+    # After the first fill the scheme keeps the table and nothing of the
+    # size of 2^ell Python objects (per-seed byte strings would be ~2.8 MB).
+    sch = make_scheme("hm2", 16, a=8)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = sch._bucket(12345)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    own = table.order.nbytes + table.starts.nbytes
+    assert held < 2 * own
 
 
 def test_hiding_distance_controls():

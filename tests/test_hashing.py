@@ -11,6 +11,7 @@ from ivpoq.hashing import (
     GF2_AFFINE,
     HashFn,
     _PRIMES,
+    _eval_m61,
     enumerate_family,
     eval_segments,
     family_size,
@@ -154,7 +155,7 @@ def test_eval_many_m61_matches_scalar_eval(a, b, k, xs):
     want = [h.eval(x) for x in xs]
     assert h.eval_many(xs).tolist() == want
     # eval_many takes Python ints on short arrays; check the uint64 kernel itself.
-    assert h._eval_many_m61(np.array(xs, dtype=np.int64)).tolist() == want
+    assert _eval_m61(np.array(xs, dtype=np.int64), *np.uint64([a, b, k])).tolist() == want
 
 
 @pytest.mark.parametrize("k", [1, 7, 1 << 25])
@@ -176,7 +177,7 @@ def test_eval_many_m61_at_its_bounds(a, b, k):
     h = HashFn(family=AFFINE_MOD_PRIME, ell=24, k=k, a=a, b=b, p=_M61)
     xs = [0, 1, (1 << 24) - 2, (1 << 24) - 1]
     want = [h.eval(x) for x in xs]
-    assert h._eval_many_m61(np.array(xs, dtype=np.int64)).tolist() == want
+    assert _eval_m61(np.array(xs, dtype=np.int64), *np.uint64([a, b, k])).tolist() == want
     many = np.array(xs * 20, dtype=np.int64)  # long enough for the kernel path
     assert h.eval_many(many).tolist() == want * 20
 

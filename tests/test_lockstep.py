@@ -8,14 +8,19 @@ ident, and their seeds reach both challenge branches and, where the
 scheme allows it, both ways of drawing d.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from ivpoq.adversaries import ClassicalHonestProver, UnboundedClawProver
 from ivpoq.coherent_prover import HonestProver, consistent_state
 from ivpoq.commitment import make_scheme
 from ivpoq.verifier import (
     GRID_ORACLE,
     GRID_UNIFORM,
+    REASON_COIN,
+    REASON_PASS,
     ProtocolParams,
     block_sessions,
     decide_block,
@@ -92,3 +97,33 @@ def test_estimate_acceptance_engine_matches_scalar_loop(name, ell, kwargs, grid,
     scalar = estimate_acceptance(params, _ScalarHonestProver(params.scheme), trials, seed=17)
     assert engine.to_json_dict() == scalar.to_json_dict()
     assert engine.unique_trials > 0
+
+
+
+PROVERS = {
+    "classical-honest": lambda sch: ClassicalHonestProver(sch, 0, 21),
+    "unbounded-claw": lambda sch: UnboundedClawProver(sch, b"\x03"),
+}
+
+
+@pytest.mark.parametrize("prover", sorted(PROVERS))
+@pytest.mark.parametrize(
+    "name,ell,kwargs", [("hm2", 6, {"a": 3}), ("const", 5, {}), ("ident", 5, {})]
+)
+def test_estimate_acceptance_matches_v2_decide_tally(prover, name, ell, kwargs):
+    # Every prover's records are decided a block at a time by decide_block;
+    # the tally must equal v2_decide's over the same sessions, in two blocks.
+    params = _params(name, ell, kwargs, GRID_ORACLE)
+    cheater = PROVERS[prover](params.scheme)
+    trials = block_sessions(ell) + 40
+    report = estimate_acceptance(params, cheater, trials, seed=29)
+    tally = Counter()
+    for i in range(trials):
+        record = run_session(params, cheater, np.random.default_rng([29, i]))
+        tally[v2_decide(params, record)] += 1
+    assert report.by_reason == {
+        reason: tally[True, reason] + tally[False, reason] for reason in report.by_reason
+    }
+    assert report.unique_accepts == tally[True, REASON_PASS]
+    assert report.nonunique_accepts == tally[True, REASON_COIN]
+    assert report.accepts == sum(n for (ok, _), n in tally.items() if ok)
