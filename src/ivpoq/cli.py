@@ -1,7 +1,8 @@
 """Experiment runner: one reproducible entry point over all modules.
 
-Every subcommand resolves a config (flags override an optional
-key=value file), derives all randomness from --seed, and emits JSON or
+Every subcommand takes only the flags it reads (_COMMANDS lists them),
+resolves a config (flags override an optional key=value file whose keys
+are flag names), derives all randomness from --seed, and emits JSON or
 CSV with the resolved config embedded.  Identical (config, seed) pairs
 produce byte-identical output.
 
@@ -20,7 +21,7 @@ import sys
 import numpy as np
 
 from . import adversaries, amplification, lemma_harness
-from .commitment import make_scheme
+from .commitment import CommitScheme, make_scheme
 from .coherent_prover import HonestProver
 from .verifier import (
     GRID_ORACLE,
@@ -32,21 +33,38 @@ from .verifier import (
 )
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--scheme", choices=["hm2", "ident", "const"], default="hm2")
-    p.add_argument("--ell", type=int, default=12)
-    p.add_argument("--a", type=int, default=None, help="hm2 hiding parameter (default ell/2 capped at 8)")
-    p.add_argument("--epsilon", type=float, default=0.01)
-    p.add_argument("--grid", choices=[GRID_UNIFORM, GRID_ORACLE], default=GRID_UNIFORM)
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lambda", dest="lam", type=int, default=40)
-    p.add_argument("--c", type=float, default=0.93)
-    p.add_argument("--s", type=float, default=0.875)
-    p.add_argument("--out", type=str, default=None)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--config", type=str, default=None, help="key=value file; flags win")
+def _count(text: str) -> int:
+    """A count flag's value: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+# Every flag, by name; each subcommand takes the ones _COMMANDS lists.
+_FLAGS = {
+    "scheme": dict(choices=["hm2", "ident", "const"], default="hm2"),
+    "ell": dict(type=int, default=12),
+    "a": dict(type=int, default=None, help="hm2 hiding parameter (default ell/2 capped at 8)"),
+    "epsilon": dict(type=float, default=0.01),
+    "grid": dict(choices=[GRID_UNIFORM, GRID_ORACLE], default=GRID_UNIFORM),
+    "trials": dict(type=_count, default=1000),
+    "workers": dict(type=_count, default=1),
+    "format": dict(choices=["json", "csv"], default="json"),
+    "prover": dict(choices=["classical-honest", "unbounded-claw"], default="classical-honest"),
+    "r-grid": dict(type=_count, default=16),
+    "margin": dict(type=float, default=0.02),
+    "c": dict(type=float, default=0.93),
+    "s": dict(type=float, default=0.875),
+    "lambda": dict(dest="lam", type=int, default=40),
+    "advantage": dict(type=float, default=0.25),
+    "confidence": dict(type=float, default=0.05),
+    "seed": dict(type=int, default=0),
+    "out": dict(type=str, default=None),
+    "config": dict(type=str, default=None, help="key=value file; flags win"),
+}
+# The flags that set up a protocol run.
+_PROTOCOL = ("scheme", "ell", "a", "epsilon", "grid")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,66 +73,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact-distribution lab for a commitment-based proof-of-quantumness protocol",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, description in [
-        ("run", "run one session end to end and print its record"),
-        ("completeness", "estimate the honest prover's acceptance rate"),
-        ("soundness", "estimate a cheating prover's acceptance rate and per-randomness profile"),
-        ("lemmas", "run the lemma harness"),
-        ("reduce", "run the binding attack repeatedly"),
-        ("amplify", "sequential-repetition separation experiment"),
-        ("gl", "list-decoding experiment against a synthetic noisy oracle"),
-    ]:
-        p = sub.add_parser(name, help=description)
-        _add_common(p)
-        if name == "soundness":
-            p.add_argument(
-                "--prover",
-                choices=["classical-honest", "unbounded-claw"],
-                default="classical-honest",
-            )
-            p.add_argument("--r-grid", type=int, default=16)
-            p.add_argument("--margin", type=float, default=0.02)
-        if name == "gl":
-            p.add_argument("--advantage", type=float, default=0.25)
-            p.add_argument("--confidence", type=float, default=0.05)
+    for name, (handler, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=handler.__doc__)
+        for flag in flags + ("seed", "out", "config"):
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
 
 
-def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    if not args.config:
-        return
+def _config_flags(path: str, parser: argparse.ArgumentParser) -> list[str]:
+    """A config file's key=value lines as --key=value flags."""
     try:
-        with open(args.config) as fh:
-            pairs = dict(
-                line.strip().split("=", 1)
-                for line in fh
-                if line.strip() and not line.startswith("#")
-            )
-    except (OSError, ValueError) as exc:
+        with open(path) as fh:
+            lines = [line.strip() for line in fh if line.strip() and not line.startswith("#")]
+    except OSError as exc:
         parser.error(f"bad config file: {exc}")
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    actions = {a.dest: a for a in sub.choices[args.command]._actions}
-    for key, raw in pairs.items():
-        dest = key.replace("-", "_")
-        if dest == "lambda":
-            dest = "lam"
-        action = actions.get(dest)
-        if action is None or not hasattr(args, dest):
-            parser.error(f"unknown config key {key!r}")
-        if getattr(args, dest) == action.default:
-            cast = action.type or str
-            try:
-                setattr(args, dest, cast(raw))
-            except ValueError as exc:
-                parser.error(f"bad config value for {key!r}: {exc}")
+    return [f"--{line}" for line in lines]
 
 
-def _make_params(args) -> ProtocolParams:
+def _make_scheme(args) -> CommitScheme:
     kwargs = {}
     if args.scheme == "hm2":
         kwargs["a"] = args.a if args.a is not None else min(8, max(1, args.ell // 2))
-    scheme = make_scheme(args.scheme, args.ell, **kwargs)
-    return ProtocolParams(scheme=scheme, epsilon=args.epsilon, grid_mode=args.grid)
+    return make_scheme(args.scheme, args.ell, **kwargs)
+
+
+def _make_params(args) -> ProtocolParams:
+    return ProtocolParams(scheme=_make_scheme(args), epsilon=args.epsilon, grid_mode=args.grid)
 
 
 def _resolved_config(args) -> dict:
@@ -123,7 +107,7 @@ def _resolved_config(args) -> dict:
 
 
 def _emit(args, payload: dict, csv_rows: list[dict] | None = None) -> None:
-    if args.format == "csv" and csv_rows is not None:
+    if csv_rows is not None and args.format == "csv":
         buf = io.StringIO()
         config = _resolved_config(args)
         fields = list(csv_rows[0]) + sorted(set(config) - set(csv_rows[0]))
@@ -146,6 +130,7 @@ def _emit(args, payload: dict, csv_rows: list[dict] | None = None) -> None:
 
 
 def cmd_run(args) -> int:
+    """run one session end to end and print its record"""
     params = _make_params(args)
     prover = HonestProver(params.scheme)
     rng = np.random.default_rng([args.seed, 0])
@@ -156,6 +141,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_completeness(args) -> int:
+    """estimate the honest prover's acceptance rate"""
     params = _make_params(args)
     prover = HonestProver(params.scheme)
     report = estimate_acceptance(params, prover, args.trials, args.seed, args.workers)
@@ -164,6 +150,7 @@ def cmd_completeness(args) -> int:
 
 
 def cmd_soundness(args) -> int:
+    """estimate a cheating prover's acceptance rate and per-randomness profile"""
     params = _make_params(args)
     if args.prover == "classical-honest":
         factory = lambda r: adversaries.ClassicalHonestProver(
@@ -177,7 +164,7 @@ def cmd_soundness(args) -> int:
         params,
         factory,
         n_r=args.r_grid,
-        trials=max(1, args.trials // max(1, args.r_grid)),
+        trials=max(1, args.trials // args.r_grid),
         threshold=args.s + args.margin,
         seed=args.seed,
     )
@@ -187,8 +174,11 @@ def cmd_soundness(args) -> int:
 
 
 def cmd_lemmas(args) -> int:
+    """run the lemma harness"""
+    if not 0 < args.epsilon < 1:  # ProtocolParams checks it for the other commands
+        raise ValueError("epsilon must lie in (0, 1)")
     rng = np.random.default_rng([args.seed, 1])
-    scheme = _make_params(args).scheme
+    scheme = _make_scheme(args)
     reports = [
         lemma_harness.check_hash_lemmas(),
         lemma_harness.check_unique_claw_prob(8, args.epsilon, min(args.trials, 4000), rng),
@@ -205,6 +195,7 @@ def cmd_lemmas(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    """run the binding attack repeatedly"""
     params = _make_params(args)
     prover = adversaries.unbounded_claw_prover(params.scheme)
     successes = 0
@@ -227,6 +218,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_amplify(args) -> int:
+    """sequential-repetition separation experiment"""
     plan = amplification.RepetitionPlan(c=args.c, s=args.s, lam=args.lam)
     report = amplification.separation_experiment(plan, args.trials, args.seed)
     _emit(args, report.to_json_dict(), [report.to_json_dict()])
@@ -234,6 +226,7 @@ def cmd_amplify(args) -> int:
 
 
 def cmd_gl(args) -> int:
+    """list-decoding experiment against a synthetic noisy oracle"""
     rng = np.random.default_rng([args.seed, 2])
     ell = args.ell
     hits = 0
@@ -267,26 +260,35 @@ def _noisy_parity_oracle(planted, ell, advantage, rng) -> adversaries.Prediction
     return adversaries.PredictionOracle(ell=ell, fn=fn)
 
 
+# name: (handler, whose docstring is its help, the flags it reads besides
+# --seed, --out and --config)
 _COMMANDS = {
-    "run": cmd_run,
-    "completeness": cmd_completeness,
-    "soundness": cmd_soundness,
-    "lemmas": cmd_lemmas,
-    "reduce": cmd_reduce,
-    "amplify": cmd_amplify,
-    "gl": cmd_gl,
+    "run": (cmd_run, _PROTOCOL),
+    "completeness": (cmd_completeness, _PROTOCOL + ("trials", "workers", "format")),
+    "soundness": (
+        cmd_soundness,
+        _PROTOCOL + ("trials", "workers", "s", "prover", "r-grid", "margin", "format"),
+    ),
+    "lemmas": (cmd_lemmas, ("scheme", "ell", "a", "epsilon", "trials")),
+    "reduce": (cmd_reduce, _PROTOCOL + ("trials", "format")),
+    "amplify": (cmd_amplify, ("c", "s", "lambda", "trials", "format")),
+    "gl": (cmd_gl, ("ell", "advantage", "confidence", "trials", "format")),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_config_file(args, parser)
+        if args.config:
+            # The top-level parser takes no flags, so argv[0] is the command;
+            # the file's flags go before the command line's, which win.
+            args = parser.parse_args(argv[:1] + _config_flags(args.config, parser) + argv[1:])
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

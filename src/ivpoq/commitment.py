@@ -462,6 +462,28 @@ def run_classical_commit(scheme: CommitScheme, b: int, x: int, r: int) -> Transc
     return tuple(msgs)
 
 
+def commit_leaves(scheme: CommitScheme, r: int):
+    """Yield (t, s0, s1) for every full transcript t of receiver seed r.
+
+    s_b holds the seeds that send t on bit b, as ascending int64, split
+    off the full state round by round through alpha_partition.
+    """
+    xs = np.arange(1 << scheme.ell, dtype=np.int64)
+
+    def walk(prefix: Transcript, xs0: np.ndarray, xs1: np.ndarray):
+        j = len(prefix) // 2 + 1
+        law = scheme.alpha_partition(j, xs0, xs1, prefix)
+        for i in range(len(law.counts)):
+            with_alpha = prefix + (law.alpha(i),)
+            t = with_alpha + (scheme.receiver_msg(j, r, with_alpha),)
+            if j == scheme.rounds:
+                yield (t, *law.split(i))
+            else:
+                yield from walk(t, *law.split(i))
+
+    return walk((), xs, xs)
+
+
 def transcript_distributions(scheme: CommitScheme) -> dict[Transcript, tuple[int, int]]:
     """Exact per-bit transcript counts over all (x, r): {t: (n_b0, n_b1)}.
 
@@ -487,9 +509,10 @@ def hiding_distance(
 
     Exact (full (x, r) enumeration) when 2^(2 ell) is small enough,
     otherwise a Monte-Carlo average over num_transcripts receiver seeds
-    with the inner sum over x kept exact.  The sampled estimator matches
-    the exact distance whenever the receiver messages pin down the seed
-    (true for hm2); for other schemes it is an upper bound.
+    with the inner sum over (b, x) kept exact by one commit_leaves walk.
+    The sampled estimator matches the exact distance whenever the
+    receiver messages pin down the seed (true for hm2); for other schemes
+    it is an upper bound.
     """
     if scheme.ell <= exact_ell_cap:
         counts = transcript_distributions(scheme)
@@ -500,11 +523,6 @@ def hiding_distance(
     n = 1 << scheme.ell
     total = 0.0
     for _ in range(num_transcripts):
-        r = int(rng.integers(n))
-        per_t: dict[Transcript, list[int]] = {}
-        for b in (0, 1):
-            for x in range(n):
-                t = run_classical_commit(scheme, b, x, r)
-                per_t.setdefault(t, [0, 0])[b] += 1
-        total += sum(abs(c0 - c1) for c0, c1 in per_t.values()) / (2 * n)
+        leaves = commit_leaves(scheme, int(rng.integers(n)))
+        total += sum(abs(len(s0) - len(s1)) for _, s0, s1 in leaves) / (2 * n)
     return total / num_transcripts

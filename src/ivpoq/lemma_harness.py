@@ -16,10 +16,10 @@ import numpy as np
 from .commitment import (
     CommitScheme,
     Transcript,
+    commit_leaves,
     hiding_distance,
     transcript_distributions,
 )
-from .coherent_prover import SupportState, commit_alpha_law
 from .hashing import AFFINE_MOD_PRIME, GF2_AFFINE, enumerate_family, family_size, sample_hash
 from .stats import hoeffding_halfwidth, wilson_interval
 from .verifier import grid_brackets, grid_sizes, run_coherent_commit
@@ -168,6 +168,8 @@ def check_unique_claw_prob(
     """
     if n < 1:
         raise ValueError("the balance precondition needs |X0| = |X1| >= 1")
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
     ell = max(1, (2 * n - 1).bit_length())
     found = find_grid_index(n, n, epsilon, ell)
     assert found is not None  # equal sizes always pass the precondition
@@ -249,29 +251,17 @@ def check_branch_balance(
 def coherent_transcript_law(scheme: CommitScheme) -> dict[Transcript, Fraction]:
     """Exact transcript law of the coherent commit run, by tree traversal.
 
-    Walks every measurement branch with Fraction probabilities; the
-    receiver seed is enumerated exhaustively.  Independent of the
-    sampling path through run_coherent_commit.
+    Walks every measurement branch (commit_leaves) for every receiver
+    seed.  Each round keeps a branch with probability |child| / |state|,
+    so the products telescope: leaf (t, s0, s1) of seed r has
+    probability (|s0| + |s1|) / 2^(ell+1), and r has 2^-ell.
+    Independent of the sampling path through run_coherent_commit.
     """
     n = 1 << scheme.ell
     law: dict[Transcript, Fraction] = {}
-
-    def walk(r: int, state: SupportState, prefix: tuple, prob: Fraction):
-        j = len(prefix) // 2 + 1
-        round_law = commit_alpha_law(scheme, state, j, prefix)
-        for i in range(len(round_law.counts)):
-            s0, s1 = round_law.split(i)
-            branch_prob = prob * Fraction(len(s0) + len(s1), state.size)
-            with_alpha = prefix + (round_law.alpha(i),)
-            beta = scheme.receiver_msg(j, r, with_alpha)
-            t = with_alpha + (beta,)
-            if j == scheme.rounds:
-                law[t] = law.get(t, Fraction(0)) + branch_prob
-            else:
-                walk(r, SupportState(scheme.ell, s0, s1), t, branch_prob)
-
     for r in range(n):
-        walk(r, SupportState.full(scheme.ell), (), Fraction(1, n))
+        for t, s0, s1 in commit_leaves(scheme, r):
+            law[t] = law.get(t, Fraction(0)) + Fraction(len(s0) + len(s1), 2 * n * n)
     return law
 
 

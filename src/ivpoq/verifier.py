@@ -26,7 +26,7 @@ import bisect
 import json
 import math
 from dataclasses import dataclass, field
-from decimal import Decimal, getcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 
@@ -46,8 +46,6 @@ from .coherent_prover import (
 from .commitment import CommitScheme, Hm2Scheme, Transcript, make_scheme
 from .hashing import AFFINE_MOD_PRIME, HashFn, eval_segments, sample_hash
 
-getcontext().prec = 80
-
 GRID_UNIFORM = "uniform"
 GRID_ORACLE = "oracle"
 
@@ -60,35 +58,26 @@ class ProtocolViolation(RuntimeError):
     """A prover message failed validation (wrong size, range, or type)."""
 
 
-@lru_cache(maxsize=256)
 def compute_m(ell: int, epsilon: float) -> int:
     """Minimal m with (1+epsilon)^m >= 2^(ell+1)."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    base = Decimal(1) + Decimal(epsilon)
-    target = Decimal(1 << (ell + 1))
-    val = Decimal(1)
-    m = 0
-    while val < target:
-        val *= base
-        m += 1
-    return m
+    return len(grid_sizes(ell, epsilon))
 
 
 @lru_cache(maxsize=256)
 def grid_sizes(ell: int, epsilon: float) -> tuple[int, ...]:
-    """k_j = ceil((1+epsilon)^j) for j = 0..m-1."""
-    base = Decimal(1) + Decimal(epsilon)
-    target = Decimal(1 << (ell + 1))
+    """k_j = ceil((1+epsilon)^j) for j = 0..m-1, powers taken at 80 digits."""
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
     ks = []
-    val = Decimal(1)
-    while True:
-        ceiling = int(val.to_integral_value(rounding="ROUND_CEILING"))
-        ks.append(ceiling)
-        if val >= target:
-            break
-        val *= base
-    return tuple(ks[: compute_m(ell, epsilon)])
+    with localcontext() as ctx:
+        ctx.prec = 80
+        base = Decimal(1) + Decimal(epsilon)
+        target = Decimal(1 << (ell + 1))
+        val = Decimal(1)
+        while val < target:
+            ks.append(int(val.to_integral_value(rounding="ROUND_CEILING")))
+            val *= base
+    return tuple(ks)
 
 
 @lru_cache(maxsize=256)

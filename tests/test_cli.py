@@ -107,22 +107,62 @@ def test_gl_subcommand(capsys):
 def test_usage_error_exit_code(capsys):
     assert main(["frobnicate"]) == 1
     assert main(["run", "--scheme", "bogus"]) == 1
+    # a subcommand takes only the flags it reads
+    assert main(["amplify", "--scheme", "hm2"]) == 1
+    assert main(["run", "--workers", "2"]) == 1
+    assert main(["lemmas", "--epsilon", "0"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reduce", "--trials", "0"],
+        ["gl", "--trials", "0"],
+        ["amplify", "--trials", "0"],
+        ["soundness", "--r-grid", "0"],
+        ["completeness", "--trials", "-5"],
+        ["completeness", "--workers", "0"],
+    ],
+)
+def test_count_flags_must_be_positive(argv, capsys):
+    assert main(argv) == 1
+    assert "must be at least 1" in capsys.readouterr().err
 
 
 def test_config_file_flags_win(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("scheme=hm2\nell=6\na=3\nseed=5\n")
-    _, out_cfg = run_cli(capsys, ["run", "--config", str(cfg)])
-    assert json.loads(out_cfg)["config"]["ell"] == 6
-    # explicit flag beats the file
-    _, out_flag = run_cli(capsys, ["run", "--config", str(cfg), "--ell", "5"])
-    assert json.loads(out_flag)["config"]["ell"] == 5
+    for extra, ell in (
+        ([], 6),
+        (["--ell", "5"], 5),  # explicit flag beats the file
+        (["--ell", "12"], 12),  # even when it equals the default
+    ):
+        code, out = run_cli(capsys, ["run", "--config", str(cfg)] + extra)
+        assert code == 0
+        assert json.loads(out)["config"]["ell"] == ell
+        assert json.loads(out)["config"]["seed"] == 5
+    # keys are flag names, --lambda and --r-grid included
+    cfg.write_text("lambda=20\nc=0.9\ns=0.6\n")
+    _, out = run_cli(capsys, ["amplify", "--trials", "5", "--config", str(cfg)])
+    assert json.loads(out)["config"]["lam"] == 20
+    cfg.write_text("r-grid=2\nell=5\na=2\n")
+    _, out = run_cli(capsys, ["soundness", "--trials", "8", "--config", str(cfg)])
+    assert len(json.loads(out)["result"]["per_randomness"]["rates"]) == 2
 
 
 def test_config_file_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("frob=1\n")
-    assert main(["run", "--config", str(cfg)]) == 1
+    for command, line in (
+        ("run", "frob=1"),
+        ("run", "workers=2"),  # a flag run does not read
+        ("amplify", "scheme=hm2"),
+        ("soundness", "prover=bogus"),  # values meet the flag's choices and type
+        ("completeness", "format=xml"),
+        ("completeness", "trials=0"),
+        ("run", "ell"),
+    ):
+        cfg.write_text(line + "\n")
+        assert main([command, "--config", str(cfg)]) == 1, line
 
 
 def test_out_file_written(tmp_path, capsys):

@@ -239,6 +239,27 @@ def test_hiding_distance_hm2_mc_at_working_size():
     assert 0.0 < d <= 2 ** (-(sch.a - 2) / 2)
 
 
+@pytest.mark.parametrize(
+    "name, kwargs", [("hm2", {"a": 4}), ("const", {}), ("ident", {})], ids=["hm2", "const", "ident"]
+)
+def test_hiding_distance_monte_carlo_matches_per_seed_enumeration(name, kwargs):
+    # the sampled branch equals a classical per-seed enumeration, float for float
+    sch = make_scheme(name, 8, **kwargs)
+    mc = hiding_distance(sch, num_transcripts=12, rng=np.random.default_rng(5), exact_ell_cap=4)
+    rng = np.random.default_rng(5)
+    n = 1 << sch.ell
+    total = 0.0
+    for _ in range(12):
+        r = int(rng.integers(n))
+        counts = {}
+        for b in (0, 1):
+            for x in range(n):
+                t = run_classical_commit(sch, b, x, r)
+                counts.setdefault(t, [0, 0])[b] += 1
+        total += sum(abs(c0 - c1) for c0, c1 in counts.values()) / (2 * n)
+    assert mc == total / 12
+
+
 def test_hiding_distance_hm2_monte_carlo_matches_exact():
     sch = make_scheme("hm2", 8, a=4)
     exact = hiding_distance(sch)

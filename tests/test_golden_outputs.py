@@ -15,55 +15,55 @@ from ivpoq.cli import main
 GOLDEN = {
     "run-hm2-l8": (
         ["run", "--scheme", "hm2", "--ell", "8", "--seed", "3"],
-        "758529ac3479521db25db8fd119c15734e51223ed8244926fa413839928ddf32",
+        "87859a814a0345cea6992b1076adf09e31597da033f410e8e1c215d04f7b4535",
     ),
     "completeness-hm2-l8": (
         ["completeness", "--scheme", "hm2", "--ell", "8", "--trials", "2000", "--seed", "5"],
-        "c00daae67f2467867fe7f791dbf9d2a69763400a10ae4ae9d7140b6831cb85cf",
+        "e11790ef88649d34993ea09631e2895683604ad2fb6bd2ca097c35a6ee695a9c",
     ),
     "completeness-hm2-l12-oracle": (
         ["completeness", "--scheme", "hm2", "--ell", "12", "--grid", "oracle",
          "--trials", "300", "--seed", "7"],
-        "807d3a48af8520dae8a44b2af31e1d638b28cda6d27e85f186259a4934063e9b",
+        "515cf57234e71abf6a5656592f4b3cacf2c95ac0a9ee44e6fd5360ccf1211aad",
     ),
     "completeness-const-l6": (
         ["completeness", "--scheme", "const", "--ell", "6", "--epsilon", "0.5",
          "--trials", "1000", "--seed", "2"],
-        "b920cee9b5b47f192a4f1c3eb0f0dbfd57a8a5f70821ced86442ba0cbf80be12",
+        "e668a7a44a9d141390b1599373a2aa68ba9e7355b565b984c4dec560053bc841",
     ),
     "soundness-classical-honest-hm2-l6": (
         ["soundness", "--scheme", "hm2", "--ell", "6", "--a", "3", "--trials", "400",
          "--seed", "2", "--prover", "classical-honest", "--r-grid", "4"],
-        "3c07d4f00fe3920845ea415fe3d60cc82f9faac24f30e9660d6dfff759473d15",
+        "52df39cc5244aa68d0c3a6c30b2c9b3fcdf2695d697123f915c2daefb0409f20",
     ),
     "soundness-classical-honest-ident-l5": (
         ["soundness", "--scheme", "ident", "--ell", "5", "--epsilon", "0.5", "--trials", "400",
          "--seed", "4", "--prover", "classical-honest", "--r-grid", "4"],
-        "6a0b582db81669925cb5c265c9720daa615c4aa7e7a1fe8f6470334995ba735f",
+        "b8fda8d025fb47af553a3c0399c8711b63dd94b05be72930dfb55f793f03100f",
     ),
     "soundness-unbounded-claw-hm2-l6": (
         ["soundness", "--scheme", "hm2", "--ell", "6", "--a", "3", "--trials", "200",
          "--seed", "3", "--prover", "unbounded-claw", "--r-grid", "4"],
-        "1e05d5a69d13717a2f4cfd46314f57a0d495d8438d169684c8ba1d178ffcc0ea",
+        "aea989747686ae90ca9ca713c0ee08296773f365f689b7f077d3745196cd4c2c",
     ),
     "soundness-unbounded-claw-const-l5": (
         ["soundness", "--scheme", "const", "--ell", "5", "--epsilon", "0.5", "--trials", "200",
          "--seed", "6", "--prover", "unbounded-claw", "--r-grid", "4"],
-        "59733205bd55acd5361b7f835772cbb64b84123d576ce5e80be7a5dd97508011",
+        "2b2ed49a2fdb2f710ca24a7f8d6a04e86de9541b55699da373311bdd7efdd97d",
     ),
     "reduce-const-l5": (
         ["reduce", "--scheme", "const", "--ell", "5", "--epsilon", "0.5",
          "--trials", "10", "--seed", "0"],
-        "f2b0550f6526c30753e1aa0f97e6ac0c0684fd3ae276cbdef0bf5f4ac74ac378",
+        "f4d2e8008de14098613a80a6ab1358a745235874f384f9cedc04ba4004f38fe7",
     ),
     "reduce-hm2-l7": (
         ["reduce", "--scheme", "hm2", "--ell", "7", "--a", "3", "--epsilon", "0.5",
          "--trials", "5", "--seed", "1"],
-        "be93ad8c82ae3e632cd9206812efc78d8701fd6a0e452a1d3c7c9015271840cd",
+        "63b5f8e16687be1b9e55ff207caf06a9b44a4c9e99f78e5f3db505fa3267c607",
     ),
     "lemmas-hm2-l6": (
         ["lemmas", "--scheme", "hm2", "--ell", "6", "--a", "3", "--trials", "250", "--seed", "1"],
-        "fd6ff900371df55b0dbcf8e06da7aa0e379a5192f0c13a4cfd1a438e1b045282",
+        "ea7feab2881921d89e313e99e93b738ba8faafe8320fc420170776dca06e0072",
     ),
 }
 

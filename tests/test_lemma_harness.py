@@ -74,6 +74,12 @@ def test_unique_claw_prob_rejects_empty_sets():
         check_unique_claw_prob(0, 0.01, 10, np.random.default_rng(0))
 
 
+def test_unique_claw_prob_rejects_nonpositive_epsilon():
+    for eps in (0.0, -0.1):
+        with pytest.raises(ValueError):
+            check_unique_claw_prob(4, eps, 10, np.random.default_rng(0))
+
+
 def test_branch_balance_controls():
     rng = np.random.default_rng(2)
     const = check_branch_balance(make_scheme("const", 5), 200, 0.5, rng)

@@ -1,3 +1,4 @@
+import decimal
 import json
 import math
 
@@ -43,8 +44,18 @@ def test_compute_m_examples():
 
 
 def test_compute_m_rejects_nonpositive_eps():
-    with pytest.raises(ValueError):
-        compute_m(4, 0.0)
+    for eps in (0.0, -0.5):
+        with pytest.raises(ValueError):
+            compute_m(4, eps)
+        with pytest.raises(ValueError):
+            grid_sizes(4, eps)
+
+
+def test_grid_sizes_keep_the_callers_decimal_precision():
+    # importing ivpoq (done above) and building a grid leave it alone
+    grid_sizes.cache_clear()
+    grid_sizes(10, 0.01)
+    assert decimal.getcontext().prec == decimal.DefaultContext.prec
 
 
 def test_grid_sizes_monotone_and_cover_domain():
