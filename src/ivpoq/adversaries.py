@@ -38,10 +38,11 @@ from .verifier import (
     ProtocolViolation,
     check_reply,
     check_v0_reply,
+    count_accepts,
     run_challenge,
     run_preamble,
     sample_hash,  # noqa: F401  (perfbench/tracing.py patches adversaries.sample_hash)
-    v2_decide,
+    tally,
 )
 
 
@@ -424,9 +425,8 @@ def estimate_conditional_acceptance(
     prefix (classical provers are stateless, the honest prover rebuilds
     its post-y state by brute force).
     """
-    accepts = 0
-    for _ in range(trials):
-        session = prover.session_from_prefix(prefix, rng)
-        ok, _ = v2_decide(params, run_challenge(params, session, prefix, 0, rng))
-        accepts += ok
-    return accepts / trials
+    records = (
+        run_challenge(params, prover.session_from_prefix(prefix, rng), prefix, 0, rng)
+        for _ in range(trials)
+    )
+    return count_accepts(tally(params, records)) / trials

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .verifier import ProtocolParams, run_session, v2_decide
+from .verifier import ProtocolParams, count_accepts, run_session, tally
 
 
 def required_N(c: float, s: float, lam: float) -> int:
@@ -76,13 +76,6 @@ class BernoulliProver:
         return bool(rng.random() < self.p)
 
 
-def run_one_session(params: ProtocolParams, prover, rng: np.random.Generator) -> bool:
-    """One first phase plus its deferred decision, as a single verdict."""
-    record = run_session(params, prover, rng)
-    verdict, _ = v2_decide(params, record)
-    return verdict
-
-
 def run_sequential(
     plan: RepetitionPlan,
     prover,
@@ -94,16 +87,14 @@ def run_sequential(
 
     The prover is either a protocol prover (driven through run_session)
     or any object with run_one(params, rng), e.g. BernoulliProver.
-    Second-phase decisions are computed per session but only tallied at
-    the end, matching the deferred-decision reading of the repetition.
+    Second-phase decisions are tallied apart from the first phases, which
+    matches the deferred-decision reading of the repetition.
     """
-    accepted = 0
-    runner = prover.run_one if hasattr(prover, "run_one") else None
-    for _ in range(plan.n):
-        if runner is not None:
-            accepted += bool(runner(params, rng))
-        else:
-            accepted += run_one_session(params, prover, rng)
+    if hasattr(prover, "run_one"):
+        accepted = sum(bool(prover.run_one(params, rng)) for _ in range(plan.n))
+    else:
+        records = (run_session(params, prover, rng) for _ in range(plan.n))
+        accepted = count_accepts(tally(params, records))
     fraction = accepted / plan.n
     return fraction >= plan.threshold, fraction
 
@@ -165,11 +156,9 @@ def per_randomness_profile(
     for i in range(n_r):
         r = b"r-grid" + int(i).to_bytes(4, "big")
         prover = prover_factory(r)
-        accepts = 0
-        for j in range(trials):
-            rng = np.random.default_rng([seed, i, j])
-            accepts += run_one_session(params, prover, rng)
-        rates.append(accepts / trials)
+        rngs = (np.random.default_rng([seed, i, j]) for j in range(trials))
+        records = (run_session(params, prover, rng) for rng in rngs)
+        rates.append(count_accepts(tally(params, records)) / trials)
     above = sum(rate >= threshold for rate in rates)
     return {
         "n_r": n_r,

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -43,23 +43,26 @@ _FILL_BLOCK = 1 << 10
 _LAST_BYTES = [bytes([v]) for v in range(256)]
 
 
-class CommitRoundLaw:
+class CommitRoundLaw(NamedTuple):
     """Exact law of one round's sender message over a support state (S0, S1).
 
-    Message i is observed on counts[i] of the |S0|+|S1| branches, in
-    ascending key order, and alpha(i) is its bytes; split(i) is the
-    (s0, s1) pair of ascending int64 seeds the state collapses to then.
-    Splits are made on demand, so a sampler pays only for the branch it
-    takes.
+    The message with integer key keys[i] (keys ascending) is observed on
+    counts[i] of the |S0|+|S1| branches; alpha(i) is its bytes, and
+    split(i) is the (s0, s1) pair of ascending int64 seeds the state
+    collapses to then.  Splits are made on demand, so a sampler pays only
+    for the branch it takes.
     """
 
+    keys: np.ndarray
     counts: np.ndarray
+    decode: Callable[[int], bytes]
+    split_key: Callable[[int], tuple[np.ndarray, np.ndarray]]
 
     def alpha(self, i: int) -> bytes:
-        raise NotImplementedError
+        return self.decode(int(self.keys[i]))
 
     def split(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        raise NotImplementedError
+        return self.split_key(int(self.keys[i]))
 
     def index_of(self, alpha: bytes) -> int | None:
         for i in range(len(self.counts)):
@@ -68,39 +71,12 @@ class CommitRoundLaw:
         return None
 
 
-class KeyedRoundLaw(CommitRoundLaw):
-    """The law from per-branch integer message keys in [0, n_keys)."""
-
-    def __init__(self, xs0, xs1, keys0, keys1, n_keys: int, decode):
-        both = np.bincount(keys0, minlength=n_keys) + np.bincount(keys1, minlength=n_keys)
-        self._alive = np.flatnonzero(both)
-        self.counts = both[self._alive]
-        self._xs = (xs0, xs1)
-        self._keys = (keys0, keys1)
-        self._decode = decode
-
-    def alpha(self, i):
-        return self._decode(int(self._alive[i]))
-
-    def split(self, i):
-        key = self._alive[i]
-        return tuple(xs[keys == key] for xs, keys in zip(self._xs, self._keys))
-
-
-class OneClassLaw(CommitRoundLaw):
-    """A round whose message is the same on every branch: the state survives whole."""
-
-    def __init__(self, xs0, xs1, msg: bytes):
-        size = len(xs0) + len(xs1)
-        self.counts = np.array([size] if size else [], dtype=np.int64)
-        self._split = (xs0, xs1)
-        self._msg = msg
-
-    def alpha(self, i):
-        return self._msg
-
-    def split(self, i):
-        return self._split
+def one_class_law(xs0: np.ndarray, xs1: np.ndarray, msg: bytes) -> CommitRoundLaw:
+    """A round whose message is msg on every branch: the state survives whole."""
+    size = len(xs0) + len(xs1)
+    counts = np.array([size] if size else [], dtype=np.int64)
+    keys = np.zeros(len(counts), dtype=np.int64)
+    return CommitRoundLaw(keys, counts, lambda key: msg, lambda key: (xs0, xs1))
 
 
 class CommitScheme:
@@ -187,7 +163,11 @@ class CommitScheme:
 
         keys0 = intern(0, xs0)
         keys1 = intern(1, xs1)
-        return KeyedRoundLaw(xs0, xs1, keys0, keys1, len(inv), inv.__getitem__)
+        both = np.bincount(keys0, minlength=len(inv)) + np.bincount(keys1, minlength=len(inv))
+        alive = np.flatnonzero(both)
+        return CommitRoundLaw(
+            alive, both[alive], inv.__getitem__, lambda key: (xs0[keys0 == key], xs1[keys1 == key])
+        )
 
     # housekeeping ---------------------------------------------------------
     def params_dict(self) -> dict:
@@ -213,7 +193,7 @@ class ConstScheme(CommitScheme):
         return np.full(1 << self.ell, ok, dtype=bool)
 
     def alpha_partition(self, j, xs0, xs1, prefix):
-        return OneClassLaw(xs0, xs1, b"")
+        return one_class_law(xs0, xs1, b"")
 
 
 class IdentScheme(CommitScheme):
@@ -254,31 +234,6 @@ class Hm2Table(NamedTuple):
     def seeds(self, key: int) -> np.ndarray:
         """Class `key` as ascending int64 seeds."""
         return self.order[self.starts[key] : self.starts[key + 1]].astype(np.int64)
-
-
-class Hm2FullStateLaw(CommitRoundLaw):
-    """hm2's round-2 law on the full state, read off the indexed table.
-
-    Message key K is seen on branch 0's class K and on branch 1's class
-    K^1, so counts come from the class offsets and splits are slices.
-    """
-
-    def __init__(self, table: Hm2Table, decode):
-        starts = table.starts.astype(np.int64)
-        sizes = starts[1:] - starts[:-1]
-        # Swapping each (2m, 2m+1) pair puts |class K^1| at index K.
-        both = sizes + sizes.reshape(-1, 2)[:, ::-1].ravel()
-        self._alive = np.flatnonzero(both)
-        self.counts = both[self._alive]
-        self._table = table
-        self._decode = decode
-
-    def alpha(self, i):
-        return self._decode(int(self._alive[i]))
-
-    def split(self, i):
-        key = int(self._alive[i])
-        return self._table.seeds(key), self._table.seeds(key ^ 1)
 
 
 class Hm2Scheme(CommitScheme):
@@ -409,17 +364,27 @@ class Hm2Scheme(CommitScheme):
 
     def alpha_partition(self, j, xs0, xs1, prefix):
         if j == 1:
-            return OneClassLaw(xs0, xs1, b"")
-        if len(xs0) == len(xs1) == 1 << self.ell:  # distinct seeds: the full state
-            table = self._bucket(self._seed_from_beta1(prefix[1]))
-            return Hm2FullStateLaw(table, self._decode_key)
-        return super().alpha_partition(j, xs0, xs1, prefix)
+            return one_class_law(xs0, xs1, b"")
+        if len(xs0) != 1 << self.ell or len(xs1) != 1 << self.ell:
+            return super().alpha_partition(j, xs0, xs1, prefix)
+        # The full state (its seeds are distinct): message key K is seen on
+        # branch 0's class K and on branch 1's class K^1, so the counts come
+        # from the table's class offsets and the splits are slices.
+        table = self._bucket(self._seed_from_beta1(prefix[1]))
+        starts = table.starts.astype(np.int64)
+        sizes = starts[1:] - starts[:-1]
+        # Swapping each (2m, 2m+1) pair puts |class K^1| at index K.
+        both = sizes + sizes.reshape(-1, 2)[:, ::-1].ravel()
+        alive = np.flatnonzero(both)
+        return CommitRoundLaw(
+            alive, both[alive], self._decode_key, lambda key: (table.seeds(key), table.seeds(key ^ 1))
+        )
 
     def commit_from_full(self, r: int, u: int) -> tuple[Transcript, np.ndarray, np.ndarray]:
         """Both rounds from the full state, given round 2's draw u < 2^(ell+1).
 
-        Returns the transcript and the classes (K, K^1) that
-        Hm2FullStateLaw's split gives for the key K that sample_index picks
+        Returns the transcript and the classes (K, K^1) that the full-state
+        alpha_partition's split gives for the key K that sample_index picks
         with draw u, as views of r's table (its narrow seed dtype).  Key K
         counts |class K| + |class K^1| branches, so the cumulative count
         through key 2m+1 is 2*starts[2m+2] and through key 2m it is
@@ -507,20 +472,23 @@ def hiding_distance(
 ) -> float:
     """Statistical distance between transcript laws for b=0 and b=1.
 
-    Exact (full (x, r) enumeration) when 2^(2 ell) is small enough,
-    otherwise a Monte-Carlo average over num_transcripts receiver seeds
-    with the inner sum over (b, x) kept exact by one commit_leaves walk.
-    The sampled estimator matches the exact distance whenever the
-    receiver messages pin down the seed (true for hm2); for other schemes
-    it is an upper bound.
+    Exact when 2^(2 ell) is small enough: every receiver seed's
+    commit_leaves walk, with the count differences of each transcript
+    summed over seeds before taking magnitudes.  Otherwise a Monte-Carlo
+    average over num_transcripts receiver seeds with the inner sum over
+    (b, x) kept exact by one commit_leaves walk.  The sampled estimator
+    matches the exact distance whenever the receiver messages pin down
+    the seed (true for hm2); for other schemes it is an upper bound.
     """
+    n = 1 << scheme.ell
     if scheme.ell <= exact_ell_cap:
-        counts = transcript_distributions(scheme)
-        scale = 1 << (2 * scheme.ell)
-        return sum(abs(c0 - c1) for c0, c1 in counts.values()) / (2 * scale)
+        diffs: dict[Transcript, int] = {}
+        for r in range(n):
+            for t, s0, s1 in commit_leaves(scheme, r):
+                diffs[t] = diffs.get(t, 0) + len(s0) - len(s1)
+        return sum(abs(d) for d in diffs.values()) / (2 * n * n)
     if num_transcripts <= 0 or rng is None:
         raise ValueError("need num_transcripts and rng above the exact cap")
-    n = 1 << scheme.ell
     total = 0.0
     for _ in range(num_transcripts):
         leaves = commit_leaves(scheme, int(rng.integers(n)))

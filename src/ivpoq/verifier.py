@@ -12,7 +12,8 @@ and every run replays to the same verdict.
 run_block is the lockstep engine for honest sessions: a block of them
 advances step by step, each on its own stream with run_session's draws,
 while the hashing, the y law and the Hadamard transforms run once for
-the block; decide_block is V2 over a block of any prover's records.
+the block; decide_block is V2 over a block of any prover's records, and
+tally counts the verdicts of any stream of records, a block at a time.
 
 V2's hard steps (counting consistent preimages and finding witnesses)
 go through count_consistent_preimages, a brute-force stand-in for the
@@ -23,8 +24,10 @@ make: existence, witness search, and a second-element check.
 from __future__ import annotations
 
 import bisect
+import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -520,6 +523,23 @@ def _count_block(scheme: CommitScheme, records: list[SessionRecord], b: int) -> 
     return [(min(c, 2), found[f] if c else None) for c, f in zip(counts, first.tolist())]
 
 
+def tally(params: ProtocolParams, records) -> Counter:
+    """How often each v2_decide verdict (accepted, reason) occurs over records.
+
+    records may be any iterable, a generator included; it is decided
+    block_sessions(ell) records at a time with decide_block.
+    """
+    verdicts, records = Counter(), iter(records)
+    while block := list(itertools.islice(records, block_sessions(params.ell))):
+        verdicts.update(decide_block(params, block))
+    return verdicts
+
+
+def count_accepts(verdicts: Counter) -> int:
+    """The number of accepted records in a tally."""
+    return sum(n for (ok, _), n in verdicts.items() if ok)
+
+
 @dataclass
 class AcceptanceReport:
     """Monte-Carlo acceptance estimate with its per-branch breakdown."""
@@ -563,27 +583,17 @@ class AcceptanceReport:
         }
 
 
-def _acceptance_counts(params, prover, start, stop, seed):
-    honest = type(prover) is HonestProver and prover.scheme is params.scheme
-    step = block_sessions(params.ell)
-    accepts = unique = unique_accepts = coin_accepts = 0
-    reasons = {REASON_PASS: 0, REASON_FAIL: 0, REASON_COIN: 0}
-    for lo in range(start, stop, step):
-        hi = min(lo + step, stop)
-        if honest:
-            records = run_block(params, seed, lo, hi)
-        else:
-            rngs = (np.random.default_rng([seed, i]) for i in range(lo, hi))
-            records = [run_session(params, prover, rng) for rng in rngs]
-        for ok, reason in decide_block(params, records):
-            reasons[reason] += 1
-            accepts += ok
-            if reason == REASON_COIN:
-                coin_accepts += ok
-            else:
-                unique += 1
-                unique_accepts += ok
-    return accepts, unique, unique_accepts, coin_accepts, reasons
+def _acceptance_counts(params, prover, start, stop, seed) -> Counter:
+    if type(prover) is HonestProver and prover.scheme is params.scheme:
+        step = block_sessions(params.ell)
+        blocks = (
+            run_block(params, seed, lo, min(lo + step, stop)) for lo in range(start, stop, step)
+        )
+        records = itertools.chain.from_iterable(blocks)
+    else:
+        rngs = (np.random.default_rng([seed, i]) for i in range(start, stop))
+        records = (run_session(params, prover, rng) for rng in rngs)
+    return tally(params, records)
 
 
 def estimate_acceptance(
@@ -599,7 +609,7 @@ def estimate_acceptance(
     result is independent of the worker count; worker tallies merge by
     summation.  The honest prover's sessions run in lockstep blocks
     (run_block), any other prover's through run_session one at a time;
-    both give the same records, and decide_block decides each block.
+    both give the same records, and tally decides them.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -615,14 +625,15 @@ def estimate_acceptance(
                 for lo, hi in chunks
             ]
             parts = [f.result() for f in futures]
-    accepts = sum(p[0] for p in parts)
-    unique = sum(p[1] for p in parts)
-    unique_accepts = sum(p[2] for p in parts)
-    coin_accepts = sum(p[3] for p in parts)
-    reasons = {REASON_PASS: 0, REASON_FAIL: 0, REASON_COIN: 0}
-    for p in parts:
-        for key, val in p[4].items():
-            reasons[key] += val
+    verdicts = sum(parts, Counter())
+    reasons = {
+        reason: verdicts[True, reason] + verdicts[False, reason]
+        for reason in (REASON_PASS, REASON_FAIL, REASON_COIN)
+    }
+    accepts = count_accepts(verdicts)
+    unique = reasons[REASON_PASS] + reasons[REASON_FAIL]
+    unique_accepts = reasons[REASON_PASS]
+    coin_accepts = verdicts[True, REASON_COIN]
     nonunique = trials - unique
     return AcceptanceReport(
         trials=trials,

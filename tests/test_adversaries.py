@@ -32,6 +32,8 @@ from ivpoq.verifier import (
     ProtocolViolation,
     count_consistent_preimages,
     estimate_acceptance,
+    block_sessions,
+    run_challenge,
     run_preamble,
     run_session,
     v2_decide,
@@ -286,6 +288,26 @@ def test_conditional_acceptance_always_wrong_prover_is_zero():
     )
     rate = estimate_conditional_acceptance(params, prefix, prover, 600, np.random.default_rng(15))
     assert rate == 0.0
+
+
+@pytest.mark.parametrize(
+    "make_prover", [HonestProver, unbounded_claw_prover], ids=["honest", "unbounded-claw"]
+)
+def test_conditional_acceptance_equals_v2_decide_loop(make_prover):
+    # The estimate tallies its records a block at a time; over two blocks it
+    # must equal v2_decide record by record on an identically seeded stream.
+    sch = make_scheme("hm2", 7, a=3)
+    params = ProtocolParams(scheme=sch, epsilon=0.05, grid_mode=GRID_ORACLE)
+    prefix, _ = find_unique_claw_prefix(sch, params, seed=10)
+    trials = block_sessions(7) + 40
+    rate = estimate_conditional_acceptance(
+        params, prefix, make_prover(sch), trials, np.random.default_rng(21)
+    )
+    prover, rng, accepts = make_prover(sch), np.random.default_rng(21), 0
+    for _ in range(trials):
+        session = prover.session_from_prefix(prefix, rng)
+        accepts += v2_decide(params, run_challenge(params, session, prefix, 0, rng))[0]
+    assert rate == accepts / trials
 
 
 # the two-challenge predictor -------------------------------------------------------

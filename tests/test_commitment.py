@@ -8,8 +8,6 @@ import pytest
 from ivpoq import commitment
 from ivpoq.commitment import (
     CommitScheme,
-    Hm2FullStateLaw,
-    KeyedRoundLaw,
     hiding_distance,
     make_scheme,
     run_classical_commit,
@@ -169,8 +167,10 @@ def test_hm2_indexed_partition_equals_generic_law(ell, a, r):
     full = np.arange(n, dtype=np.int64)
     sparse0 = full[::3]
     sparse1 = np.flatnonzero(np.random.default_rng([ell, r]).random(n) < 0.4).astype(np.int64)
+    sender_msg, calls = sch.sender_msg, []
+    sch.sender_msg = lambda *args: calls.append(args) or sender_msg(*args)
     law = sch.alpha_partition(2, full, full.copy(), prefix)
-    assert type(law) is Hm2FullStateLaw
+    assert len(calls) == 0  # read off the table, no message computed
     alphas = [law.alpha(i) for i in range(len(law.counts))]
     # Ascending message order is ascending key order, the order draws use.
     assert alphas == sorted(alphas) and len(set(alphas)) == len(alphas)
@@ -181,8 +181,9 @@ def test_hm2_indexed_partition_equals_generic_law(ell, a, r):
         assert s0.dtype == s1.dtype == np.int64
         assert law.index_of(law.alpha(i)) == i
     # A state that is not full has no class structure to read off.
+    calls.clear()
     law = sch.alpha_partition(2, sparse0, sparse1, prefix)
-    assert type(law) is KeyedRoundLaw
+    assert len(calls) == len(sparse0) + len(sparse1)  # one message per branch
     assert _law_by_alpha(law) == _law_by_alpha(CommitScheme.alpha_partition(sch, 2, sparse0, sparse1, prefix))
 
 
@@ -193,6 +194,8 @@ def test_one_class_rounds_keep_the_state():
         assert law.counts.tolist() == [12] and law.alpha(0) == b""
         s0, s1 = law.split(0)
         assert s0 is xs0 and s1 is xs1
+        # The empty state has no message to observe.
+        assert sch.alpha_partition(1, xs0[:0], xs1[:0], ()).counts.tolist() == []
 
 
 def test_hm2_pickle_drops_cache_and_keeps_answers():
@@ -223,6 +226,19 @@ def test_hm2_fill_holds_only_its_table():
 def test_hiding_distance_controls():
     assert hiding_distance(make_scheme("const", 5)) == 0.0
     assert hiding_distance(make_scheme("ident", 5)) == 1.0
+
+
+@pytest.mark.parametrize(
+    "name, ell, kwargs",
+    [("hm2", 6, {"a": 3}), ("hm2", 8, {"a": 4}), ("const", 5, {}), ("ident", 5, {})],
+)
+def test_hiding_distance_exact_matches_transcript_distributions(name, ell, kwargs):
+    # the exact branch walks commit_leaves; transcript_distributions runs the
+    # classical commit on every (b, x, r): the same float from both
+    sch = make_scheme(name, ell, **kwargs)
+    counts = transcript_distributions(sch)
+    want = sum(abs(c0 - c1) for c0, c1 in counts.values()) / (2 << (2 * ell))
+    assert hiding_distance(sch) == want
 
 
 def test_hiding_distance_hm2_exact_small():
