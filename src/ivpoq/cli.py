@@ -41,6 +41,14 @@ def _count(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    """The --seed value: a non-negative integer, as numpy's SeedSequence needs."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 # Every flag, by name; each subcommand takes the ones _COMMANDS lists.
 _FLAGS = {
     "scheme": dict(choices=["hm2", "ident", "const"], default="hm2"),
@@ -59,7 +67,7 @@ _FLAGS = {
     "lambda": dict(dest="lam", type=int, default=40),
     "advantage": dict(type=float, default=0.25),
     "confidence": dict(type=float, default=0.05),
-    "seed": dict(type=int, default=0),
+    "seed": dict(type=_seed, default=0),
     "out": dict(type=str, default=None),
     "config": dict(type=str, default=None, help="key=value file; flags win"),
 }

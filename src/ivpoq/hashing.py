@@ -182,6 +182,50 @@ def _uniform_below(p: int, rng: np.random.Generator) -> int:
             return v
 
 
+def sample_hash_pairs(ell: int, ks: list[int], streams) -> list[HashFn]:
+    """Two affine-mod-prime members with codomain ks[i] for each row i of
+    a SessionStreams, drawn as sample_hash(AFFINE_MOD_PRIME, ell, ks[i],
+    rng) twice on that row's stream.
+
+    Returns [h0 of row 0, h1 of row 0, h0 of row 1, ...].  Each row's
+    four draws (a0, b0, a1, b1) come in sample_hash's order; rows that
+    share a prime draw together.
+    """
+    check_ell(ell)
+    if min(ks) < 1:
+        raise ValueError("k must be >= 1")
+    primes = [_choose_prime(ell, k) for k in ks]
+    coeffs: list = [None] * len(ks)
+    for p in set(primes):
+        rows = np.array([i for i, q in enumerate(primes) if q == p])
+        draws = zip(*(_uniform_below_rows(p, streams, rows) for _ in range(4)))
+        for i, abab in zip(rows.tolist(), draws):
+            coeffs[i] = abab
+    out = []
+    for k, p, (a0, b0, a1, b1) in zip(ks, primes, coeffs):
+        out += (
+            HashFn(family=AFFINE_MOD_PRIME, ell=ell, k=k, a=a0, b=b0, p=p),
+            HashFn(family=AFFINE_MOD_PRIME, ell=ell, k=k, a=a1, b=b1, p=p),
+        )
+    return out
+
+
+def _uniform_below_rows(p: int, streams, rows: np.ndarray) -> list[int]:
+    """_uniform_below(p, rng) on each of streams' rows."""
+    if p <= 1 << 63:
+        return streams.integers(p, rows).tolist()
+    nbits = p.bit_length()
+    mask = (1 << nbits) - 1
+    out, pending = [0] * len(rows), list(range(len(rows)))
+    while pending:
+        blobs = streams.bytes((nbits + 7) // 8, rows[pending])
+        vals = [int.from_bytes(blob, "big") & mask for blob in blobs]
+        for q, v in zip(pending, vals):
+            out[q] = v
+        pending = [q for q, v in zip(pending, vals) if v >= p]
+    return out
+
+
 def pairwise_bias_bound(h: HashFn) -> float:
     """Worst-case deviation of pair probabilities from 1/k^2.
 

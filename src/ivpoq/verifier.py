@@ -10,10 +10,11 @@ to the transcript, so the 7/8-acceptance branch of V2 is derandomized
 and every run replays to the same verdict.
 
 run_block is the lockstep engine for honest sessions: a block of them
-advances step by step, each on its own stream with run_session's draws,
-while the hashing, the y law and the Hadamard transforms run once for
-the block; decide_block is V2 over a block of any prover's records, and
-tally counts the verdicts of any stream of records, a block at a time.
+advances step by step, each on its own stream with run_session's draws
+(SessionStreams makes each draw for the whole block at once), while the
+hashing, the y law and the Hadamard transforms run once for the block;
+decide_block is V2 over a block of any prover's records, and tally
+counts the verdicts of any stream of records, a block at a time.
 
 V2's hard steps (counting consistent preimages and finding witnesses)
 go through count_consistent_preimages, a brute-force stand-in for the
@@ -37,17 +38,10 @@ import numpy as np
 
 from . import stats
 from .bits import dot2, from_hex, parity_u32, to_hex, wht
-from .coherent_prover import (
-    HonestProver,
-    HonestSession,
-    ResidualQubit,
-    SupportState,
-    measure_rotated,
-    sample_d,
-    sample_index,
-)
+from .coherent_prover import COS_PI8, SIN_PI8, HonestProver, HonestSession, SupportState
 from .commitment import CommitScheme, Hm2Scheme, Transcript, make_scheme
-from .hashing import AFFINE_MOD_PRIME, HashFn, eval_segments, sample_hash
+from .hashing import AFFINE_MOD_PRIME, HashFn, eval_segments, sample_hash, sample_hash_pairs
+from .streams import SessionStreams
 
 GRID_UNIFORM = "uniform"
 GRID_ORACLE = "oracle"
@@ -361,13 +355,21 @@ def _verdict(record: SessionRecord, c0, x0, c1, x1) -> tuple[bool, str]:
 
 # the lockstep engine -----------------------------------------------------------
 
-# Bytes of a lockstep block's largest arrays: at most 2^(ell+1) support
-# seeds and two Hadamard-transform rows of 2^ell int64 per session.
+# Sessions whose streams run_block draws together: SessionStreams costs
+# per numpy call, not per session, so a block spans many sessions.
+STREAM_SESSIONS = 1024
+
+# Bytes of the engine's largest arrays.  The hash step takes
+# _BLOCK_BYTES >> 8 support seeds at a time, and its kernel makes about a
+# dozen int64 arrays of that length; the WHT step takes
+# _BLOCK_BYTES >> (ell + 6) sessions at a time, each with about four
+# arrays of 2 x 2^ell int64 (amplitudes, the transform's buffer, weights).
 _BLOCK_BYTES = 1 << 20
 
 
 def block_sessions(ell: int) -> int:
-    """Sessions per lockstep block, so that its arrays stay within _BLOCK_BYTES."""
+    """Records per decide_block call in tally: at 2^(ell+1) support seeds
+    and two rows of 2^ell int64 per session, within _BLOCK_BYTES."""
     return max(1, _BLOCK_BYTES >> (ell + 4))
 
 
@@ -375,123 +377,193 @@ def run_block(params: ProtocolParams, seed: int, lo: int, hi: int) -> list[Sessi
     """Honest sessions lo..hi-1, advanced step by step in lockstep.
 
     Record i equals run_session(params, HonestProver(params.scheme),
-    default_rng([seed, i])): each session keeps that stream and makes the
-    same draws in the same order, while the deterministic work between
-    draws runs once per block: hm2's round-2 class, one hash kernel call
-    on every session's support, the y law as a segmented sort, and the
-    Hadamard-measurement law as one transform of a (rows, 2^ell) matrix.
+    default_rng([seed, i])): SessionStreams makes each session's draws on
+    that stream, in run_session's order, one numpy pass per draw for the
+    whole block, while the deterministic work between draws also runs
+    once per block: hm2's round-2 class, the hash kernel on every
+    session's support, the y law as a segmented sort, and the
+    Hadamard-measurement law as transforms of (rows, 2^ell) matrices.
     """
-    ell = params.ell
-    rngs = [np.random.default_rng([seed, i]) for i in range(lo, hi)]
-    ts, supports = _commit_step(params.scheme, rngs)
+    ell, scheme = params.ell, params.scheme
+    streams = SessionStreams(seed, lo, hi)
+    ts, supports = _commit_step(scheme, streams)
     # Grid index and hash pair.  An honest commit leaves S0 = X_{0,t}.
-    js, hashes = [], []
-    for rng, s0 in zip(rngs, supports[::2]):
-        j = params.best_grid_index(len(s0)) if params.grid_mode == GRID_ORACLE else None
-        if j is None:
-            j = int(rng.integers(params.m))
-        js.append(j)
-        hashes += (
-            sample_hash(AFFINE_MOD_PRIME, ell, params.ks[j], rng),
-            sample_hash(AFFINE_MOD_PRIME, ell, params.ks[j], rng),
-        )
-    ys, xs, seg = _hash_step(params, rngs, supports, hashes)
-    offsets = [0] + np.bincount(seg, minlength=len(supports)).cumsum().tolist()
-    # The challenge: v1 and xi for every session, then each one's answer.
-    v1s, xis = zip(*[(int(rng.integers(2)), int(rng.integers(1 << ell))) for rng in rngs])
-    wht_rows = [
-        i for i, v1 in enumerate(v1s) if v1 and offsets[2 * i + 2] - offsets[2 * i] > 2
+    js = [
+        params.best_grid_index(len(s0)) if params.grid_mode == GRID_ORACLE else None
+        for s0 in supports[::2]
     ]
-    if wht_rows:
-        amps, weights = _d_laws(ell, xs, seg, wht_rows, xis)
-    records, w = [], 0
-    for i, rng in enumerate(rngs):
-        h0, h1 = hashes[2 * i], hashes[2 * i + 1]
-        record = SessionRecord(
-            scheme=params.scheme.name, ell=ell, t=ts[i], j=js[i], k=h0.k, h0=h0, h1=h1,
-            y=ys[i], v1=v1s[i], xi=xis[i],
+    unset = [i for i, j in enumerate(js) if j is None]
+    for i, j in zip(unset, streams.integers(params.m, unset).tolist()):
+        js[i] = j
+    hashes = sample_hash_pairs(ell, [params.ks[j] for j in js], streams)
+    ys, xs, seg = _hash_step(params, streams, supports, hashes)
+    offsets = np.concatenate(([0], np.bincount(seg, minlength=len(supports)).cumsum()))
+    sizes = offsets[2::2] - offsets[:-1:2]
+    # The challenge: v1 and xi, then the preimage test or d, v2 and eta.
+    v1s, xis = streams.integers(2), streams.integers(1 << ell)
+    v0_rows, v1_rows = np.flatnonzero(v1s == 0), np.flatnonzero(v1s)
+    picks = streams.integers(sizes[v0_rows], v0_rows)
+    ds, a0, a1 = np.zeros((3, hi - lo), dtype=np.int64)
+    small = sizes[v1_rows] <= 2
+    for rows, draw_d in ((v1_rows[small], _d_by_rejection), (v1_rows[~small], _d_by_wht)):
+        ds[rows], a0[rows], a1[rows] = draw_d(ell, streams, rows, offsets, xs, seg, xis)
+    v2s = streams.integers(2, v1_rows)
+    etas = (streams.random(v1_rows) >= _eta0_probs(a0[v1_rows], a1[v1_rows], v2s)).astype(int)
+    coins = streams.integers(8).tolist()
+    records = [
+        SessionRecord(
+            scheme=scheme.name, ell=ell, t=ts[i], j=js[i], k=hashes[2 * i].k,
+            h0=hashes[2 * i], h1=hashes[2 * i + 1], y=ys[i], v1=v1, xi=xi, v2coin=coins[i],
         )
-        lo0, lo1, end = offsets[2 * i : 2 * i + 3]
-        if record.v1 == 0:
-            idx = int(rng.integers(end - lo0))
-            record.bprime, record.xprime = int(idx >= lo1 - lo0), int(xs[lo0 + idx])
-        else:
-            if end - lo0 <= 2:
-                state = SupportState(ell, xs[lo0:lo1], xs[lo1:end])
-                record.d, qubit = sample_d(state, record.xi, rng)
-            else:
-                record.d = sample_index(weights[w], rng)
-                a0, a1 = amps[2 * w : 2 * w + 2, record.d].tolist()
-                qubit = ResidualQubit(float(a0), float(a1))
-                w += 1
-            record.v2 = int(rng.integers(2))
-            record.eta = measure_rotated(qubit, record.v2, rng)
-        record.v2coin = int(rng.integers(8))
-        records.append(record)
+        for i, (v1, xi) in enumerate(zip(v1s.tolist(), xis.tolist()))
+    ]
+    for i, pick in zip(v0_rows.tolist(), picks.tolist()):
+        first, split = offsets[2 * i : 2 * i + 2].tolist()
+        records[i].bprime, records[i].xprime = int(first + pick >= split), int(xs[first + pick])
+    for i, d, v2, eta in zip(v1_rows.tolist(), ds[v1_rows].tolist(), v2s.tolist(), etas.tolist()):
+        records[i].d, records[i].v2, records[i].eta = d, v2, eta
     return records
 
 
-def _commit_step(scheme: CommitScheme, rngs: list) -> tuple[list[Transcript], list[np.ndarray]]:
+def _commit_step(scheme: CommitScheme, streams: SessionStreams):
     """Each session's receiver seed r and commit rounds from the full state.
 
     Returns the transcripts and the supports [S0 of session 0, S1 of
     session 0, S0 of session 1, ...].  hm2 reads round 2 off r's table;
-    other schemes commit session by session through HonestSession.
+    other schemes draw each round's message from its law as
+    HonestSession.commit_message does, for all sessions at once.
     """
     n = 1 << scheme.ell
-    ts, supports = [], []
-    for rng in rngs:
-        r = int(rng.integers(n))
-        if isinstance(scheme, Hm2Scheme):
-            rng.integers(2 * n)  # round 1 has one message, seen on all 2n branches
-            t, s0, s1 = scheme.commit_from_full(r, int(rng.integers(2 * n)))
-        else:
-            session = HonestSession(scheme, rng)
-            t = run_commit(scheme, session, r)
-            s0, s1 = session.state.s0, session.state.s1
-        ts.append(t)
+    rs = streams.integers(n).tolist()
+    supports = []
+    if isinstance(scheme, Hm2Scheme):
+        streams.integers(2 * n)  # round 1 has one message, seen on all 2n branches
+        ts = []
+        for r, u in zip(rs, streams.integers(2 * n).tolist()):
+            t, s0, s1 = scheme.commit_from_full(r, u)
+            ts.append(t)
+            supports += (s0, s1)
+        return ts, supports
+    full = SupportState.full(scheme.ell)
+    ts, states = [()] * len(rs), [(full.s0, full.s1)] * len(rs)
+    for j in range(1, scheme.rounds + 1):
+        laws = [scheme.alpha_partition(j, *state, t) for state, t in zip(states, ts)]
+        us = streams.integers([int(law.counts.sum()) for law in laws]).tolist()
+        for i, (law, u, r) in enumerate(zip(laws, us, rs)):
+            idx = int(law.counts.cumsum(dtype=np.int64).searchsorted(u, side="right"))
+            states[i] = law.split(idx)
+            alpha = law.alpha(idx)
+            ts[i] += (alpha, scheme.receiver_msg(j, r, ts[i] + (alpha,)))
+    for s0, s1 in states:
         supports += (s0, s1)
     return ts, supports
 
 
-def _hash_step(params: ProtocolParams, rngs: list, supports: list, hashes: list):
+def _runs(sizes: np.ndarray, budget: int):
+    """Consecutive ranges [a, b) of sessions whose sizes sum to at most
+    budget, or of one session where a single size exceeds it."""
+    ends = np.cumsum(sizes)
+    a = 0
+    while a < len(sizes):
+        b = int(np.searchsorted(ends, ends[a] - sizes[a] + budget, side="right"))
+        yield a, max(a + 1, b)
+        a = max(a + 1, b)
+
+
+def _hash_step(params: ProtocolParams, streams: SessionStreams, supports: list, hashes: list):
     """Every session's y and the support seeds that survive it.
 
     Seeds sit in segments 2i + b (session i, branch b).  y is the u-th
     smallest hash value of session i's seeds for its draw u, which is
-    sample_index over np.unique's counts.  Returns (ys, seeds, segments)
-    of the survivors, in segment order.
+    sample_index over np.unique's counts.  The kernel runs on runs of
+    sessions of at most _BLOCK_BYTES >> 8 seeds.  Returns (ys, seeds,
+    segments) of the survivors, in segment order.
     """
     lens = np.array([len(xs) for xs in supports], dtype=np.int64)
-    xs = np.concatenate(supports).astype(np.int64, copy=False)
-    hv = eval_segments(hashes, xs, lens)
-    seg = np.repeat(np.arange(len(lens)), lens)
     sizes = lens[0::2] + lens[1::2]
-    us = np.array([rng.integers(size) for rng, size in zip(rngs, sizes.tolist())], dtype=np.int64)
+    us = streams.integers(sizes)
     shift = max(params.ks).bit_length()
-    ranked = np.sort(((seg >> 1) << shift) | hv)
-    ys = ranked[np.cumsum(sizes) - sizes + us] & ((1 << shift) - 1)
-    kept = hv == ys[seg >> 1]
-    return ys.tolist(), xs[kept], seg[kept]
+    ys, kept_xs, kept_seg = [], [], []
+    for a, b in _runs(sizes, _BLOCK_BYTES >> 8):
+        xs = np.concatenate(supports[2 * a : 2 * b]).astype(np.int64, copy=False)
+        hv = eval_segments(hashes[2 * a : 2 * b], xs, lens[2 * a : 2 * b])
+        seg = np.repeat(np.arange(2 * a, 2 * b), lens[2 * a : 2 * b])
+        ranked = np.sort(((seg >> 1) << shift) | hv)
+        part = sizes[a:b]
+        y = ranked[np.cumsum(part) - part + us[a:b]] & ((1 << shift) - 1)
+        kept = hv == y[(seg >> 1) - a]
+        ys += y.tolist()
+        kept_xs.append(xs[kept])
+        kept_seg.append(seg[kept])
+    return ys, np.concatenate(kept_xs), np.concatenate(kept_seg)
 
 
-def _d_laws(ell: int, xs, seg, wht_rows: list[int], xis) -> tuple[np.ndarray, np.ndarray]:
-    """The amplitudes and weights of d for sessions wht_rows.
+def _clauses(xs, seg, xis) -> np.ndarray:
+    """The clause c = xi.x ^ b of each survivor x in segment 2i + b."""
+    return parity_u32(xs & xis[seg >> 1]).astype(np.int64) ^ (seg & 1)
 
-    Session wht_rows[w] owns rows 2w + c of a (2 len(wht_rows), 2^ell)
-    indicator matrix, row c holding its seeds x with xi.x ^ b = c; one
-    WHT gives the amplitudes (a_0(d), a_1(d)), and row w of the weights
-    is a_0^2 + a_1^2, the integer counts sample_d draws d from.
+
+def _d_by_rejection(ell, streams, rows, offsets, xs, seg, xis):
+    """sample_d's rejection loop for sessions rows, of one or two survivors.
+
+    d is uniform over the d whose residual amplitudes (a_0(d), a_1(d))
+    do not both vanish; both vanish only when the two survivors share a
+    clause and d.(x ^ x') = 1.  Returns d, a_0(d) and a_1(d) per row.
     """
+    first = offsets[2 * rows]
+    two = offsets[2 * rows + 2] - first == 2
+    x0, x1 = xs[first], xs[first + two]
+    c0, c1 = _clauses(x0, seg[first], xis), _clauses(x1, seg[first + two], xis)
+    out = np.zeros((3, len(rows)), dtype=np.int64)
+    pending = np.arange(len(rows))
+    while len(pending):
+        d = streams.integers(1 << ell, rows[pending])
+        s0 = 1 - 2 * parity_u32(d & x0[pending]).astype(np.int64)
+        s1 = (1 - 2 * parity_u32(d & x1[pending]).astype(np.int64)) * two[pending]
+        amp0 = s0 * (c0[pending] == 0) + s1 * (c1[pending] == 0)
+        amp1 = s0 * (c0[pending] == 1) + s1 * (c1[pending] == 1)
+        done = (amp0 != 0) | (amp1 != 0)
+        out[:, pending[done]] = d[done], amp0[done], amp1[done]
+        pending = pending[~done]
+    return out
+
+
+def _d_by_wht(ell, streams, rows, offsets, xs, seg, xis):
+    """sample_d's Hadamard path for sessions rows, of three or more survivors.
+
+    Session rows[w] owns rows 2w + c of a (2 len(rows), 2^ell) indicator
+    matrix, row c holding its seeds x with xi.x ^ b = c; a WHT gives the
+    amplitudes (a_0(d), a_1(d)), and d is drawn from the integer weights
+    a_0^2 + a_1^2, which sum to 2^ell times the session's survivors.
+    Transforms run _BLOCK_BYTES >> (ell + 6) sessions at a time.  Returns
+    d, a_0(d) and a_1(d) per row.
+    """
+    us = streams.integers((offsets[2 * rows + 2] - offsets[2 * rows]) << ell, rows)
     row_of = np.full(len(xis), -1, dtype=np.int64)
-    row_of[wht_rows] = np.arange(len(wht_rows))
+    row_of[rows] = np.arange(len(rows))
     on = row_of[seg >> 1] >= 0
-    xw, sw = xs[on], seg[on]
-    clause = parity_u32(xw & np.array(xis, dtype=np.int64)[sw >> 1]).astype(np.int64) ^ (sw & 1)
-    amps = np.zeros((2 * len(wht_rows), 1 << ell), dtype=np.int64)
-    amps[2 * row_of[sw >> 1] + clause, xw] = 1
-    amps = wht(amps)
-    return amps, amps[0::2] * amps[0::2] + amps[1::2] * amps[1::2]
+    px, pw = xs[on], row_of[seg[on] >> 1]
+    clause = _clauses(px, seg[on], xis)
+    out = np.zeros((3, len(rows)), dtype=np.int64)
+    step = max(1, _BLOCK_BYTES >> (ell + 6))
+    for c in range(0, len(rows), step):
+        part = slice(*np.searchsorted(pw, [c, c + step]))
+        at = np.arange(c, min(c + step, len(rows)))
+        indicator = np.zeros((2 * len(at), 1 << ell), dtype=np.int8)
+        indicator[2 * (pw[part] - c) + clause[part], px[part]] = 1
+        amps = wht(indicator).reshape(len(at), 2, 1 << ell)
+        weights = amps[:, 0] * amps[:, 0]
+        weights += amps[:, 1] * amps[:, 1]
+        d = (np.cumsum(weights, axis=1, out=weights) <= us[at, None]).sum(axis=1)
+        out[:, at] = d, amps[at - c, 0, d], amps[at - c, 1, d]
+    return out
+
+
+def _eta0_probs(a0: np.ndarray, a1: np.ndarray, v2s: np.ndarray) -> np.ndarray:
+    """eta0_prob(ResidualQubit(a0, a1), v2) row by row, with its float operations."""
+    a0, a1 = a0.astype(np.float64), a1.astype(np.float64)
+    amp = COS_PI8 * a0 + np.where(v2s == 0, SIN_PI8, -SIN_PI8) * a1
+    return amp * amp / (a0 * a0 + a1 * a1)
 
 
 def decide_block(params: ProtocolParams, records: list[SessionRecord]) -> list[tuple[bool, str]]:
@@ -585,9 +657,9 @@ class AcceptanceReport:
 
 def _acceptance_counts(params, prover, start, stop, seed) -> Counter:
     if type(prover) is HonestProver and prover.scheme is params.scheme:
-        step = block_sessions(params.ell)
         blocks = (
-            run_block(params, seed, lo, min(lo + step, stop)) for lo in range(start, stop, step)
+            run_block(params, seed, lo, min(lo + STREAM_SESSIONS, stop))
+            for lo in range(start, stop, STREAM_SESSIONS)
         )
         records = itertools.chain.from_iterable(blocks)
     else:

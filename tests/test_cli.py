@@ -129,6 +129,14 @@ def test_count_flags_must_be_positive(argv, capsys):
     assert "must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["completeness", "run", "reduce", "amplify"])
+def test_negative_seed_is_a_usage_error(command, capsys):
+    # Rejected at parse time, naming the flag, before any session runs.
+    assert main([command, "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert "argument --seed: must be non-negative, got -1" in err
+
+
 def test_config_file_flags_win(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("scheme=hm2\nell=6\na=3\nseed=5\n")

@@ -18,7 +18,9 @@ from ivpoq.hashing import (
     identity_hash,
     pairwise_bias_bound,
     sample_hash,
+    sample_hash_pairs,
 )
+from ivpoq.streams import SessionStreams
 
 
 def test_identity_member_evaluates_to_input():
@@ -213,3 +215,22 @@ def test_json_roundtrip():
     for family, k in ((GF2_AFFINE, 8), (AFFINE_MOD_PRIME, 12)):
         h = sample_hash(family, 6, k, rng)
         assert HashFn.from_json_dict(h.to_json_dict()) == h
+
+
+@pytest.mark.parametrize("ell", [3, 6])
+def test_sample_hash_pairs_equal_sample_hash(ell):
+    # k < 2^21 draws mod 2^61 - 1 (Lemire on next64), k >= 2^21 mod 2^89 - 1
+    # and k >= 2^49 mod 2^127 - 1 (bytes); the rows mix all three primes.
+    ks = [1, 7, (1 << 21) - 1, 1 << 21, (1 << 21) + 1, 1 << 48, 1 << 86]
+    seed, lo, hi = 2**33 + 5, 11, 11 + 3 * len(ks)
+    row_ks = [ks[i % len(ks)] for i in range(hi - lo)]
+    streams = SessionStreams(seed, lo, hi)
+    pairs = sample_hash_pairs(ell, row_ks, streams)
+    after = streams.integers(1 << 32).tolist()
+    assert {h.p for h in pairs} == set(_PRIMES)
+    for i, k in zip(range(lo, hi), row_ks):
+        rng = np.random.default_rng([seed, i])
+        want = [sample_hash(AFFINE_MOD_PRIME, ell, k, rng) for _ in range(2)]
+        assert pairs[2 * (i - lo) : 2 * (i - lo) + 2] == want
+        # Both streams are left at the same place.
+        assert after[i - lo] == int(rng.integers(1 << 32))

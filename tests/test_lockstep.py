@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from ivpoq.adversaries import ClassicalHonestProver, UnboundedClawProver
+from ivpoq import verifier
 from ivpoq.coherent_prover import HonestProver, consistent_state
 from ivpoq.commitment import make_scheme
 from ivpoq.verifier import (
@@ -21,6 +22,7 @@ from ivpoq.verifier import (
     GRID_UNIFORM,
     REASON_COIN,
     REASON_PASS,
+    STREAM_SESSIONS,
     ProtocolParams,
     block_sessions,
     decide_block,
@@ -75,6 +77,48 @@ def test_block_records_equal_run_session(name, ell, kwargs, grid, sessions):
         paths.add(_challenge_path(params, want))
     # ident's support after the hash step is one seed, so d is never drawn by WHT.
     assert paths == ({"v0", "rejection"} if name == "ident" else {"v0", "wht", "rejection"})
+
+
+def _assert_records_equal_run_session(params, seed, lo, records):
+    prover = HonestProver(params.scheme)
+    for i, record in enumerate(records, start=lo):
+        assert record == run_session(params, prover, np.random.default_rng([seed, i])), i
+
+
+def test_block_with_a_seed_of_two_words():
+    # A seed >= 2^32 is two entropy words of [seed, i].
+    params = _params("hm2", 6, {"a": 3}, GRID_ORACLE)
+    seed = (1 << 40) + 3
+    _assert_records_equal_run_session(params, seed, 5, run_block(params, seed, 5, 125))
+
+
+def test_blocks_across_a_stream_width_boundary():
+    params = _params("hm2", 6, {"a": 3}, GRID_UNIFORM)
+    w = STREAM_SESSIONS
+    records = run_block(params, 3, w - 45, w + 2) + run_block(params, 3, w + 2, w + 61)
+    _assert_records_equal_run_session(params, 3, w - 45, records)
+    # estimate_acceptance cuts its blocks at multiples of the stream width.
+    engine = estimate_acceptance(params, HonestProver(params.scheme), w + 37, seed=3)
+    scalar = estimate_acceptance(params, _ScalarHonestProver(params.scheme), w + 37, seed=3)
+    assert engine.to_json_dict() == scalar.to_json_dict()
+
+
+def test_const_l12_full_width_runs_the_chunked_steps(monkeypatch):
+    # const keeps all 2^12 seeds on both branches, so a full stream width
+    # needs many hash-kernel chunks of _BLOCK_BYTES >> 8 seeds and many WHT
+    # chunks of _BLOCK_BYTES >> 18 sessions.
+    params = _params("const", 12, {}, GRID_ORACLE)
+    calls = Counter()
+    for name in ("eval_segments", "wht"):
+        def counted(*args, _real=getattr(verifier, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(verifier, name, counted)
+    records = run_block(params, 8, 0, STREAM_SESSIONS)
+    monkeypatch.undo()
+    assert calls["eval_segments"] > 1 and calls["wht"] > 1, calls
+    _assert_records_equal_run_session(params, 8, 0, records)
 
 
 class _ScalarHonestProver(HonestProver):
