@@ -50,20 +50,9 @@ class SupportState:
         xs = _all_seeds(ell)
         return cls(ell, xs, xs)
 
-    @classmethod
-    def from_sets(cls, ell, s0, s1) -> "SupportState":
-        return cls(
-            ell,
-            np.array(sorted(int(x) for x in s0), dtype=np.int64),
-            np.array(sorted(int(x) for x in s1), dtype=np.int64),
-        )
-
     @property
     def size(self) -> int:
         return len(self.s0) + len(self.s1)
-
-    def sets(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return tuple(int(x) for x in self.s0), tuple(int(x) for x in self.s1)
 
 
 @lru_cache(maxsize=4)  # a process uses one or two lengths; each array is 8 * 2^ell bytes

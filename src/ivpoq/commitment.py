@@ -126,9 +126,6 @@ class CommitScheme:
         """X_{b,t}: the seeds replaying every alpha_j, as ascending int64."""
         return np.flatnonzero(self.consistent_mask(t, b)).astype(np.int64, copy=False)
 
-    def consistent_set(self, t: Transcript, b: int) -> list[int]:
-        return self.consistent_seeds(t, b).tolist()
-
     def receiver_mask(self, t: Transcript) -> np.ndarray:
         """Mask of receiver seeds r replaying every beta_j of t."""
         n = 1 << self.ell
@@ -464,31 +461,30 @@ def transcript_distributions(scheme: CommitScheme) -> dict[Transcript, tuple[int
     return {t: (c[0], c[1]) for t, c in counts.items()}
 
 
-def hiding_distance(
-    scheme: CommitScheme,
-    num_transcripts: int = 0,
-    rng: np.random.Generator | None = None,
-    exact_ell_cap: int = 10,
-) -> float:
-    """Statistical distance between transcript laws for b=0 and b=1.
+def hiding_distance(scheme: CommitScheme) -> float:
+    """Exact statistical distance between the transcript laws for b=0 and b=1.
 
-    Exact when 2^(2 ell) is small enough: every receiver seed's
-    commit_leaves walk, with the count differences of each transcript
-    summed over seeds before taking magnitudes.  Otherwise a Monte-Carlo
-    average over num_transcripts receiver seeds with the inner sum over
-    (b, x) kept exact by one commit_leaves walk.  The sampled estimator
-    matches the exact distance whenever the receiver messages pin down
-    the seed (true for hm2); for other schemes it is an upper bound.
+    Every receiver seed's commit_leaves walk (2^ell walks), with the count
+    differences of each transcript summed over seeds before taking magnitudes.
     """
     n = 1 << scheme.ell
-    if scheme.ell <= exact_ell_cap:
-        diffs: dict[Transcript, int] = {}
-        for r in range(n):
-            for t, s0, s1 in commit_leaves(scheme, r):
-                diffs[t] = diffs.get(t, 0) + len(s0) - len(s1)
-        return sum(abs(d) for d in diffs.values()) / (2 * n * n)
-    if num_transcripts <= 0 or rng is None:
-        raise ValueError("need num_transcripts and rng above the exact cap")
+    diffs: dict[Transcript, int] = {}
+    for r in range(n):
+        for t, s0, s1 in commit_leaves(scheme, r):
+            diffs[t] = diffs.get(t, 0) + len(s0) - len(s1)
+    return sum(abs(d) for d in diffs.values()) / (2 * n * n)
+
+
+def sampled_hiding_distance(
+    scheme: CommitScheme, num_transcripts: int, rng: np.random.Generator
+) -> float:
+    """hiding_distance averaged over num_transcripts sampled receiver seeds.
+
+    The inner sum over (b, x) stays exact (one commit_leaves walk per seed).
+    It matches the exact distance when the receiver messages pin down the
+    seed (true for hm2); for other schemes it is an upper bound.
+    """
+    n = 1 << scheme.ell
     total = 0.0
     for _ in range(num_transcripts):
         leaves = commit_leaves(scheme, int(rng.integers(n)))

@@ -260,9 +260,3 @@ def family_size(family: str, ell: int, k: int) -> int:
         raise ValueError("only the gf2-affine family is enumerable")
     j = k.bit_length() - 1
     return (1 << (ell * j)) * k
-
-
-def identity_hash(ell: int) -> HashFn:
-    """The identity member of gf2-affine with k = 2^ell (handy in tests)."""
-    rows = tuple(1 << (ell - 1 - i) for i in range(ell))
-    return HashFn(family=GF2_AFFINE, ell=ell, k=1 << ell, rows=rows, shift=0)

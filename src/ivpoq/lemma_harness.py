@@ -18,6 +18,7 @@ from .commitment import (
     Transcript,
     commit_leaves,
     hiding_distance,
+    sampled_hiding_distance,
     transcript_distributions,
 )
 from .hashing import AFFINE_MOD_PRIME, GF2_AFFINE, enumerate_family, family_size, sample_hash
@@ -27,6 +28,9 @@ from .verifier import grid_brackets, grid_sizes, run_coherent_commit
 HOLDS = "holds"
 VIOLATED = "violated"
 ESTIMATED = "estimated"
+
+# check_branch_balance computes the hiding distance exactly up to this ell.
+EXACT_HIDING_ELL = 10
 
 
 @dataclass
@@ -233,7 +237,10 @@ def check_branch_balance(
     data = {"mass_T": mass, "ci": [lo, hi]}
     verdict = ESTIMATED
     if scheme.name == "hm2":
-        dist = hiding_distance(scheme, num_transcripts=min(trials, 200), rng=rng)
+        if scheme.ell <= EXACT_HIDING_ELL:
+            dist = hiding_distance(scheme)
+        else:
+            dist = sampled_hiding_distance(scheme, min(trials, 200), rng)
         bound = (epsilon / (2 * (1 + epsilon))) * (1 - mass)
         data["hiding_distance"] = dist
         data["distinguisher_bound"] = bound

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -148,9 +147,6 @@ class SessionRecord:
     v2coin: int = 0
     verdict: bool | None = None
     verdict_reason: str | None = None
-
-    def prefix(self) -> tuple:
-        return self.t, self.h0, self.h1, self.y
 
     def to_json_dict(self) -> dict:
         branch = (
@@ -359,18 +355,12 @@ def _verdict(record: SessionRecord, c0, x0, c1, x1) -> tuple[bool, str]:
 # per numpy call, not per session, so a block spans many sessions.
 STREAM_SESSIONS = 1024
 
-# Bytes of the engine's largest arrays.  The hash step takes
-# _BLOCK_BYTES >> 8 support seeds at a time, and its kernel makes about a
-# dozen int64 arrays of that length; the WHT step takes
+# Bytes of the engine's largest arrays.  The hash step and V2's counts take
+# _BLOCK_BYTES >> 8 seeds at a time, and their kernel makes about a dozen
+# int64 arrays of that length; the WHT step takes
 # _BLOCK_BYTES >> (ell + 6) sessions at a time, each with about four
 # arrays of 2 x 2^ell int64 (amplitudes, the transform's buffer, weights).
 _BLOCK_BYTES = 1 << 20
-
-
-def block_sessions(ell: int) -> int:
-    """Records per decide_block call in tally: at 2^(ell+1) support seeds
-    and two rows of 2^ell int64 per session, within _BLOCK_BYTES."""
-    return max(1, _BLOCK_BYTES >> (ell + 4))
 
 
 def run_block(params: ProtocolParams, seed: int, lo: int, hi: int) -> list[SessionRecord]:
@@ -579,30 +569,31 @@ def decide_block(params: ProtocolParams, records: list[SessionRecord]) -> list[t
 
 
 def _count_block(scheme: CommitScheme, records: list[SessionRecord], b: int) -> list[tuple]:
-    """count_consistent_preimages(scheme, r.t, r.h_b, r.y, b) for each record r."""
-    if not records:
-        return []
+    """count_consistent_preimages(scheme, r.t, r.h_b, r.y, b) for each record r,
+    hashed in runs of at most _BLOCK_BYTES >> 8 seeds, as in _hash_step."""
     sets = [scheme.consistent_seeds(record.t, b) for record in records]
     lens = np.array([len(xs) for xs in sets], dtype=np.int64)
-    xs = np.concatenate(sets)
     hashes = [record.h1 if b else record.h0 for record in records]
-    sid = np.repeat(np.arange(len(records)), lens)
-    hits = eval_segments(hashes, xs, lens) == np.array([r.y for r in records], dtype=np.int64)[sid]
-    counts = np.bincount(sid[hits], minlength=len(records)).tolist()
-    # Each set is ascending, so a record's first hit is its least witness.
-    found = xs[hits].tolist()
-    first = np.cumsum(counts) - counts
-    return [(min(c, 2), found[f] if c else None) for c, f in zip(counts, first.tolist())]
+    ys = np.array([record.y for record in records], dtype=np.int64)
+    out = []
+    for a, c in _runs(lens, _BLOCK_BYTES >> 8):
+        xs, sid = np.concatenate(sets[a:c]), np.repeat(np.arange(c - a), lens[a:c])
+        hits = eval_segments(hashes[a:c], xs, lens[a:c]) == ys[a:c][sid]
+        counts = np.bincount(sid[hits], minlength=c - a).tolist()
+        # Each set is ascending, so a record's first hit is its least witness.
+        found, first = xs[hits].tolist(), np.cumsum(counts) - counts
+        out += [(min(n, 2), found[f] if n else None) for n, f in zip(counts, first.tolist())]
+    return out
 
 
 def tally(params: ProtocolParams, records) -> Counter:
     """How often each v2_decide verdict (accepted, reason) occurs over records.
 
     records may be any iterable, a generator included; it is decided
-    block_sessions(ell) records at a time with decide_block.
+    STREAM_SESSIONS records at a time with decide_block.
     """
     verdicts, records = Counter(), iter(records)
-    while block := list(itertools.islice(records, block_sessions(params.ell))):
+    while block := list(itertools.islice(records, STREAM_SESSIONS)):
         verdicts.update(decide_block(params, block))
     return verdicts
 
@@ -707,12 +698,13 @@ def estimate_acceptance(
     unique_accepts = reasons[REASON_PASS]
     coin_accepts = verdicts[True, REASON_COIN]
     nonunique = trials - unique
+    ci_lo, ci_hi = stats.wilson_interval(accepts, trials)
     return AcceptanceReport(
         trials=trials,
         accepts=accepts,
         rate=accepts / trials,
-        ci_lo=stats.wilson_interval(accepts, trials)[0],
-        ci_hi=stats.wilson_interval(accepts, trials)[1],
+        ci_lo=ci_lo,
+        ci_hi=ci_hi,
         hoeffding_halfwidth=stats.hoeffding_halfwidth(trials),
         p_good=unique / trials,
         unique_trials=unique,
@@ -732,7 +724,3 @@ def _split_range(trials: int, workers: int) -> list[tuple[int, int]]:
     workers = max(1, min(workers, trials))
     step = (trials + workers - 1) // workers
     return [(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
-
-
-def record_to_json(record: SessionRecord) -> str:
-    return json.dumps(record.to_json_dict(), sort_keys=True, indent=2)

@@ -1,0 +1,22 @@
+"""Small fixtures the tests share: a support state from any seed collections
+and the identity hash."""
+
+import numpy as np
+
+from ivpoq.coherent_prover import SupportState
+from ivpoq.hashing import GF2_AFFINE, HashFn
+
+
+def support_state(ell, s0, s1) -> SupportState:
+    """The state on the seeds of s0 and s1, each sorted into int64."""
+    return SupportState(
+        ell,
+        np.array(sorted(int(x) for x in s0), dtype=np.int64),
+        np.array(sorted(int(x) for x in s1), dtype=np.int64),
+    )
+
+
+def identity_hash(ell: int) -> HashFn:
+    """The identity member of gf2-affine with k = 2^ell."""
+    rows = tuple(1 << (ell - 1 - i) for i in range(ell))
+    return HashFn(family=GF2_AFFINE, ell=ell, k=1 << ell, rows=rows, shift=0)

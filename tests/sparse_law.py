@@ -15,9 +15,11 @@ from ivpoq.coherent_prover import (
     hash_outcome_law,
 )
 
+from builders import support_state
+
 
 def sparse_challenge_law(ell, s0, s1, h0, h1, xi, v2):
-    state = SupportState.from_sets(ell, s0, s1)
+    state = support_state(ell, s0, s1)
     ys, ycounts, y0, y1 = hash_outcome_law(state, h0, h1)
     law = {}
     for y, py in zip(ys, ycounts / state.size):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
-from ivpoq import adversaries
+from ivpoq import adversaries, verifier
 from ivpoq.adversaries import (
     ClassicalHonestProver,
     PredictionOracle,
@@ -20,7 +20,6 @@ from ivpoq.adversaries import (
 from ivpoq.coherent_prover import (
     HONEST_UNIQUE_RATE,
     HonestProver,
-    SupportState,
     d_outcome_law,
     hash_outcome_law,
 )
@@ -30,14 +29,16 @@ from ivpoq.verifier import (
     GRID_ORACLE,
     ProtocolParams,
     ProtocolViolation,
+    STREAM_SESSIONS,
     count_consistent_preimages,
     estimate_acceptance,
-    block_sessions,
     run_challenge,
     run_preamble,
     run_session,
     v2_decide,
 )
+
+from builders import support_state
 
 
 def find_unique_claw_prefix(scheme, params, seed=0, want_unique=True):
@@ -48,7 +49,7 @@ def find_unique_claw_prefix(scheme, params, seed=0, want_unique=True):
         c0, x0 = count_consistent_preimages(scheme, rec.t, rec.h0, rec.y, 0)
         c1, x1 = count_consistent_preimages(scheme, rec.t, rec.h1, rec.y, 1)
         if (c0 == 1 and c1 == 1) == want_unique:
-            return rec.prefix(), (x0, x1)
+            return (rec.t, rec.h0, rec.h1, rec.y), (x0, x1)
     pytest.fail("no suitable prefix found")
 
 
@@ -98,7 +99,7 @@ def test_claw_prover_y_frequencies_match_honest_law():
     rng = np.random.default_rng(4)
     h0 = sample_hash(AFFINE_MOD_PRIME, 6, 5, rng)
     h1 = sample_hash(AFFINE_MOD_PRIME, 6, 5, rng)
-    state = SupportState.from_sets(
+    state = support_state(
         6,
         set(np.flatnonzero(sch.consistent_mask(t, 0))),
         set(np.flatnonzero(sch.consistent_mask(t, 1))),
@@ -119,7 +120,7 @@ def test_claw_prover_d_and_eta_frequencies_match_honest_law():
     params = ProtocolParams(scheme=sch, epsilon=0.05, grid_mode=GRID_ORACLE)
     prefix, _ = find_unique_claw_prefix(sch, params, seed=33)
     t, h0, h1, y = prefix
-    state = SupportState.from_sets(
+    state = support_state(
         6,
         [x for x in np.flatnonzero(sch.consistent_mask(t, 0)) if h0.eval(int(x)) == y],
         [x for x in np.flatnonzero(sch.consistent_mask(t, 1)) if h1.eval(int(x)) == y],
@@ -294,12 +295,14 @@ def test_conditional_acceptance_always_wrong_prover_is_zero():
     "make_prover", [HonestProver, unbounded_claw_prover], ids=["honest", "unbounded-claw"]
 )
 def test_conditional_acceptance_equals_v2_decide_loop(make_prover):
-    # The estimate tallies its records a block at a time; over two blocks it
-    # must equal v2_decide record by record on an identically seeded stream.
+    # The estimate tallies its records a block at a time; over two blocks,
+    # each counted in several runs of seeds, it must equal v2_decide record
+    # by record on an identically seeded stream.
     sch = make_scheme("hm2", 7, a=3)
     params = ProtocolParams(scheme=sch, epsilon=0.05, grid_mode=GRID_ORACLE)
     prefix, _ = find_unique_claw_prefix(sch, params, seed=10)
-    trials = block_sessions(7) + 40
+    assert STREAM_SESSIONS * len(sch.consistent_seeds(prefix[0], 0)) > verifier._BLOCK_BYTES >> 8
+    trials = STREAM_SESSIONS + 40
     rate = estimate_conditional_acceptance(
         params, prefix, make_prover(sch), trials, np.random.default_rng(21)
     )

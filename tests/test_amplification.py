@@ -15,7 +15,7 @@ from ivpoq.amplification import (
 )
 from ivpoq.coherent_prover import HonestProver
 from ivpoq.commitment import make_scheme
-from ivpoq.verifier import GRID_ORACLE, ProtocolParams, block_sessions, run_session, v2_decide
+from ivpoq.verifier import GRID_ORACLE, STREAM_SESSIONS, ProtocolParams, run_session, v2_decide
 
 
 def test_required_N_examples():
@@ -72,7 +72,7 @@ def test_run_sequential_equals_v2_decide_loop():
     # must equal v2_decide's over run_session draws from one stream.
     sch = make_scheme("hm2", 6, a=3)
     params = ProtocolParams(scheme=sch, epsilon=0.1, grid_mode=GRID_ORACLE)
-    plan = RepetitionPlan(c=0.95, s=0.80, n=block_sessions(6) + 40)
+    plan = RepetitionPlan(c=0.95, s=0.80, n=STREAM_SESSIONS + 40)
     verdict, fraction = run_sequential(plan, HonestProver(sch), params, np.random.default_rng(3))
     rng, prover = np.random.default_rng(3), HonestProver(sch)
     accepted = sum(v2_decide(params, run_session(params, prover, rng))[0] for _ in range(plan.n))

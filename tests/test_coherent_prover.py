@@ -22,9 +22,11 @@ from ivpoq.coherent_prover import (
     measure_rotated,
     sample_d,
 )
-from ivpoq.hashing import HashFn, AFFINE_MOD_PRIME, identity_hash, sample_hash
+from ivpoq.hashing import HashFn, AFFINE_MOD_PRIME, sample_hash
 from ivpoq.lemma_harness import coherent_transcript_law
 from ivpoq.verifier import ProtocolParams, run_coherent_commit, run_session
+
+from builders import identity_hash, support_state
 
 
 def const_hash(ell, k, value):
@@ -37,7 +39,7 @@ def test_const_commit_keeps_full_state():
     sch = make_scheme("const", 5)
     t, state = run_coherent_commit(sch, 3, np.random.default_rng(0))
     assert t == (b"", b"")
-    assert state.sets() == (tuple(range(32)), tuple(range(32)))
+    assert state.s0.tolist() == state.s1.tolist() == list(range(32))
 
 
 def test_full_state_is_shared_and_never_written():
@@ -62,11 +64,11 @@ def test_ident_commit_collapses_single_branch():
     seen = set()
     for seed in range(200):
         t, state = run_coherent_commit(sch, 0, np.random.default_rng(seed))
-        s0, s1 = state.sets()
+        s0, s1 = state.s0.tolist(), state.s1.tolist()
         assert (len(s0), len(s1)) in ((1, 0), (0, 1))
         b = t[0][0]
         x = int.from_bytes(t[0][1:], "big")
-        assert (s0 if b == 0 else s1) == (x,)
+        assert (s0 if b == 0 else s1) == [x]
         seen.add((b, x))
     assert len(seen) > 20  # spread over the 2^(ell+1) outcomes
 
@@ -87,14 +89,8 @@ def test_hm2_commit_law_matches_dense_simulation():
         assert tvd <= 1e-9
         # final support sets agree too
         for t, (_, s0, s1) in dense.items():
-            state_sets = (
-                tuple(sorted(s0)),
-                tuple(sorted(s1)),
-            )
-            assert state_sets == (
-                tuple(sch.consistent_set(t, 0)),
-                tuple(sch.consistent_set(t, 1)),
-            )
+            assert sorted(s0) == sch.consistent_seeds(t, 0).tolist()
+            assert sorted(s1) == sch.consistent_seeds(t, 1).tolist()
 
 
 def test_sampled_commit_consistent_with_support_sets():
@@ -103,15 +99,15 @@ def test_sampled_commit_consistent_with_support_sets():
     for _ in range(10):
         r = int(rng.integers(1 << 7))
         t, state = run_coherent_commit(sch, r, rng)
-        assert state.sets()[0] == tuple(sch.consistent_set(t, 0))
-        assert state.sets()[1] == tuple(sch.consistent_set(t, 1))
+        assert state.s0.tolist() == sch.consistent_seeds(t, 0).tolist()
+        assert state.s1.tolist() == sch.consistent_seeds(t, 1).tolist()
         assert state.size > 0
 
 
 # hash measurement -------------------------------------------------------------
 
 def test_measure_hash_singletons():
-    state = SupportState.from_sets(3, {0b001}, {0b100})
+    state = support_state(3, {0b001}, {0b100})
     h0 = identity_hash(3)
     h1 = identity_hash(3)
     counts = {1: 0, 4: 0}
@@ -119,18 +115,18 @@ def test_measure_hash_singletons():
         y, post = measure_hash(state, h0, h1, np.random.default_rng(seed))
         counts[y] += 1
         if y == 1:
-            assert post.sets() == ((1,), ())
+            assert (post.s0.tolist(), post.s1.tolist()) == ([1], [])
         else:
-            assert post.sets() == ((), (4,))
+            assert (post.s0.tolist(), post.s1.tolist()) == ([], [4])
     assert abs(counts[1] / 400 - 0.5) < 0.07
 
 
 def test_measure_hash_constant_keeps_state():
-    state = SupportState.from_sets(4, {1, 2, 3}, {9, 10})
+    state = support_state(4, {1, 2, 3}, {9, 10})
     h = const_hash(4, 7, 2)
     y, post = measure_hash(state, h, h, np.random.default_rng(0))
     assert y == 2
-    assert post.sets() == state.sets()
+    assert (post.s0.tolist(), post.s1.tolist()) == (state.s0.tolist(), state.s1.tolist())
 
 
 def test_measure_hash_histogram_matches_law():
@@ -138,7 +134,7 @@ def test_measure_hash_histogram_matches_law():
     ell = 6
     s0 = {int(x) for x in rng.choice(64, size=20, replace=False)}
     s1 = {int(x) for x in rng.choice(64, size=17, replace=False)}
-    state = SupportState.from_sets(ell, s0, s1)
+    state = support_state(ell, s0, s1)
     h0 = sample_hash(AFFINE_MOD_PRIME, ell, 8, rng)
     h1 = sample_hash(AFFINE_MOD_PRIME, ell, 8, rng)
     ys, law_counts, _, _ = hash_outcome_law(state, h0, h1)
@@ -157,7 +153,7 @@ def test_measure_hash_histogram_matches_law():
 # computational-basis answer ----------------------------------------------------
 
 def test_answer_v0_two_branches():
-    state = SupportState.from_sets(3, {5}, {2})
+    state = support_state(3, {5}, {2})
     seen = {(0, 5): 0, (1, 2): 0}
     for seed in range(300):
         seen[answer_v0(state, np.random.default_rng(seed))] += 1
@@ -165,13 +161,13 @@ def test_answer_v0_two_branches():
 
 
 def test_answer_v0_single_branch():
-    state = SupportState.from_sets(3, {6}, set())
+    state = support_state(3, {6}, set())
     for seed in range(20):
         assert answer_v0(state, np.random.default_rng(seed)) == (0, 6)
 
 
 def test_answer_v0_uniformity():
-    state = SupportState.from_sets(4, {1, 2, 3}, {3, 8})
+    state = support_state(4, {1, 2, 3}, {3, 8})
     counts = {}
     n = 8000
     for seed in range(n):
@@ -183,7 +179,7 @@ def test_answer_v0_uniformity():
 
 
 def test_answer_v0_empty_state_raises():
-    state = SupportState.from_sets(3, set(), set())
+    state = support_state(3, set(), set())
     with pytest.raises(EmptyStateError):
         answer_v0(state, np.random.default_rng(0))
 
@@ -193,7 +189,7 @@ def test_answer_v0_empty_state_raises():
 def test_d_law_two_singletons_matches_relabeled_state():
     ell = 4
     x0, x1 = 0b1010, 0b0111
-    state = SupportState.from_sets(ell, {x0}, {x1})
+    state = support_state(ell, {x0}, {x1})
     for xi in (0, 0b0011, 0b1111):
         probs, a0, a1 = d_outcome_law(state, xi)
         assert math.isclose(probs.sum(), 1.0, abs_tol=1e-12)
@@ -209,7 +205,7 @@ def test_d_law_two_singletons_matches_relabeled_state():
 
 
 def test_d_law_single_element_uniform():
-    state = SupportState.from_sets(5, {19}, set())
+    state = support_state(5, {19}, set())
     xi = 0b10010
     probs, a0, a1 = d_outcome_law(state, xi)
     assert np.allclose(probs, 1 / 32)
@@ -222,7 +218,7 @@ def test_d_law_single_element_uniform():
 
 def test_sample_d_matches_law_small_support():
     # the rejection fast path must reproduce the transform law
-    state = SupportState.from_sets(4, {3}, {12})
+    state = support_state(4, {3}, {12})
     xi = 0b0101
     probs, _, _ = d_outcome_law(state, xi)
     n = 20000
@@ -244,7 +240,7 @@ def test_d_law_parseval_random_states():
         for _ in range(6):
             s0 = {int(x) for x in rng.choice(n, size=int(rng.integers(1, n)), replace=False)}
             s1 = {int(x) for x in rng.choice(n, size=int(rng.integers(0, n)), replace=False)}
-            state = SupportState.from_sets(ell, s0, s1)
+            state = support_state(ell, s0, s1)
             probs, _, _ = d_outcome_law(state, int(rng.integers(n)))
             assert math.isclose(probs.sum(), 1.0, abs_tol=1e-9)
 

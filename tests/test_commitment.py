@@ -11,6 +11,7 @@ from ivpoq.commitment import (
     hiding_distance,
     make_scheme,
     run_classical_commit,
+    sampled_hiding_distance,
     transcript_distributions,
 )
 
@@ -72,7 +73,7 @@ def test_perfect_correctness_all_schemes():
             r = int(rng.integers(64))
             t = run_classical_commit(sch, b, x, r)
             assert sch.open_verify(t, b, x)
-            assert x in sch.consistent_set(t, b)
+            assert x in sch.consistent_seeds(t, b).tolist()
 
 
 def test_open_verify_flipped_bit_fails_for_hm2():
@@ -99,15 +100,15 @@ def test_open_verify_malformed_transcript():
 def test_consistent_sets_ident():
     sch = make_scheme("ident", 4)
     t = run_classical_commit(sch, 1, 0b0101, 0)
-    assert sch.consistent_set(t, 1) == [0b0101]
-    assert sch.consistent_set(t, 0) == []
+    assert sch.consistent_seeds(t, 1).tolist() == [0b0101]
+    assert sch.consistent_seeds(t, 0).tolist() == []
 
 
 def test_consistent_sets_const():
     sch = make_scheme("const", 4)
     t = run_classical_commit(sch, 0, 3, 5)
-    assert sch.consistent_set(t, 0) == list(range(16))
-    assert sch.consistent_set(t, 1) == list(range(16))
+    assert sch.consistent_seeds(t, 0).tolist() == list(range(16))
+    assert sch.consistent_seeds(t, 1).tolist() == list(range(16))
 
 
 def test_consistent_sets_hm2_match_independent_scan():
@@ -116,14 +117,14 @@ def test_consistent_sets_hm2_match_independent_scan():
     sch = make_scheme("hm2", ell, a=a)
     t = run_classical_commit(sch, 1, 100, 313)
     for b in (0, 1):
-        got = sch.consistent_set(t, b)
+        got = sch.consistent_seeds(t, b).tolist()
         want = [
             x
             for x in range(1 << ell)
             if hm2_alpha2_reference(ell, a, 313, x, b) == t[2]
         ]
         assert got == want
-    assert 100 in sch.consistent_set(t, 1)
+    assert 100 in sch.consistent_seeds(t, 1).tolist()
 
 
 @pytest.mark.parametrize("ell,a", [(5, 4), (8, 1), (9, 1), (12, 8), (17, 1)])
@@ -251,7 +252,7 @@ def test_hiding_distance_hm2_exact_small():
 def test_hiding_distance_hm2_mc_at_working_size():
     # ell = 12, a = 6: sampled seeds with exact inner sums; bound 2^-2
     sch = make_scheme("hm2", 12, a=6)
-    d = hiding_distance(sch, num_transcripts=150, rng=np.random.default_rng(70))
+    d = sampled_hiding_distance(sch, 150, np.random.default_rng(70))
     assert 0.0 < d <= 2 ** (-(sch.a - 2) / 2)
 
 
@@ -261,7 +262,7 @@ def test_hiding_distance_hm2_mc_at_working_size():
 def test_hiding_distance_monte_carlo_matches_per_seed_enumeration(name, kwargs):
     # the sampled branch equals a classical per-seed enumeration, float for float
     sch = make_scheme(name, 8, **kwargs)
-    mc = hiding_distance(sch, num_transcripts=12, rng=np.random.default_rng(5), exact_ell_cap=4)
+    mc = sampled_hiding_distance(sch, 12, np.random.default_rng(5))
     rng = np.random.default_rng(5)
     n = 1 << sch.ell
     total = 0.0
@@ -280,7 +281,7 @@ def test_hiding_distance_hm2_monte_carlo_matches_exact():
     sch = make_scheme("hm2", 8, a=4)
     exact = hiding_distance(sch)
     rng = np.random.default_rng(2)
-    mc = hiding_distance(sch, num_transcripts=64, rng=rng, exact_ell_cap=4)
+    mc = sampled_hiding_distance(sch, 64, rng)
     assert abs(mc - exact) < 0.08
 
 
@@ -291,8 +292,8 @@ def test_transcript_distribution_factorizes():
         counts = transcript_distributions(sch)
         for t, (c0, c1) in counts.items():
             r_t = int(sch.receiver_mask(t).sum())
-            assert c0 == r_t * len(sch.consistent_set(t, 0))
-            assert c1 == r_t * len(sch.consistent_set(t, 1))
+            assert c0 == r_t * len(sch.consistent_seeds(t, 0))
+            assert c1 == r_t * len(sch.consistent_seeds(t, 1))
 
 
 def test_scheme_registry():

@@ -15,12 +15,13 @@ from ivpoq.hashing import (
     enumerate_family,
     eval_segments,
     family_size,
-    identity_hash,
     pairwise_bias_bound,
     sample_hash,
     sample_hash_pairs,
 )
 from ivpoq.streams import SessionStreams
+
+from builders import identity_hash
 
 
 def test_identity_member_evaluates_to_input():

@@ -24,7 +24,6 @@ from ivpoq.verifier import (
     REASON_PASS,
     STREAM_SESSIONS,
     ProtocolParams,
-    block_sessions,
     decide_block,
     estimate_acceptance,
     run_block,
@@ -128,14 +127,15 @@ class _ScalarHonestProver(HonestProver):
 @pytest.mark.parametrize(
     "name,ell,kwargs,grid,trials",
     [
-        ("hm2", 8, {"a": 4}, GRID_UNIFORM, 2 * block_sessions(8) + 37),
-        ("hm2", 12, {"a": 8}, GRID_ORACLE, 3 * block_sessions(12) + 5),
-        ("const", 5, {}, GRID_UNIFORM, 300),
+        ("hm2", 8, {"a": 4}, GRID_UNIFORM, STREAM_SESSIONS + 37),
+        ("hm2", 12, {"a": 8}, GRID_ORACLE, STREAM_SESSIONS + 5),
+        ("const", 5, {}, GRID_UNIFORM, STREAM_SESSIONS + 300),
     ],
 )
 def test_estimate_acceptance_engine_matches_scalar_loop(name, ell, kwargs, grid, trials):
-    # Several blocks, the last one short; estimate_acceptance runs the engine
-    # only for HonestProver itself, so the subclass takes the scalar loop.
+    # Two blocks, the last one short, each tallied in several runs of seeds;
+    # estimate_acceptance runs the engine only for HonestProver itself, so
+    # the subclass takes the scalar loop.
     params = _params(name, ell, kwargs, grid)
     engine = estimate_acceptance(params, HonestProver(params.scheme), trials, seed=17)
     scalar = estimate_acceptance(params, _ScalarHonestProver(params.scheme), trials, seed=17)
@@ -159,7 +159,7 @@ def test_estimate_acceptance_matches_v2_decide_tally(prover, name, ell, kwargs):
     # the tally must equal v2_decide's over the same sessions, in two blocks.
     params = _params(name, ell, kwargs, GRID_ORACLE)
     cheater = PROVERS[prover](params.scheme)
-    trials = block_sessions(ell) + 40
+    trials = STREAM_SESSIONS + 40
     report = estimate_acceptance(params, cheater, trials, seed=29)
     tally = Counter()
     for i in range(trials):
@@ -171,3 +171,28 @@ def test_estimate_acceptance_matches_v2_decide_tally(prover, name, ell, kwargs):
     assert report.unique_accepts == tally[True, REASON_PASS]
     assert report.nonunique_accepts == tally[True, REASON_COIN]
     assert report.accepts == sum(n for (ok, _), n in tally.items() if ok)
+
+
+@pytest.mark.parametrize("ell", [12, 13])
+def test_v2_counts_split_by_the_seed_budget(ell, monkeypatch):
+    # const keeps X_{b,t} whole: at ell=12 each record's 2^12 seeds fill the
+    # hash step's budget of _BLOCK_BYTES >> 8 seeds, at ell=13 they exceed
+    # it, so V2 counts every record in a run of its own.
+    assert verifier._BLOCK_BYTES >> 8 == 1 << 12
+    params = _params("const", ell, {}, GRID_ORACLE)
+    records = run_block(params, 5, 0, STREAM_SESSIONS)
+    want = [v2_decide(params, record) for record in records]
+    calls = Counter()
+
+    def counted(hashes, xs, lens, _real=verifier.eval_segments):
+        calls[len(hashes)] += 1
+        return _real(hashes, xs, lens)
+
+    monkeypatch.setattr(verifier, "eval_segments", counted)
+    assert decide_block(params, records) == want
+    assert set(calls) == {1} and calls[1] >= STREAM_SESSIONS, calls
+    assert verifier.tally(params, records) == Counter(want)
+
+
+def test_decide_block_of_no_records():
+    assert decide_block(_params("hm2", 6, {"a": 3}, GRID_ORACLE), []) == []

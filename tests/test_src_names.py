@@ -1,0 +1,44 @@
+"""Every function and class in src/ivpoq has a caller outside the tests.
+
+A name defined in src/ivpoq/*.py that no other src line and no
+perfbench/*.py file mentions is API only the tests call: test through
+the API that stays, or move the fixture into a tests/ helper.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# (module, name) pairs that stay in src with only test callers, and why.
+ALLOWED = {
+    # The exact law of d (and the residual amplitudes) that the tests
+    # check sample_d and the dense statevector reference against.
+    ("coherent_prover", "d_outcome_law"),
+}
+
+
+def _unused_names(src: Path, perfbench: Path) -> list[str]:
+    texts = {path: path.read_text() for path in sorted(src.glob("*.py"))}
+    bench = "\n".join(path.read_text() for path in sorted(perfbench.glob("*.py")))
+    unused = []
+    for path, text in texts.items():
+        lines = text.splitlines()
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("__") or (path.stem, node.name) in ALLOWED:
+                continue
+            word = re.compile(rf"\b{node.name}\b")
+            # Mentions inside the definition itself (its docstring, a
+            # recursive call) do not count.
+            outside = lines[: node.lineno - 1] + lines[node.end_lineno :]
+            others = (other for p, other in texts.items() if p != path)
+            if not any(word.search(t) for t in (*outside, *others, bench)):
+                unused.append(f"{path.stem}.{node.name}")
+    return unused
+
+
+def test_every_src_name_has_a_caller_outside_the_tests():
+    assert _unused_names(ROOT / "src" / "ivpoq", ROOT / "perfbench") == []

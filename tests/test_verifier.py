@@ -16,7 +16,7 @@ from ivpoq.adversaries import (
 )
 from ivpoq.coherent_prover import HONEST_UNIQUE_RATE, HonestProver
 from ivpoq.commitment import make_scheme, run_classical_commit
-from ivpoq.hashing import AFFINE_MOD_PRIME, GF2_AFFINE, HashFn, identity_hash, sample_hash
+from ivpoq.hashing import AFFINE_MOD_PRIME, GF2_AFFINE, HashFn, sample_hash
 from ivpoq.verifier import (
     GRID_ORACLE,
     ProtocolParams,
@@ -30,11 +30,12 @@ from ivpoq.verifier import (
     decide_block,
     estimate_acceptance,
     grid_sizes,
-    record_to_json,
     run_block,
     run_session,
     v2_decide,
 )
+
+from builders import identity_hash
 
 
 def test_compute_m_examples():
@@ -100,7 +101,7 @@ def test_run_session_deterministic_bytes():
     for _ in range(2):
         record = run_session(params, HonestProver(sch), np.random.default_rng([7, 1]))
         record.verdict, record.verdict_reason = v2_decide(params, record)
-        blobs.append(record_to_json(record))
+        blobs.append(json.dumps(record.to_json_dict(), sort_keys=True))
     assert blobs[0] == blobs[1]
 
 
@@ -110,7 +111,7 @@ def test_record_json_roundtrip_replays_verdict():
     for seed in range(6):
         record = run_session(params, HonestProver(sch), np.random.default_rng(seed))
         verdict = v2_decide(params, record)
-        back = SessionRecord.from_json_dict(json.loads(record_to_json(record)))
+        back = SessionRecord.from_json_dict(json.loads(json.dumps(record.to_json_dict())))
         assert v2_decide(params, back) == verdict
 
 
@@ -161,7 +162,7 @@ def session_records(draw):
 def test_session_record_and_hash_survive_a_json_round_trip(record):
     for h in (record.h0, record.h1):
         assert HashFn.from_json_dict(json.loads(json.dumps(h.to_json_dict()))) == h
-    assert SessionRecord.from_json_dict(json.loads(record_to_json(record))) == record
+    assert SessionRecord.from_json_dict(json.loads(json.dumps(record.to_json_dict()))) == record
 
 
 def test_engine_records_round_trip_and_replay():
@@ -169,7 +170,7 @@ def test_engine_records_round_trip_and_replay():
     params = ProtocolParams(scheme=sch, epsilon=0.01)
     records = run_block(params, 23, 0, 150)
     for record, verdict in zip(records, decide_block(params, records)):
-        back = SessionRecord.from_json_dict(json.loads(record_to_json(record)))
+        back = SessionRecord.from_json_dict(json.loads(json.dumps(record.to_json_dict())))
         assert back == record
         assert v2_decide(params, back) == verdict
 
