@@ -43,7 +43,6 @@ from .commitment import (
 )
 from .hashing import (
     AFFINE_MOD_PRIME,
-    GF2_AFFINE,
     HashFn,
     pairwise_bias_bound,
     sample_hash,

@@ -199,13 +199,19 @@ def sample_d(
     return d, ResidualQubit(float(a0[d]), float(a1[d]))
 
 
+def eta0_probs(a0, a1, v2):
+    """Pr[eta = 0] for the pi/8-rotated measurement selected by v2 on the
+    residual qubit (a0, a1), elementwise; int64 and float amplitudes give
+    the same floats while a0^2 + a1^2 < 2^53."""
+    amp = COS_PI8 * a0 + SIN_PI8 * (1 - 2 * v2) * a1
+    return amp * amp / (a0 * a0 + a1 * a1)
+
+
 def eta0_prob(qubit: ResidualQubit, v2: int) -> float:
-    """Pr[eta = 0] for the pi/8-rotated measurement selected by v2."""
+    """eta0_probs on one residual qubit, which must not be zero."""
     if qubit.norm2 <= 0.0:
         raise EmptyStateError("rotated measurement on a zero vector")
-    sin = SIN_PI8 if v2 == 0 else -SIN_PI8
-    amp = COS_PI8 * qubit.a0 + sin * qubit.a1
-    return amp * amp / qubit.norm2
+    return eta0_probs(qubit.a0, qubit.a1, v2)
 
 
 def measure_rotated(qubit: ResidualQubit, v2: int, rng: np.random.Generator) -> int:

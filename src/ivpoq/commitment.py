@@ -365,13 +365,11 @@ class Hm2Scheme(CommitScheme):
         if len(xs0) != 1 << self.ell or len(xs1) != 1 << self.ell:
             return super().alpha_partition(j, xs0, xs1, prefix)
         # The full state (its seeds are distinct): message key K is seen on
-        # branch 0's class K and on branch 1's class K^1, so the counts come
-        # from the table's class offsets and the splits are slices.
+        # branch 0's class K and on branch 1's class K^1, so both keys of a
+        # pair (2m, 2m+1) count the pair's seeds, starts[2m+2] - starts[2m],
+        # and the splits are slices.
         table = self._bucket(self._seed_from_beta1(prefix[1]))
-        starts = table.starts.astype(np.int64)
-        sizes = starts[1:] - starts[:-1]
-        # Swapping each (2m, 2m+1) pair puts |class K^1| at index K.
-        both = sizes + sizes.reshape(-1, 2)[:, ::-1].ravel()
+        both = np.repeat(np.diff(table.starts[::2].astype(np.int64)), 2)
         alive = np.flatnonzero(both)
         return CommitRoundLaw(
             alive, both[alive], self._decode_key, lambda key: (table.seeds(key), table.seeds(key ^ 1))

@@ -1,15 +1,14 @@
 """Pairwise-independent hash families {0,1}^ell -> [k].
 
-Two families behind one interface:
+The protocol samples one family, ``affine-mod-prime`` (HashFn):
+h(x) = ((a.x + b) mod p) mod k for a fixed prime p >= max(2^ell, 2^40 * k).
+It serves every k >= 1, as the grid's k = ceil((1+eps)^j) needs, and is
+within bias 2k/p + (k/p)^2 of exact pairwise independence, which is
+negligible against desk-scale sampling error.
 
-* ``gf2-affine`` -- h(x) = A.x xor v over GF(2), codomain size k = 2^j.
-  Exactly pairwise independent; used wherever lemmas are checked
-  bit-for-bit (the whole family is enumerable at ell <= 3).
-* ``affine-mod-prime`` -- h(x) = ((a.x + b) mod p) mod k for a fixed
-  prime p >= max(2^ell, 2^40 * k).  Works for arbitrary k >= 1 and is
-  within bias 2k/p + (k/p)^2 of exact pairwise independence, which is
-  negligible against desk-scale sampling error.  Used on the protocol
-  path where k = ceil((1+eps)^j) is rarely a power of two.
+The lemma check enumerates ``gf2-affine`` (Gf2AffineHash):
+h(x) = A.x xor v over GF(2), codomain size k = 2^j.  It is exactly
+pairwise independent, and the whole family is enumerable at ell <= 3.
 
 The codomain [k] is represented 0-indexed.
 """
@@ -17,13 +16,12 @@ The codomain [k] is represented 0-indexed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .bits import check_ell, parity, parity_u32, to_hex, from_hex
+from .bits import check_ell, parity
 
-GF2_AFFINE = "gf2-affine"
 AFFINE_MOD_PRIME = "affine-mod-prime"
 
 # Mersenne primes large enough for every desk-scale (ell, k).
@@ -47,26 +45,15 @@ def _choose_prime(ell: int, k: int) -> int:
 
 @dataclass(frozen=True)
 class HashFn:
-    """A sampled member of one of the two families."""
+    """An affine-mod-prime member x -> ((a x + b) mod p) mod k."""
 
-    family: str
     ell: int
     k: int
-    # gf2-affine parameters: rows[i] is the GF(2) mask producing output
-    # bit j-1-i (row 0 is the most significant output bit); shift is v.
-    rows: tuple[int, ...] | None = None
-    shift: int | None = None
-    # affine-mod-prime parameters.
-    a: int | None = None
-    b: int | None = None
-    p: int | None = None
+    a: int
+    b: int
+    p: int
 
     def eval(self, x: int) -> int:
-        if self.family == GF2_AFFINE:
-            y = 0
-            for row in self.rows:
-                y = (y << 1) | parity(row & x)
-            return y ^ self.shift
         return ((self.a * x + self.b) % self.p) % self.k
 
     __call__ = eval
@@ -76,12 +63,6 @@ class HashFn:
         arr = np.asarray(xs, dtype=np.int64)
         if arr.size == 0:
             return arr.copy()
-        if self.family == GF2_AFFINE:
-            y = np.zeros(arr.shape, dtype=np.int64)
-            u = arr.astype(np.uint32)
-            for row in self.rows:
-                y = (y << 1) | parity_u32(u & np.uint32(row))
-            return y ^ self.shift
         if self.p == _PRIMES[0] and arr.size > _SCALAR_MAX:
             return _eval_m61(arr, np.uint64(self.a), np.uint64(self.b), np.uint64(self.k))
         # Python ints: exact for every prime, and faster than numpy on few seeds.
@@ -89,29 +70,15 @@ class HashFn:
         return np.array([(a * x + b) % p % k for x in arr.tolist()], dtype=np.int64)
 
     def to_json_dict(self) -> dict:
-        d = {"family": self.family, "ell": self.ell, "k": self.k}
-        if self.family == GF2_AFFINE:
-            d["rows"] = [to_hex(r, self.ell) for r in self.rows]
-            d["shift"] = self.shift
-        else:
-            d["a"] = self.a
-            d["b"] = self.b
-            d["p"] = self.p
-        return d
+        return {
+            "family": AFFINE_MOD_PRIME, "ell": self.ell, "k": self.k, "a": self.a, "b": self.b, "p": self.p
+        }
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "HashFn":
-        if d["family"] == GF2_AFFINE:
-            return cls(
-                family=GF2_AFFINE,
-                ell=d["ell"],
-                k=d["k"],
-                rows=tuple(from_hex(r) for r in d["rows"]),
-                shift=d["shift"],
-            )
-        return cls(
-            family=AFFINE_MOD_PRIME, ell=d["ell"], k=d["k"], a=d["a"], b=d["b"], p=d["p"]
-        )
+        if d["family"] != AFFINE_MOD_PRIME:
+            raise ValueError(f"unknown hash family {d['family']!r}")
+        return cls(ell=d["ell"], k=d["k"], a=d["a"], b=d["b"], p=d["p"])
 
 
 def _eval_m61(arr: np.ndarray, a, b, k) -> np.ndarray:
@@ -149,24 +116,15 @@ def eval_segments(hashes: list[HashFn], xs: np.ndarray, lens: np.ndarray) -> np.
     return _eval_m61(xs, a, b, k)
 
 
-def sample_hash(family: str, ell: int, k: int, rng: np.random.Generator) -> HashFn:
-    """Draw a member uniformly from the requested family."""
+def sample_hash(ell: int, k: int, rng: np.random.Generator) -> HashFn:
+    """Draw a member uniformly: a, then b, each below the prime for (ell, k)."""
     check_ell(ell)
     if k < 1:
         raise ValueError("k must be >= 1")
-    if family == GF2_AFFINE:
-        if k & (k - 1):
-            raise ValueError(f"gf2-affine needs a power-of-two k, got {k}")
-        j = k.bit_length() - 1
-        rows = tuple(int(rng.integers(1 << ell)) for _ in range(j))
-        shift = int(rng.integers(k))
-        return HashFn(family=GF2_AFFINE, ell=ell, k=k, rows=rows, shift=shift)
-    if family == AFFINE_MOD_PRIME:
-        p = _choose_prime(ell, k)
-        a = _uniform_below(p, rng)
-        b = _uniform_below(p, rng)
-        return HashFn(family=AFFINE_MOD_PRIME, ell=ell, k=k, a=a, b=b, p=p)
-    raise ValueError(f"unknown hash family {family!r}")
+    p = _choose_prime(ell, k)
+    a = _uniform_below(p, rng)
+    b = _uniform_below(p, rng)
+    return HashFn(ell, k, a, b, p)
 
 
 def _uniform_below(p: int, rng: np.random.Generator) -> int:
@@ -183,9 +141,8 @@ def _uniform_below(p: int, rng: np.random.Generator) -> int:
 
 
 def sample_hash_pairs(ell: int, ks: list[int], streams) -> list[HashFn]:
-    """Two affine-mod-prime members with codomain ks[i] for each row i of
-    a SessionStreams, drawn as sample_hash(AFFINE_MOD_PRIME, ell, ks[i],
-    rng) twice on that row's stream.
+    """Two members with codomain ks[i] for each row i of a SessionStreams,
+    drawn as sample_hash(ell, ks[i], rng) twice on that row's stream.
 
     Returns [h0 of row 0, h1 of row 0, h0 of row 1, ...].  Each row's
     four draws (a0, b0, a1, b1) come in sample_hash's order; rows that
@@ -203,10 +160,7 @@ def sample_hash_pairs(ell: int, ks: list[int], streams) -> list[HashFn]:
             coeffs[i] = abab
     out = []
     for k, p, (a0, b0, a1, b1) in zip(ks, primes, coeffs):
-        out += (
-            HashFn(family=AFFINE_MOD_PRIME, ell=ell, k=k, a=a0, b=b0, p=p),
-            HashFn(family=AFFINE_MOD_PRIME, ell=ell, k=k, a=a1, b=b1, p=p),
-        )
+        out += HashFn(ell, k, a0, b0, p), HashFn(ell, k, a1, b1, p)
     return out
 
 
@@ -227,36 +181,34 @@ def _uniform_below_rows(p: int, streams, rows: np.ndarray) -> list[int]:
 
 
 def pairwise_bias_bound(h: HashFn) -> float:
-    """Worst-case deviation of pair probabilities from 1/k^2.
-
-    Zero for gf2-affine (exact family); the analytic 2k/p + (k/p)^2
-    bound for affine-mod-prime.
-    """
-    if h.family == GF2_AFFINE:
-        return 0.0
+    """Worst-case deviation of pair probabilities from 1/k^2: 2k/p + (k/p)^2."""
     r = h.k / h.p
     return 2 * r + r * r
 
 
-def enumerate_family(family: str, ell: int, k: int) -> Iterator[HashFn]:
-    """Yield every member of a finite family (gf2-affine only).
+class Gf2AffineHash(NamedTuple):
+    """A gf2-affine member x -> A.x xor shift, k = 2^j: rows[i] is the GF(2)
+    mask producing output bit j-1-i (row 0 gives the most significant bit)."""
 
-    The family has 2^(j*(ell+1)) members; callers should keep ell <= 3.
-    """
-    if family != GF2_AFFINE:
-        raise ValueError("only the gf2-affine family is enumerable")
+    ell: int
+    k: int
+    rows: tuple[int, ...]
+    shift: int
+
+    def eval(self, x: int) -> int:
+        y = 0
+        for row in self.rows:
+            y = (y << 1) | parity(row & x)
+        return y ^ self.shift
+
+
+def enumerate_gf2_affine(ell: int, k: int) -> Iterator[Gf2AffineHash]:
+    """Yield every gf2-affine member {0,1}^ell -> [k]: 2^(j*(ell+1)) of them
+    for k = 2^j, so callers should keep ell <= 3."""
     if k & (k - 1):
         raise ValueError(f"gf2-affine needs a power-of-two k, got {k}")
     j = k.bit_length() - 1
-    n_rows = 1 << (ell * j)
-    for packed in range(n_rows):
+    for packed in range(1 << (ell * j)):
         rows = tuple((packed >> (ell * i)) & ((1 << ell) - 1) for i in range(j))
         for shift in range(k):
-            yield HashFn(family=GF2_AFFINE, ell=ell, k=k, rows=rows, shift=shift)
-
-
-def family_size(family: str, ell: int, k: int) -> int:
-    if family != GF2_AFFINE:
-        raise ValueError("only the gf2-affine family is enumerable")
-    j = k.bit_length() - 1
-    return (1 << (ell * j)) * k
+            yield Gf2AffineHash(ell, k, rows, shift)

@@ -21,7 +21,7 @@ from .commitment import (
     sampled_hiding_distance,
     transcript_distributions,
 )
-from .hashing import AFFINE_MOD_PRIME, GF2_AFFINE, enumerate_family, family_size, sample_hash
+from .hashing import enumerate_gf2_affine, sample_hash
 from .stats import hoeffding_halfwidth, wilson_interval
 from .verifier import grid_brackets, grid_sizes, run_coherent_commit
 
@@ -76,10 +76,9 @@ def check_hash_lemmas(ell: int = 3, ks: tuple[int, ...] = (2, 4, 8)) -> LemmaRep
     ).sum(axis=1).astype(np.int64)
     cases = 0
     for k in ks:
-        size = family_size(GF2_AFFINE, ell, k)
-        # member counts per (y, preimage-mask)
+        # member counts per (y, preimage-mask); size counts the members
         mask_counts: list[dict[int, int]] = [dict() for _ in range(k)]
-        for h in enumerate_family(GF2_AFFINE, ell, k):
+        for size, h in enumerate(enumerate_gf2_affine(ell, k), 1):
             pre = [0] * k
             for x in range(n):
                 pre[h.eval(x)] |= 1 << x
@@ -183,8 +182,8 @@ def check_unique_claw_prob(
     total = 0.0
     values = []
     for _ in range(trials):
-        h0 = sample_hash(AFFINE_MOD_PRIME, ell, k, rng)
-        h1 = sample_hash(AFFINE_MOD_PRIME, ell, k, rng)
+        h0 = sample_hash(ell, k, rng)
+        h1 = sample_hash(ell, k, rng)
         g0 = _unique_values(h0, x0)
         g1 = _unique_values(h1, x1)
         q = 2 * len(g0 & g1) / (2 * n)

@@ -37,9 +37,9 @@ import numpy as np
 
 from . import stats
 from .bits import dot2, from_hex, parity_u32, to_hex, wht
-from .coherent_prover import COS_PI8, SIN_PI8, HonestProver, HonestSession, SupportState
+from .coherent_prover import HonestProver, HonestSession, SupportState, eta0_probs
 from .commitment import CommitScheme, Hm2Scheme, Transcript, make_scheme
-from .hashing import AFFINE_MOD_PRIME, HashFn, eval_segments, sample_hash, sample_hash_pairs
+from .hashing import HashFn, eval_segments, sample_hash, sample_hash_pairs
 from .streams import SessionStreams
 
 GRID_UNIFORM = "uniform"
@@ -255,8 +255,8 @@ def run_preamble(params: ProtocolParams, session, rng: np.random.Generator) -> t
     if j_idx is None:
         j_idx = int(rng.integers(params.m))
     k = params.ks[j_idx]
-    h0 = sample_hash(AFFINE_MOD_PRIME, scheme.ell, k, rng)
-    h1 = sample_hash(AFFINE_MOD_PRIME, scheme.ell, k, rng)
+    h0 = sample_hash(scheme.ell, k, rng)
+    h1 = sample_hash(scheme.ell, k, rng)
     y = check_reply(session.hash_response(t, h0, h1), k, "y")
     return (t, h0, h1, y), j_idx
 
@@ -398,7 +398,7 @@ def run_block(params: ProtocolParams, seed: int, lo: int, hi: int) -> list[Sessi
     for rows, draw_d in ((v1_rows[small], _d_by_rejection), (v1_rows[~small], _d_by_wht)):
         ds[rows], a0[rows], a1[rows] = draw_d(ell, streams, rows, offsets, xs, seg, xis)
     v2s = streams.integers(2, v1_rows)
-    etas = (streams.random(v1_rows) >= _eta0_probs(a0[v1_rows], a1[v1_rows], v2s)).astype(int)
+    etas = (streams.random(v1_rows) >= eta0_probs(a0[v1_rows], a1[v1_rows], v2s)).astype(int)
     coins = streams.integers(8).tolist()
     records = [
         SessionRecord(
@@ -547,13 +547,6 @@ def _d_by_wht(ell, streams, rows, offsets, xs, seg, xis):
         d = (np.cumsum(weights, axis=1, out=weights) <= us[at, None]).sum(axis=1)
         out[:, at] = d, amps[at - c, 0, d], amps[at - c, 1, d]
     return out
-
-
-def _eta0_probs(a0: np.ndarray, a1: np.ndarray, v2s: np.ndarray) -> np.ndarray:
-    """eta0_prob(ResidualQubit(a0, a1), v2) row by row, with its float operations."""
-    a0, a1 = a0.astype(np.float64), a1.astype(np.float64)
-    amp = COS_PI8 * a0 + np.where(v2s == 0, SIN_PI8, -SIN_PI8) * a1
-    return amp * amp / (a0 * a0 + a1 * a1)
 
 
 def decide_block(params: ProtocolParams, records: list[SessionRecord]) -> list[tuple[bool, str]]:

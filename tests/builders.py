@@ -4,7 +4,7 @@ and the identity hash."""
 import numpy as np
 
 from ivpoq.coherent_prover import SupportState
-from ivpoq.hashing import GF2_AFFINE, HashFn
+from ivpoq.hashing import HashFn
 
 
 def support_state(ell, s0, s1) -> SupportState:
@@ -17,6 +17,5 @@ def support_state(ell, s0, s1) -> SupportState:
 
 
 def identity_hash(ell: int) -> HashFn:
-    """The identity member of gf2-affine with k = 2^ell."""
-    rows = tuple(1 << (ell - 1 - i) for i in range(ell))
-    return HashFn(family=GF2_AFFINE, ell=ell, k=1 << ell, rows=rows, shift=0)
+    """The member x -> x of affine-mod-prime with k = 2^ell."""
+    return HashFn(ell=ell, k=1 << ell, a=1, b=0, p=(1 << 61) - 1)

@@ -28,7 +28,7 @@ from ivpoq.amplification import RepetitionPlan, required_N, separation_experimen
 from ivpoq.cli import main as cli_main
 from ivpoq.coherent_prover import HONEST_UNIQUE_RATE, HonestProver
 from ivpoq.commitment import make_scheme
-from ivpoq.hashing import AFFINE_MOD_PRIME, sample_hash
+from ivpoq.hashing import sample_hash
 from ivpoq.lemma_harness import (
     check_hash_lemmas,
     check_transcript_identity,
@@ -221,8 +221,8 @@ def test_criterion_07_sparse_dense_oracle_equivalence():
         s0 = {int(x) for x in rng.choice(n, size=n0, replace=False)}
         s1 = {int(x) for x in rng.choice(n, size=n1, replace=False)}
         k = int(rng.integers(1, min(2 * n, 40)))
-        h0 = sample_hash(AFFINE_MOD_PRIME, ell, k, rng)
-        h1 = sample_hash(AFFINE_MOD_PRIME, ell, k, rng)
+        h0 = sample_hash(ell, k, rng)
+        h1 = sample_hash(ell, k, rng)
         xi = int(rng.integers(n))
         v2 = int(rng.integers(2))
         sparse = sparse_challenge_law(ell, s0, s1, h0, h1, xi, v2)

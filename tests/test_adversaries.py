@@ -24,7 +24,7 @@ from ivpoq.coherent_prover import (
     hash_outcome_law,
 )
 from ivpoq.commitment import make_scheme, run_classical_commit
-from ivpoq.hashing import AFFINE_MOD_PRIME, GF2_AFFINE, HashFn, sample_hash
+from ivpoq.hashing import HashFn, sample_hash
 from ivpoq.verifier import (
     GRID_ORACLE,
     ProtocolParams,
@@ -97,8 +97,8 @@ def test_claw_prover_y_frequencies_match_honest_law():
     sch = make_scheme("hm2", 6, a=3)
     t = run_classical_commit(sch, 0, 11, 40)  # any reachable transcript
     rng = np.random.default_rng(4)
-    h0 = sample_hash(AFFINE_MOD_PRIME, 6, 5, rng)
-    h1 = sample_hash(AFFINE_MOD_PRIME, 6, 5, rng)
+    h0 = sample_hash(6, 5, rng)
+    h1 = sample_hash(6, 5, rng)
     state = support_state(
         6,
         set(np.flatnonzero(sch.consistent_mask(t, 0))),
@@ -153,8 +153,8 @@ def test_claw_prover_replay_is_deterministic():
     prover = unbounded_claw_prover(sch, r=b"fixed")
     t = run_classical_commit(sch, 1, 3, 9)
     rng = np.random.default_rng(5)
-    h0 = sample_hash(AFFINE_MOD_PRIME, 6, 4, rng)
-    h1 = sample_hash(AFFINE_MOD_PRIME, 6, 4, rng)
+    h0 = sample_hash(6, 4, rng)
+    h1 = sample_hash(6, 4, rng)
     y = prover.hash_response(t, h0, h1)
     assert prover.hash_response(t, h0, h1) == y
     d1 = prover.d_response(t, h0, h1, y, 13)
@@ -191,7 +191,7 @@ def test_claw_prover_memo_follows_prefix_changes():
 def test_claw_prover_unreachable_prefix_is_a_violation():
     # ident at ell=4 commits to (0, 3); a constant-0 hash never outputs y = 2
     sch = make_scheme("ident", 4)
-    h = HashFn(GF2_AFFINE, 4, 4, rows=(0, 0), shift=0)
+    h = HashFn(4, 4, a=0, b=0, p=(1 << 61) - 1)
     t, y = (b"\x00\x03", b""), 2
     prover = unbounded_claw_prover(sch)
     for reply in (
@@ -220,8 +220,8 @@ def test_claw_prover_conditional_on_const_unique_claw():
     t = run_classical_commit(sch, 0, 0, 0)
     prefix = None
     for _ in range(300):
-        h0 = sample_hash(AFFINE_MOD_PRIME, 4, 24, rng)
-        h1 = sample_hash(AFFINE_MOD_PRIME, 4, 24, rng)
+        h0 = sample_hash(4, 24, rng)
+        h1 = sample_hash(4, 24, rng)
         for y in range(24):
             c0, _ = count_consistent_preimages(sch, t, h0, y, 0)
             c1, _ = count_consistent_preimages(sch, t, h1, y, 1)
@@ -349,7 +349,7 @@ def test_predictor_on_constant_eta_script():
     sch = make_scheme("const", 4)
     prover = ScriptedProver(sch, eta_fn=lambda t, h0, h1, y, xi, d, v2: v2)
     rng = np.random.default_rng(17)
-    h = sample_hash(AFFINE_MOD_PRIME, 4, 3, rng)
+    h = sample_hash(4, 3, rng)
     prefix = ((b"", b""), h, h, 0)
     for xi in range(16):
         assert predict_claw_parity(prefix, xi, prover) == 0
@@ -368,7 +368,7 @@ def test_predictor_detects_nondeterminism():
             return self.calls % 2
 
     rng = np.random.default_rng(18)
-    h = sample_hash(AFFINE_MOD_PRIME, 4, 3, rng)
+    h = sample_hash(4, 3, rng)
     with pytest.raises(ProverNondeterminism):
         predict_claw_parity(((b"", b""), h, h, 0), 5, Flaky())
 
@@ -376,7 +376,7 @@ def test_predictor_detects_nondeterminism():
 def test_predictor_rejects_non_replayable_prover():
     sch = make_scheme("const", 4)
     rng = np.random.default_rng(19)
-    h = sample_hash(AFFINE_MOD_PRIME, 4, 3, rng)
+    h = sample_hash(4, 3, rng)
     with pytest.raises(ProtocolViolation):
         predict_claw_parity(((b"", b""), h, h, 0), 1, HonestProver(sch))
 

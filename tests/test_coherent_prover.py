@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sstats
 
 import dense_oracle
@@ -17,12 +19,13 @@ from ivpoq.coherent_prover import (
     answer_v0,
     d_outcome_law,
     eta0_prob,
+    eta0_probs,
     hash_outcome_law,
     measure_hash,
     measure_rotated,
     sample_d,
 )
-from ivpoq.hashing import HashFn, AFFINE_MOD_PRIME, sample_hash
+from ivpoq.hashing import HashFn, sample_hash
 from ivpoq.lemma_harness import coherent_transcript_law
 from ivpoq.verifier import ProtocolParams, run_coherent_commit, run_session
 
@@ -30,7 +33,7 @@ from builders import identity_hash, support_state
 
 
 def const_hash(ell, k, value):
-    return HashFn(family=AFFINE_MOD_PRIME, ell=ell, k=k, a=0, b=value, p=(1 << 61) - 1)
+    return HashFn(ell=ell, k=k, a=0, b=value, p=(1 << 61) - 1)
 
 
 # commit phase ----------------------------------------------------------------
@@ -135,8 +138,8 @@ def test_measure_hash_histogram_matches_law():
     s0 = {int(x) for x in rng.choice(64, size=20, replace=False)}
     s1 = {int(x) for x in rng.choice(64, size=17, replace=False)}
     state = support_state(ell, s0, s1)
-    h0 = sample_hash(AFFINE_MOD_PRIME, ell, 8, rng)
-    h1 = sample_hash(AFFINE_MOD_PRIME, ell, 8, rng)
+    h0 = sample_hash(ell, 8, rng)
+    h1 = sample_hash(ell, 8, rng)
     ys, law_counts, _, _ = hash_outcome_law(state, h0, h1)
     assert law_counts.sum() == state.size
     probs = law_counts / state.size
@@ -275,6 +278,25 @@ def test_rotated_zero_vector_raises():
         eta0_prob(ResidualQubit(0.0, 0.0), 0)
 
 
+_AMP = st.one_of(st.just(0), st.integers(-(1 << 24), 1 << 24))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.tuples(_AMP, _AMP, st.integers(0, 1)).filter(lambda row: row[:2] != (0, 0)),
+        min_size=1,
+        max_size=20,
+    )
+)
+def test_eta0_probs_on_int_rows_equals_eta0_prob(rows):
+    # The engine's int64 amplitudes and the scalar path's floats give
+    # the same float, row by row.
+    a0, a1, v2 = np.array(rows, dtype=np.int64).T
+    want = [eta0_prob(ResidualQubit(float(x0), float(x1)), v) for x0, x1, v in rows]
+    assert eta0_probs(a0, a1, v2).tolist() == want
+
+
 # sparse vs dense joint law --------------------------------------------------------
 
 from sparse_law import sparse_challenge_law
@@ -292,8 +314,8 @@ def test_joint_law_matches_dense_oracle_small():
         if not s0 and not s1:
             s0 = {0}
         k = int(rng.integers(1, 9))
-        h0 = sample_hash(AFFINE_MOD_PRIME, ell, k, rng)
-        h1 = sample_hash(AFFINE_MOD_PRIME, ell, k, rng)
+        h0 = sample_hash(ell, k, rng)
+        h1 = sample_hash(ell, k, rng)
         xi = int(rng.integers(n))
         v2 = int(rng.integers(2))
         sparse = sparse_challenge_law(ell, s0, s1, h0, h1, xi, v2)

@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 
 from ivpoq.hashing import (
     AFFINE_MOD_PRIME,
-    GF2_AFFINE,
+    Gf2AffineHash,
     HashFn,
     _PRIMES,
     _eval_m61,
-    enumerate_family,
+    enumerate_gf2_affine,
     eval_segments,
-    family_size,
     pairwise_bias_bound,
     sample_hash,
     sample_hash_pairs,
@@ -32,13 +31,13 @@ def test_identity_member_evaluates_to_input():
 
 def test_constant_member_mod_prime():
     # a = 0 is a legal, degenerate family member: x -> 7 mod 5 = 2
-    h = HashFn(family=AFFINE_MOD_PRIME, ell=4, k=5, a=0, b=7, p=(1 << 61) - 1)
+    h = HashFn(ell=4, k=5, a=0, b=7, p=(1 << 61) - 1)
     assert all(h.eval(x) == 2 for x in range(16))
 
 
 def test_gf2_affine_hand_example():
     # rows 110, 011 with no shift: x = 110 -> bits (1^1, 1^0) = 01 -> 1
-    h = HashFn(family=GF2_AFFINE, ell=3, k=4, rows=(0b110, 0b011), shift=0)
+    h = Gf2AffineHash(ell=3, k=4, rows=(0b110, 0b011), shift=0)
     assert h.eval(0b110) == 0b01
     # cross-check every x against explicit GF(2) matrix-vector arithmetic
     for x in range(8):
@@ -53,39 +52,34 @@ def test_gf2_affine_hand_example():
 def test_sampling_validation():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        sample_hash(GF2_AFFINE, 3, 6, rng)
+        sample_hash(3, 0, rng)
     with pytest.raises(ValueError):
-        sample_hash(AFFINE_MOD_PRIME, 3, 0, rng)
-    with pytest.raises(ValueError):
-        sample_hash(AFFINE_MOD_PRIME, 99, 4, rng)
-    with pytest.raises(ValueError):
-        sample_hash("nope", 3, 4, rng)
+        sample_hash(99, 4, rng)
 
 
 def test_sampling_is_deterministic_given_rng_state():
-    h1 = sample_hash(AFFINE_MOD_PRIME, 8, 37, np.random.default_rng(123))
-    h2 = sample_hash(AFFINE_MOD_PRIME, 8, 37, np.random.default_rng(123))
+    h1 = sample_hash(8, 37, np.random.default_rng(123))
+    h2 = sample_hash(8, 37, np.random.default_rng(123))
     assert h1 == h2
 
 
 def test_eval_output_range():
     rng = np.random.default_rng(7)
-    for family, k in ((GF2_AFFINE, 8), (AFFINE_MOD_PRIME, 11)):
-        for _ in range(20):
-            h = sample_hash(family, 5, k, rng)
-            ys = h.eval_many(np.arange(32))
-            assert ys.min() >= 0 and ys.max() < k
+    for _ in range(20):
+        h = sample_hash(5, 11, rng)
+        ys = h.eval_many(np.arange(32))
+        assert ys.min() >= 0 and ys.max() < 11
 
 
 def test_exact_pairwise_independence_small_family():
     # brute force over the whole family: each (y, y') pair hit exactly
     # |family| / k^2 times for every x != x'
     for ell, k in ((2, 2), (3, 4), (2, 8)):
-        size = family_size(GF2_AFFINE, ell, k)
-        target, rem = divmod(size, k * k)
+        members = list(enumerate_gf2_affine(ell, k))
+        target, rem = divmod(len(members), k * k)
         assert rem == 0
         counts = np.zeros((1 << ell, 1 << ell, k, k), dtype=np.int64)
-        for h in enumerate_family(GF2_AFFINE, ell, k):
+        for h in members:
             ys = [h.eval(x) for x in range(1 << ell)]
             for x, xp in product(range(1 << ell), repeat=2):
                 if x != xp:
@@ -97,9 +91,10 @@ def test_exact_pairwise_independence_small_family():
 
 def test_pair_probability_quarter_for_ell3_k4():
     # (ell=3, k=4): 2^(2*3) * 2^2 = 256 members; every pair probability 1/16
-    assert family_size(GF2_AFFINE, 3, 4) == 256
+    members = list(enumerate_gf2_affine(3, 4))
+    assert len(members) == 256
     hits = 0
-    for h in enumerate_family(GF2_AFFINE, 3, 4):
+    for h in members:
         hits += h.eval(0b001) == 3 and h.eval(0b110) == 1
     assert hits * 16 == 256
 
@@ -113,31 +108,30 @@ def _preimages(h, y, s):
 def test_preimage_in_set():
     ident = identity_hash(3)
     assert _preimages(ident, 3, {0b011, 0b100}) == [0b011]
-    const = HashFn(family=AFFINE_MOD_PRIME, ell=4, k=5, a=0, b=7, p=(1 << 61) - 1)
+    const = HashFn(ell=4, k=5, a=0, b=7, p=(1 << 61) - 1)
     s = {1, 9, 4}
     assert _preimages(const, 2, s) == sorted(s)
     assert _preimages(const, 0, s) == []
     rng = np.random.default_rng(11)
-    h = sample_hash(AFFINE_MOD_PRIME, 4, 6, rng)
+    h = sample_hash(4, 6, rng)
     s = set(int(v) for v in rng.integers(0, 16, size=9))
     got = _preimages(h, 2, s)
     assert got == sorted(x for x in s if h.eval(x) == 2)
 
 
 def test_pairwise_bias_bound():
-    assert pairwise_bias_bound(identity_hash(3)) == 0.0
     rng = np.random.default_rng(3)
-    h = sample_hash(AFFINE_MOD_PRIME, 20, 1 << 10, rng)
+    h = sample_hash(20, 1 << 10, rng)
     bound = pairwise_bias_bound(h)
     assert math.isclose(bound, 2 * h.k / h.p + (h.k / h.p) ** 2)
     assert bound < 2.0 ** -49.9
-    h1 = sample_hash(AFFINE_MOD_PRIME, 4, 1, rng)
+    h1 = sample_hash(4, 1, rng)
     assert pairwise_bias_bound(h1) <= 3 / h1.p
 
 
 def test_large_k_switches_prime():
     rng = np.random.default_rng(4)
-    h = sample_hash(AFFINE_MOD_PRIME, 24, 1 << 24, rng)
+    h = sample_hash(24, 1 << 24, rng)
     assert h.p >= (1 << 40) * h.k
     assert 0 <= h.eval(12345) < h.k
 
@@ -154,7 +148,7 @@ _X24 = st.one_of(st.just(0), st.integers((1 << 24) - 64, (1 << 24) - 1), st.inte
     st.lists(_X24, min_size=1, max_size=16),
 )
 def test_eval_many_m61_matches_scalar_eval(a, b, k, xs):
-    h = HashFn(family=AFFINE_MOD_PRIME, ell=24, k=k, a=a, b=b, p=_M61)
+    h = HashFn(ell=24, k=k, a=a, b=b, p=_M61)
     want = [h.eval(x) for x in xs]
     assert h.eval_many(xs).tolist() == want
     # eval_many takes Python ints on short arrays; check the uint64 kernel itself.
@@ -177,7 +171,7 @@ def test_eval_many_m61_at_its_bounds(a, b, k):
     # folded value nearest 2p.  In the last pair a*x + b = 0 (mod p) at
     # x = 2^24-1, where the fold lands on p itself and only the final
     # subtraction reduces it.
-    h = HashFn(family=AFFINE_MOD_PRIME, ell=24, k=k, a=a, b=b, p=_M61)
+    h = HashFn(ell=24, k=k, a=a, b=b, p=_M61)
     xs = [0, 1, (1 << 24) - 2, (1 << 24) - 1]
     want = [h.eval(x) for x in xs]
     assert _eval_m61(np.array(xs, dtype=np.int64), *np.uint64([a, b, k])).tolist() == want
@@ -203,7 +197,7 @@ def test_eval_segments_equals_member_by_member(members):
     # One kernel call with per-seed (a, b, k) when every p is 2^61 - 1,
     # member by member otherwise; empty runs included.
     hashes = [
-        HashFn(family=AFFINE_MOD_PRIME, ell=24, k=k, a=a, b=b, p=p) for p, a, b, k, _ in members
+        HashFn(ell=24, k=k, a=a, b=b, p=p) for p, a, b, k, _ in members
     ]
     runs = [np.array(xs, dtype=np.int64) for *_, xs in members]
     lens = np.array([len(run) for run in runs], dtype=np.int64)
@@ -213,9 +207,17 @@ def test_eval_segments_equals_member_by_member(members):
 
 def test_json_roundtrip():
     rng = np.random.default_rng(9)
-    for family, k in ((GF2_AFFINE, 8), (AFFINE_MOD_PRIME, 12)):
-        h = sample_hash(family, 6, k, rng)
-        assert HashFn.from_json_dict(h.to_json_dict()) == h
+    h = sample_hash(6, 12, rng)
+    assert h.to_json_dict()["family"] == AFFINE_MOD_PRIME
+    assert HashFn.from_json_dict(h.to_json_dict()) == h
+
+
+@pytest.mark.parametrize("family", ["gf2-affine", "nope"])
+def test_from_json_rejects_other_families(family):
+    d = sample_hash(6, 12, np.random.default_rng(9)).to_json_dict()
+    d["family"] = family
+    with pytest.raises(ValueError, match="hash family"):
+        HashFn.from_json_dict(d)
 
 
 @pytest.mark.parametrize("ell", [3, 6])
@@ -231,7 +233,7 @@ def test_sample_hash_pairs_equal_sample_hash(ell):
     assert {h.p for h in pairs} == set(_PRIMES)
     for i, k in zip(range(lo, hi), row_ks):
         rng = np.random.default_rng([seed, i])
-        want = [sample_hash(AFFINE_MOD_PRIME, ell, k, rng) for _ in range(2)]
+        want = [sample_hash(ell, k, rng) for _ in range(2)]
         assert pairs[2 * (i - lo) : 2 * (i - lo) + 2] == want
         # Both streams are left at the same place.
         assert after[i - lo] == int(rng.integers(1 << 32))

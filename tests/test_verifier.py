@@ -16,7 +16,7 @@ from ivpoq.adversaries import (
 )
 from ivpoq.coherent_prover import HONEST_UNIQUE_RATE, HonestProver
 from ivpoq.commitment import make_scheme, run_classical_commit
-from ivpoq.hashing import AFFINE_MOD_PRIME, GF2_AFFINE, HashFn, sample_hash
+from ivpoq.hashing import Gf2AffineHash, HashFn, sample_hash
 from ivpoq.verifier import (
     GRID_ORACLE,
     ProtocolParams,
@@ -117,14 +117,9 @@ def test_record_json_roundtrip_replays_verdict():
 
 @st.composite
 def hash_fns(draw, ell):
-    if draw(st.booleans()):
-        j = draw(st.integers(0, ell))
-        rows = tuple(draw(st.lists(st.integers(0, (1 << ell) - 1), min_size=j, max_size=j)))
-        shift = draw(st.integers(0, (1 << j) - 1))
-        return HashFn(family=GF2_AFFINE, ell=ell, k=1 << j, rows=rows, shift=shift)
     p = draw(st.sampled_from([(1 << 61) - 1, (1 << 89) - 1, (1 << 127) - 1]))
     return HashFn(
-        family=AFFINE_MOD_PRIME, ell=ell, k=draw(st.integers(1, 1 << 30)),
+        ell=ell, k=draw(st.integers(1, 1 << 30)),
         a=draw(st.integers(0, p - 1)), b=draw(st.integers(0, p - 1)), p=p,
     )
 
@@ -163,6 +158,16 @@ def test_session_record_and_hash_survive_a_json_round_trip(record):
     for h in (record.h0, record.h1):
         assert HashFn.from_json_dict(json.loads(json.dumps(h.to_json_dict()))) == h
     assert SessionRecord.from_json_dict(json.loads(json.dumps(record.to_json_dict()))) == record
+
+
+@pytest.mark.parametrize("family", ["gf2-affine", "nope"])
+def test_record_with_a_foreign_hash_family_is_rejected(family):
+    sch = make_scheme("hm2", 6, a=3)
+    params = ProtocolParams(scheme=sch, epsilon=0.1)
+    d = run_session(params, HonestProver(sch), np.random.default_rng(0)).to_json_dict()
+    d["h1"]["family"] = family
+    with pytest.raises(ValueError, match="hash family"):
+        SessionRecord.from_json_dict(d)
 
 
 def test_engine_records_round_trip_and_replay():
@@ -288,7 +293,7 @@ def test_malformed_challenge_reply_is_a_violation(caller, message, kind):
                 run_session(params, prover, np.random.default_rng(seed))
     elif caller == "conditional":
         rng = np.random.default_rng(1)
-        h = sample_hash(AFFINE_MOD_PRIME, 4, 3, rng)
+        h = sample_hash(4, 3, rng)
         with pytest.raises(ProtocolViolation):
             estimate_conditional_acceptance(params, ((b"", b""), h, h, 0), prover, 16, rng)
     else:
@@ -311,7 +316,7 @@ def test_count_preimages_const_k1():
     sch = make_scheme("const", 3)
     t = run_classical_commit(sch, 0, 0, 0)
     rng = np.random.default_rng(0)
-    h = sample_hash("affine-mod-prime", 3, 1, rng)
+    h = sample_hash(3, 1, rng)
     for b in (0, 1):
         assert count_consistent_preimages(sch, t, h, 0, b) == (2, 0)
 
@@ -322,7 +327,7 @@ def test_count_preimages_hm2_vs_reversed_scan():
     for trial in range(10):
         b, x, r = int(rng.integers(2)), int(rng.integers(256)), int(rng.integers(256))
         t = run_classical_commit(sch, b, x, r)
-        h = sample_hash("affine-mod-prime", 8, int(rng.integers(1, 40)), rng)
+        h = sample_hash(8, int(rng.integers(1, 40)), rng)
         y = h.eval(x)
         for bb in (0, 1):
             got = count_consistent_preimages(sch, t, h, y, bb)
@@ -342,7 +347,7 @@ def test_v2_nonunique_uses_coin():
     sch = make_scheme("const", 3)
     params = ProtocolParams(scheme=sch, epsilon=0.5)
     t = run_classical_commit(sch, 0, 0, 0)
-    h = sample_hash("affine-mod-prime", 3, 2, np.random.default_rng(1))
+    h = sample_hash(3, 2, np.random.default_rng(1))
     for coin in range(8):
         rec = SessionRecord(
             scheme="const", ell=3, t=t, j=0, k=2, h0=h, h1=h, y=h.eval(0),
@@ -466,13 +471,22 @@ def test_estimate_acceptance_workers_merge_identically():
     assert one.to_json_dict() == two.to_json_dict()
 
 
+class _Gf2WithEvalMany(Gf2AffineHash):
+    """A gf2-affine member that count_consistent_preimages can filter with."""
+
+    def eval_many(self, xs):
+        return np.array([self.eval(x) for x in np.asarray(xs).tolist()], dtype=np.int64)
+
+
 def test_const_buckets_never_unique_with_small_gf2_hash():
     # every gf2-affine bucket is an affine subspace: size 2^(ell-j) >= 2
     sch = make_scheme("const", 5)
     t = run_classical_commit(sch, 0, 0, 0)
     rng = np.random.default_rng(2)
     for j in (0, 1, 2, 3, 4):
-        h = sample_hash(GF2_AFFINE, 5, 1 << j, rng)
+        # a uniform member: j random rows, then the shift
+        rows = tuple(int(rng.integers(1 << 5)) for _ in range(j))
+        h = _Gf2WithEvalMany(5, 1 << j, rows, int(rng.integers(1 << j)))
         for y in range(1 << j):
             cls, _ = count_consistent_preimages(sch, t, h, y, 0)
             assert cls in (0, 2)
@@ -498,7 +512,7 @@ def test_always_accept_record_stream_rates_one():
     sch = make_scheme("const", 4)
     params = ProtocolParams(scheme=sch, epsilon=0.5)
     t = run_classical_commit(sch, 0, 0, 0)
-    h = sample_hash("affine-mod-prime", 4, 2, np.random.default_rng(0))
+    h = sample_hash(4, 2, np.random.default_rng(0))
     verdicts = []
     for i in range(400):
         rec = SessionRecord(
