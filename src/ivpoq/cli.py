@@ -27,9 +27,9 @@ from .verifier import (
     GRID_ORACLE,
     GRID_UNIFORM,
     ProtocolParams,
+    decide_block,
     estimate_acceptance,
-    run_session,
-    v2_decide,
+    run_block,
 )
 
 
@@ -140,10 +140,11 @@ def _emit(args, payload: dict, csv_rows: list[dict] | None = None) -> None:
 def cmd_run(args) -> int:
     """run one session end to end and print its record"""
     params = _make_params(args)
-    prover = HonestProver(params.scheme)
-    rng = np.random.default_rng([args.seed, 0])
-    record = run_session(params, prover, rng)
-    record.verdict, record.verdict_reason = v2_decide(params, record)
+    # Session 0 of seed args.seed, the session run_session makes on
+    # default_rng([args.seed, 0]) for the honest prover.
+    block = run_block(params, args.seed, 0, 1)
+    record = block.records()[0]
+    record.verdict, record.verdict_reason = decide_block(params, block)[0]
     _emit(args, {"record": record.to_json_dict()})
     return 0
 

@@ -233,6 +233,36 @@ class Hm2Table(NamedTuple):
         return self.order[self.starts[key] : self.starts[key + 1]].astype(np.int64)
 
 
+class Hm2Rows(NamedTuple):
+    """Rows of sessions, each with its receiver seed's table: orders[i] is
+    row i's seed order and starts[inv[i]] its class starts (int64), one
+    starts row per distinct seed."""
+
+    orders: list
+    inv: np.ndarray
+    starts: np.ndarray
+
+    def commit_keys(self, us: np.ndarray) -> np.ndarray:
+        """Round 2's key K of each row from the full state, as sample_index
+        picks it with draw u < 2^(ell+1) over the full-state alpha_partition's
+        counts: the cumulative count through key 2m+1 is 2 starts[2m+2] and
+        through key 2m it is starts[2m] + starts[2m+2].  Each table's pair
+        ends, offset by its index times 2^ell + 1, make one ascending array."""
+        width = self.starts[0, -1] + 1
+        ends = self.starts[:, 2::2] + width * np.arange(len(self.starts))[:, None]
+        m = ends.ravel().searchsorted(width * self.inv + (us >> 1), side="right")
+        m -= ends.shape[1] * self.inv
+        return 2 * m + (self.starts[self.inv, 2 * m] + self.starts[self.inv, 2 * m + 2] <= us)
+
+    def classes(self, keys: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+        """Class keys[i] of each row's table as a view (its narrow seed
+        dtype) and the views' lengths; a negative key is the empty class."""
+        at = np.maximum(keys, 0)
+        lo = self.starts[self.inv, at]
+        hi = np.where(keys < 0, lo, self.starts[self.inv, at + 1])
+        return [o[s:e] for o, s, e in zip(self.orders, lo.tolist(), hi.tolist())], hi - lo
+
+
 class Hm2Scheme(CommitScheme):
     """Two rounds, statistically hiding for ell - a >> 1.
 
@@ -338,21 +368,30 @@ class Hm2Scheme(CommitScheme):
         return r
 
     # structured fast paths --------------------------------------------------
-    def consistent_seeds(self, t, b):
+    def transcript_key(self, t) -> tuple[int, int]:
+        """(r, K) for transcript t: X_{b,t} is class K ^ b of r's table, and
+        K is -1 where no seed replays t.  A t of the wrong length or with a
+        malformed beta_1 raises ValueError."""
         if len(t) != 4:
             raise ValueError("transcript must have 4 messages")
-        none = np.empty(0, dtype=np.int64)
         if t[0] != b"" or t[3] != b"":
-            return none
+            return 0, -1
         r = self._seed_from_beta1(t[1])
         alpha2 = t[2]
         if len(alpha2) != self._out_bytes + 1 or alpha2[-1] > 1:
-            return none
-        y0 = int.from_bytes(alpha2[:-1], "big")
-        if y0 >> self.out_bits:
-            return none
-        # Branch b's seeds have table key (y0<<1 | c) ^ b.
-        return self._bucket(r).seeds((y0 << 1 | alpha2[-1]) ^ b)
+            return r, -1
+        key = int.from_bytes(alpha2[:-1], "big") << 1 | alpha2[-1]
+        return r, (key if key < self._n_keys else -1)
+
+    def transcript(self, r: int, key: int) -> Transcript:
+        """The transcript whose transcript_key is (r, key), for key >= 0."""
+        return (b"", to_bytes(r, self.ell), self._decode_key(key), b"")
+
+    def consistent_seeds(self, t, b):
+        r, key = self.transcript_key(t)
+        if key < 0:
+            return np.empty(0, dtype=np.int64)
+        return self._bucket(r).seeds(key ^ b)
 
     def consistent_mask(self, t, b):
         mask = np.zeros(1 << self.ell, dtype=bool)
@@ -375,22 +414,12 @@ class Hm2Scheme(CommitScheme):
             alive, both[alive], self._decode_key, lambda key: (table.seeds(key), table.seeds(key ^ 1))
         )
 
-    def commit_from_full(self, r: int, u: int) -> tuple[Transcript, np.ndarray, np.ndarray]:
-        """Both rounds from the full state, given round 2's draw u < 2^(ell+1).
-
-        Returns the transcript and the classes (K, K^1) that the full-state
-        alpha_partition's split gives for the key K that sample_index picks
-        with draw u, as views of r's table (its narrow seed dtype).  Key K
-        counts |class K| + |class K^1| branches, so the cumulative count
-        through key 2m+1 is 2*starts[2m+2] and through key 2m it is
-        starts[2m] + starts[2m+2]: one searchsorted finds K.
-        """
-        order, starts = self._bucket(r)
-        m = int(starts[2::2].searchsorted(u >> 1, side="right"))
-        key = 2 * m + (int(starts[2 * m]) + int(starts[2 * m + 2]) <= u)
-        t = (b"", to_bytes(r, self.ell), self._decode_key(key), b"")
-        other = key ^ 1
-        return t, order[starts[key] : starts[key + 1]], order[starts[other] : starts[other + 1]]
+    def rows(self, rs: np.ndarray) -> "Hm2Rows":
+        """The tables of receiver seeds rs, one lookup per distinct seed."""
+        distinct, inv = np.unique(rs, return_inverse=True)
+        tables = [self._bucket(r) for r in distinct.tolist()]
+        starts = np.stack([t.starts for t in tables]).astype(np.int64)
+        return Hm2Rows([tables[i].order for i in inv.tolist()], inv, starts)
 
     def params_dict(self):
         return {"name": self.name, "ell": self.ell, "a": self.a}

@@ -65,9 +65,7 @@ class HashFn:
             return arr.copy()
         if self.p == _PRIMES[0] and arr.size > _SCALAR_MAX:
             return _eval_m61(arr, np.uint64(self.a), np.uint64(self.b), np.uint64(self.k))
-        # Python ints: exact for every prime, and faster than numpy on few seeds.
-        a, b, p, k = self.a, self.b, self.p, self.k
-        return np.array([(a * x + b) % p % k for x in arr.tolist()], dtype=np.int64)
+        return _eval_ints(self.a, self.b, self.p, self.k, arr)
 
     def to_json_dict(self) -> dict:
         return {
@@ -99,21 +97,52 @@ def _eval_m61(arr: np.ndarray, a, b, k) -> np.ndarray:
     return (tot % k).view(np.int64)
 
 
-def eval_segments(hashes: list[HashFn], xs: np.ndarray, lens: np.ndarray) -> np.ndarray:
+def _eval_ints(a: int, b: int, p: int, k: int, xs: np.ndarray) -> np.ndarray:
+    """One member on int64 seeds in Python ints: exact for every prime, and
+    faster than numpy on few seeds."""
+    return np.array([(a * x + b) % p % k for x in xs.tolist()], dtype=np.int64)
+
+
+class HashColumns(NamedTuple):
+    """Members as columns: member i is x -> ((a[i] x + b[i]) mod p[i]) mod k[i].
+
+    p is an object array.  a, b and k are uint64 when every p is 2^61 - 1
+    and object arrays of Python ints otherwise, so eval_segments can tell
+    the kernel's case by a's dtype.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    k: np.ndarray
+    p: np.ndarray
+
+    def take(self, rows) -> "HashColumns":
+        return HashColumns(*(col[rows] for col in self))
+
+    def member(self, ell: int, i: int) -> HashFn:
+        return HashFn(ell, int(self.k[i]), int(self.a[i]), int(self.b[i]), int(self.p[i]))
+
+
+def hash_columns(members: list[HashFn]) -> HashColumns:
+    """The columns of a list of members."""
+    a, b, k, p = ([getattr(h, name) for h in members] for name in "abkp")
+    dtype = np.uint64 if all(q == _PRIMES[0] for q in p) else object
+    return HashColumns(np.array(a, dtype), np.array(b, dtype), np.array(k, dtype), np.array(p, object))
+
+
+def eval_segments(hashes: HashColumns, xs: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """Each member of hashes applied to its run of seeds, concatenated.
 
-    hashes[i] evaluates the lens[i] int64 seeds of xs after the runs of
-    the members before it.  When every member is affine mod 2^61 - 1 this
-    is one kernel call with per-seed (a, b, k); otherwise member by member.
+    Member i evaluates the lens[i] int64 seeds of xs after the runs of the
+    members before it.  uint64 columns make one kernel call with per-seed
+    (a, b, k); Python-int columns go member by member.
     """
-    if not all(h.p == _PRIMES[0] for h in hashes):
-        runs = np.split(xs, np.cumsum(lens)[:-1])
-        return np.concatenate([h.eval_many(run) for h, run in zip(hashes, runs)])
-    a, b, k = (
-        np.repeat(np.array(vals, dtype=np.uint64), lens)
-        for vals in zip(*((h.a, h.b, h.k) for h in hashes))
-    )
-    return _eval_m61(xs, a, b, k)
+    if hashes.a.dtype == np.uint64:
+        return _eval_m61(xs, *(np.repeat(col, lens) for col in hashes[:3]))
+    runs = np.split(xs, np.cumsum(lens)[:-1])
+    return np.concatenate([
+        _eval_ints(a, b, p, k, run) for a, b, k, p, run in zip(*hashes, runs)
+    ])
 
 
 def sample_hash(ell: int, k: int, rng: np.random.Generator) -> HashFn:
@@ -140,34 +169,34 @@ def _uniform_below(p: int, rng: np.random.Generator) -> int:
             return v
 
 
-def sample_hash_pairs(ell: int, ks: list[int], streams) -> list[HashFn]:
+def sample_hash_pairs(ell: int, ks, streams) -> HashColumns:
     """Two members with codomain ks[i] for each row i of a SessionStreams,
     drawn as sample_hash(ell, ks[i], rng) twice on that row's stream.
 
-    Returns [h0 of row 0, h1 of row 0, h0 of row 1, ...].  Each row's
-    four draws (a0, b0, a1, b1) come in sample_hash's order; rows that
-    share a prime draw together.
+    Returns the columns of [h0 of row 0, h1 of row 0, h0 of row 1, ...].
+    Each row's four draws (a0, b0, a1, b1) come in sample_hash's order;
+    rows that share a prime draw together.
     """
     check_ell(ell)
-    if min(ks) < 1:
+    ks = np.asarray(ks)  # object where a k exceeds int64
+    if ks.min() < 1:
         raise ValueError("k must be >= 1")
-    primes = [_choose_prime(ell, k) for k in ks]
-    coeffs: list = [None] * len(ks)
+    distinct, inv = np.unique(ks, return_inverse=True)
+    primes = np.array([_choose_prime(ell, k) for k in distinct.tolist()], dtype=object)
+    coeffs = np.zeros((4, len(ks)), dtype=np.uint64 if set(primes) == {_PRIMES[0]} else object)
     for p in set(primes):
-        rows = np.array([i for i, q in enumerate(primes) if q == p])
-        draws = zip(*(_uniform_below_rows(p, streams, rows) for _ in range(4)))
-        for i, abab in zip(rows.tolist(), draws):
-            coeffs[i] = abab
-    out = []
-    for k, p, (a0, b0, a1, b1) in zip(ks, primes, coeffs):
-        out += HashFn(ell, k, a0, b0, p), HashFn(ell, k, a1, b1, p)
-    return out
+        rows = np.flatnonzero((primes == p)[inv])
+        for col in coeffs:
+            col[rows] = _uniform_below_rows(p, streams, rows)
+    cols = coeffs[0::2].T.ravel(), coeffs[1::2].T.ravel(), np.repeat(ks, 2).astype(coeffs.dtype)
+    return HashColumns(*cols, np.repeat(primes[inv], 2))
 
 
-def _uniform_below_rows(p: int, streams, rows: np.ndarray) -> list[int]:
-    """_uniform_below(p, rng) on each of streams' rows."""
+def _uniform_below_rows(p: int, streams, rows: np.ndarray):
+    """_uniform_below(p, rng) on each of streams' rows: int64 for p <= 2^63,
+    Python ints above."""
     if p <= 1 << 63:
-        return streams.integers(p, rows).tolist()
+        return streams.integers(p, rows)
     nbits = p.bit_length()
     mask = (1 << nbits) - 1
     out, pending = [0] * len(rows), list(range(len(rows)))

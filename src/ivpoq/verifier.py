@@ -12,9 +12,12 @@ and every run replays to the same verdict.
 run_block is the lockstep engine for honest sessions: a block of them
 advances step by step, each on its own stream with run_session's draws
 (SessionStreams makes each draw for the whole block at once), while the
-hashing, the y law and the Hadamard transforms run once for the block;
-decide_block is V2 over a block of any prover's records, and tally
-counts the verdicts of any stream of records, a block at a time.
+hashing, the y law and the Hadamard transforms run once for the block,
+and it returns the block as a SessionBlock of columns.  decide_block is
+V2 over a block, in array operations on its columns, and tally counts the
+verdicts of any stream of records, each STREAM_SESSIONS of them made one
+block.  SessionRecords are built only at the edges: SessionBlock.records
+(the CLI's run and the tests) and SessionBlock.from_records (tally).
 
 V2's hard steps (counting consistent preimages and finding witnesses)
 go through count_consistent_preimages, a brute-force stand-in for the
@@ -32,6 +35,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,7 +43,7 @@ from . import stats
 from .bits import dot2, from_hex, parity_u32, to_hex, wht
 from .coherent_prover import HonestProver, HonestSession, SupportState, eta0_probs
 from .commitment import CommitScheme, Hm2Scheme, Transcript, make_scheme
-from .hashing import HashFn, eval_segments, sample_hash, sample_hash_pairs
+from .hashing import HashColumns, HashFn, eval_segments, hash_columns, sample_hash, sample_hash_pairs
 from .streams import SessionStreams
 
 GRID_UNIFORM = "uniform"
@@ -197,6 +201,50 @@ class SessionRecord:
             rec.v2 = branch["v2"]
             rec.eta = branch["eta"]
         return rec
+
+
+# SessionRecord's int fields, which a SessionBlock holds as columns.
+_COLUMNS = ("j", "y", "v1", "xi", "bprime", "xprime", "d", "v2", "eta", "v2coin")
+
+
+class SessionBlock(NamedTuple):
+    """Sessions as columns: row i is one session's record without its verdict.
+
+    cols holds the _COLUMNS fields as int64 columns, 0 where a row's
+    branch has no such field.  An hm2 block holds transcript i as
+    cols["r"][i] and round 2's key cols["key"][i] (transcript_key's, -1
+    where no seed replays it), with ts None; other schemes keep the
+    transcripts ts.  Member 2i + b of hashes is row i's h_b.
+    """
+
+    scheme: CommitScheme
+    ts: list | None
+    hashes: HashColumns
+    cols: dict
+
+    @classmethod
+    def from_records(cls, scheme: CommitScheme, records: list[SessionRecord]) -> "SessionBlock":
+        """The block of records; an hm2 transcript is parsed once, raising
+        ValueError where consistent_seeds would."""
+        ts = [rec.t for rec in records]
+        cols = {name: np.array([getattr(rec, name) or 0 for rec in records], dtype=np.int64)
+                for name in _COLUMNS}
+        if isinstance(scheme, Hm2Scheme):
+            parsed = np.array([scheme.transcript_key(t) for t in ts], dtype=np.int64)
+            (cols["r"], cols["key"]), ts = parsed.reshape(-1, 2).T, None
+        return cls(scheme, ts, hash_columns([h for rec in records for h in (rec.h0, rec.h1)]), cols)
+
+    def records(self) -> list[SessionRecord]:
+        """Each row as the SessionRecord that run_session makes for it."""
+        scheme, ell, out = self.scheme, self.scheme.ell, []
+        for i, vals in enumerate(zip(*(col.tolist() for col in self.cols.values()))):
+            row = dict(zip(self.cols, vals))
+            t = self.ts[i] if self.ts is not None else scheme.transcript(row.pop("r"), row.pop("key"))
+            for name in ("d", "v2", "eta") if row["v1"] == 0 else ("bprime", "xprime"):
+                row[name] = None
+            h0, h1 = self.hashes.member(ell, 2 * i), self.hashes.member(ell, 2 * i + 1)
+            out.append(SessionRecord(scheme.name, ell, t, k=h0.k, h0=h0, h1=h1, **row))
+        return out
 
 
 def check_reply(value, bound: int, what: str) -> int:
@@ -363,90 +411,75 @@ STREAM_SESSIONS = 1024
 _BLOCK_BYTES = 1 << 20
 
 
-def run_block(params: ProtocolParams, seed: int, lo: int, hi: int) -> list[SessionRecord]:
+def run_block(params: ProtocolParams, seed: int, lo: int, hi: int) -> SessionBlock:
     """Honest sessions lo..hi-1, advanced step by step in lockstep.
 
-    Record i equals run_session(params, HonestProver(params.scheme),
+    Row i - lo equals run_session(params, HonestProver(params.scheme),
     default_rng([seed, i])): SessionStreams makes each session's draws on
     that stream, in run_session's order, one numpy pass per draw for the
     whole block, while the deterministic work between draws also runs
-    once per block: hm2's round-2 class, the hash kernel on every
-    session's support, the y law as a segmented sort, and the
-    Hadamard-measurement law as transforms of (rows, 2^ell) matrices.
+    once per block: hm2's round-2 key, the hash kernel on every session's
+    support, the y law as a segmented sort, and the Hadamard-measurement
+    law as transforms of (rows, 2^ell) matrices.
     """
-    ell, scheme = params.ell, params.scheme
+    ell, scheme, n = params.ell, params.scheme, hi - lo
     streams = SessionStreams(seed, lo, hi)
-    ts, supports = _commit_step(scheme, streams)
+    ts, cols, supports = _commit_step(scheme, streams)
+    lens = np.array([len(xs) for xs in supports], dtype=np.int64)
     # Grid index and hash pair.  An honest commit leaves S0 = X_{0,t}.
-    js = [
-        params.best_grid_index(len(s0)) if params.grid_mode == GRID_ORACLE else None
-        for s0 in supports[::2]
-    ]
-    unset = [i for i, j in enumerate(js) if j is None]
-    for i, j in zip(unset, streams.integers(params.m, unset).tolist()):
-        js[i] = j
-    hashes = sample_hash_pairs(ell, [params.ks[j] for j in js], streams)
-    ys, xs, seg = _hash_step(params, streams, supports, hashes)
-    offsets = np.concatenate(([0], np.bincount(seg, minlength=len(supports)).cumsum()))
+    js = np.full(n, -1, dtype=np.int64)
+    if params.grid_mode == GRID_ORACLE:
+        js[:] = [-1 if j is None else j for j in map(params.best_grid_index, lens[0::2].tolist())]
+    unset = np.flatnonzero(js < 0)
+    js[unset] = streams.integers(params.m, unset)
+    hashes = sample_hash_pairs(ell, np.array(params.ks)[js], streams)
+    ys, xs, seg = _hash_step(params, streams, supports, lens, hashes)
+    offsets = np.concatenate(([0], np.bincount(seg, minlength=2 * n).cumsum()))
     sizes = offsets[2::2] - offsets[:-1:2]
     # The challenge: v1 and xi, then the preimage test or d, v2 and eta.
     v1s, xis = streams.integers(2), streams.integers(1 << ell)
     v0_rows, v1_rows = np.flatnonzero(v1s == 0), np.flatnonzero(v1s)
-    picks = streams.integers(sizes[v0_rows], v0_rows)
-    ds, a0, a1 = np.zeros((3, hi - lo), dtype=np.int64)
+    at = offsets[2 * v0_rows] + streams.integers(sizes[v0_rows], v0_rows)
+    bprime, xprime, ds, v2s, etas, a0, a1 = np.zeros((7, n), dtype=np.int64)
+    bprime[v0_rows], xprime[v0_rows] = at >= offsets[2 * v0_rows + 1], xs[at]
     small = sizes[v1_rows] <= 2
     for rows, draw_d in ((v1_rows[small], _d_by_rejection), (v1_rows[~small], _d_by_wht)):
         ds[rows], a0[rows], a1[rows] = draw_d(ell, streams, rows, offsets, xs, seg, xis)
-    v2s = streams.integers(2, v1_rows)
-    etas = (streams.random(v1_rows) >= eta0_probs(a0[v1_rows], a1[v1_rows], v2s)).astype(int)
-    coins = streams.integers(8).tolist()
-    records = [
-        SessionRecord(
-            scheme=scheme.name, ell=ell, t=ts[i], j=js[i], k=hashes[2 * i].k,
-            h0=hashes[2 * i], h1=hashes[2 * i + 1], y=ys[i], v1=v1, xi=xi, v2coin=coins[i],
-        )
-        for i, (v1, xi) in enumerate(zip(v1s.tolist(), xis.tolist()))
-    ]
-    for i, pick in zip(v0_rows.tolist(), picks.tolist()):
-        first, split = offsets[2 * i : 2 * i + 2].tolist()
-        records[i].bprime, records[i].xprime = int(first + pick >= split), int(xs[first + pick])
-    for i, d, v2, eta in zip(v1_rows.tolist(), ds[v1_rows].tolist(), v2s.tolist(), etas.tolist()):
-        records[i].d, records[i].v2, records[i].eta = d, v2, eta
-    return records
+    v2s[v1_rows] = streams.integers(2, v1_rows)
+    etas[v1_rows] = streams.random(v1_rows) >= eta0_probs(a0[v1_rows], a1[v1_rows], v2s[v1_rows])
+    cols.update(j=js, y=ys, v1=v1s, xi=xis, bprime=bprime, xprime=xprime, d=ds, v2=v2s, eta=etas)
+    cols["v2coin"] = streams.integers(8)
+    return SessionBlock(scheme, ts, hashes, cols)
 
 
 def _commit_step(scheme: CommitScheme, streams: SessionStreams):
     """Each session's receiver seed r and commit rounds from the full state.
 
-    Returns the transcripts and the supports [S0 of session 0, S1 of
-    session 0, S0 of session 1, ...].  hm2 reads round 2 off r's table;
-    other schemes draw each round's message from its law as
+    Returns (ts, cols, supports), the supports ordered [S0 of session 0,
+    S1 of session 0, S0 of session 1, ...].  hm2 reads round 2's key off
+    r's table, so its transcripts are the columns r and key and ts is
+    None; other schemes draw each round's message from its law as
     HonestSession.commit_message does, for all sessions at once.
     """
     n = 1 << scheme.ell
-    rs = streams.integers(n).tolist()
-    supports = []
+    rs = streams.integers(n)
     if isinstance(scheme, Hm2Scheme):
         streams.integers(2 * n)  # round 1 has one message, seen on all 2n branches
-        ts = []
-        for r, u in zip(rs, streams.integers(2 * n).tolist()):
-            t, s0, s1 = scheme.commit_from_full(r, u)
-            ts.append(t)
-            supports += (s0, s1)
-        return ts, supports
+        rows = scheme.rows(rs)
+        keys = rows.commit_keys(streams.integers(2 * n))
+        (s0, _), (s1, _) = rows.classes(keys), rows.classes(keys ^ 1)
+        return None, {"r": rs, "key": keys}, [xs for pair in zip(s0, s1) for xs in pair]
     full = SupportState.full(scheme.ell)
     ts, states = [()] * len(rs), [(full.s0, full.s1)] * len(rs)
     for j in range(1, scheme.rounds + 1):
         laws = [scheme.alpha_partition(j, *state, t) for state, t in zip(states, ts)]
         us = streams.integers([int(law.counts.sum()) for law in laws]).tolist()
-        for i, (law, u, r) in enumerate(zip(laws, us, rs)):
+        for i, (law, u, r) in enumerate(zip(laws, us, rs.tolist())):
             idx = int(law.counts.cumsum(dtype=np.int64).searchsorted(u, side="right"))
             states[i] = law.split(idx)
             alpha = law.alpha(idx)
             ts[i] += (alpha, scheme.receiver_msg(j, r, ts[i] + (alpha,)))
-    for s0, s1 in states:
-        supports += (s0, s1)
-    return ts, supports
+    return ts, {}, [xs for state in states for xs in state]
 
 
 def _runs(sizes: np.ndarray, budget: int):
@@ -460,32 +493,34 @@ def _runs(sizes: np.ndarray, budget: int):
         a = max(a + 1, b)
 
 
-def _hash_step(params: ProtocolParams, streams: SessionStreams, supports: list, hashes: list):
+def _hash_step(
+    params: ProtocolParams, streams: SessionStreams, supports: list, lens: np.ndarray, hashes: HashColumns
+):
     """Every session's y and the support seeds that survive it.
 
-    Seeds sit in segments 2i + b (session i, branch b).  y is the u-th
-    smallest hash value of session i's seeds for its draw u, which is
-    sample_index over np.unique's counts.  The kernel runs on runs of
-    sessions of at most _BLOCK_BYTES >> 8 seeds.  Returns (ys, seeds,
-    segments) of the survivors, in segment order.
+    Seeds sit in segments 2i + b (session i, branch b), lens[2i + b] of
+    them, hashed by member 2i + b.  y is the u-th smallest hash value of
+    session i's seeds for its draw u, which is sample_index over
+    np.unique's counts.  The kernel runs on runs of sessions of at most
+    _BLOCK_BYTES >> 8 seeds.  Returns (ys, seeds, segments) of the
+    survivors, in segment order.
     """
-    lens = np.array([len(xs) for xs in supports], dtype=np.int64)
     sizes = lens[0::2] + lens[1::2]
     us = streams.integers(sizes)
     shift = max(params.ks).bit_length()
     ys, kept_xs, kept_seg = [], [], []
     for a, b in _runs(sizes, _BLOCK_BYTES >> 8):
         xs = np.concatenate(supports[2 * a : 2 * b]).astype(np.int64, copy=False)
-        hv = eval_segments(hashes[2 * a : 2 * b], xs, lens[2 * a : 2 * b])
+        hv = eval_segments(hashes.take(slice(2 * a, 2 * b)), xs, lens[2 * a : 2 * b])
         seg = np.repeat(np.arange(2 * a, 2 * b), lens[2 * a : 2 * b])
         ranked = np.sort(((seg >> 1) << shift) | hv)
         part = sizes[a:b]
         y = ranked[np.cumsum(part) - part + us[a:b]] & ((1 << shift) - 1)
         kept = hv == y[(seg >> 1) - a]
-        ys += y.tolist()
+        ys.append(y)
         kept_xs.append(xs[kept])
         kept_seg.append(seg[kept])
-    return ys, np.concatenate(kept_xs), np.concatenate(kept_seg)
+    return np.concatenate(ys), np.concatenate(kept_xs), np.concatenate(kept_seg)
 
 
 def _clauses(xs, seg, xis) -> np.ndarray:
@@ -549,45 +584,82 @@ def _d_by_wht(ell, streams, rows, offsets, xs, seg, xis):
     return out
 
 
-def decide_block(params: ProtocolParams, records: list[SessionRecord]) -> list[tuple[bool, str]]:
-    """v2_decide on each record, its preimage counts made for all records at once."""
-    first = _count_block(params.scheme, records, 0)
+_REASONS = (REASON_PASS, REASON_FAIL, REASON_COIN)
+
+
+def decide_block(params: ProtocolParams, block: SessionBlock) -> list[tuple[bool, str]]:
+    """v2_decide on each row of block, as array operations on its columns."""
+    rows = np.arange(len(block.cols["j"]))
+    c0, x0 = _count_block(params.scheme, block, rows, 0)
     # As in v2_decide, the b=1 count is made only where the b=0 count is 1.
-    pending = [i for i, (c0, _) in enumerate(first) if c0 == 1]
-    second = dict(zip(pending, _count_block(params.scheme, [records[i] for i in pending], 1)))
-    return [
-        _verdict(record, *first[i], *second.get(i, (None, None)))
-        for i, record in enumerate(records)
-    ]
+    c1, x1 = np.zeros((2, len(rows)), dtype=np.int64)
+    pending = rows[c0 == 1]
+    c1[pending], x1[pending] = _count_block(params.scheme, block, pending, 1)
+    claw, cols = (c0 == 1) & (c1 == 1), block.cols
+    p0, p1 = parity_u32(cols["xi"] & x0), parity_u32(cols["xi"] & x1)
+    ok = np.where(
+        cols["v1"] == 0,
+        cols["xprime"] == np.where(cols["bprime"] == 0, x0, x1),
+        cols["eta"] == np.where(p0 != p1, p0, cols["v2"] ^ parity_u32(cols["d"] & (x0 ^ x1))),
+    )
+    accepted = np.where(claw, ok, cols["v2coin"] < 7).tolist()
+    reasons = np.where(claw, np.where(ok, 0, 1), 2).tolist()
+    return list(zip(accepted, map(_REASONS.__getitem__, reasons)))
 
 
-def _count_block(scheme: CommitScheme, records: list[SessionRecord], b: int) -> list[tuple]:
-    """count_consistent_preimages(scheme, r.t, r.h_b, r.y, b) for each record r,
-    hashed in runs of at most _BLOCK_BYTES >> 8 seeds, as in _hash_step."""
-    sets = [scheme.consistent_seeds(record.t, b) for record in records]
-    lens = np.array([len(xs) for xs in sets], dtype=np.int64)
-    hashes = [record.h1 if b else record.h0 for record in records]
-    ys = np.array([record.y for record in records], dtype=np.int64)
-    out = []
+def _count_block(scheme: CommitScheme, block: SessionBlock, rows: np.ndarray, b: int):
+    """count_consistent_preimages(scheme, t, h_b, y, b) on the block's rows,
+    as (counts capped at 2, least witnesses, 0 where there is none), hashed
+    in runs of at most _BLOCK_BYTES >> 8 seeds, as in _hash_step."""
+    counts, witness = np.zeros((2, len(rows)), dtype=np.int64)
+    if not len(rows):
+        return counts, witness
+    lens, sets = _consistent_sets(scheme, block, rows, b)
+    hashes, ys = block.hashes.take(2 * rows + b), block.cols["y"][rows]
     for a, c in _runs(lens, _BLOCK_BYTES >> 8):
-        xs, sid = np.concatenate(sets[a:c]), np.repeat(np.arange(c - a), lens[a:c])
-        hits = eval_segments(hashes[a:c], xs, lens[a:c]) == ys[a:c][sid]
-        counts = np.bincount(sid[hits], minlength=c - a).tolist()
-        # Each set is ascending, so a record's first hit is its least witness.
-        found, first = xs[hits].tolist(), np.cumsum(counts) - counts
-        out += [(min(n, 2), found[f] if n else None) for n, f in zip(counts, first.tolist())]
-    return out
+        xs = np.concatenate(sets(a, c)).astype(np.int64, copy=False)
+        sid = np.repeat(np.arange(a, c), lens[a:c])
+        hits = eval_segments(hashes.take(slice(a, c)), xs, lens[a:c]) == ys[sid]
+        counts[a:c] = n = np.bincount(sid[hits] - a, minlength=c - a)
+        # Each set is ascending, so a row's first hit is its least witness.
+        witness[a:c][n > 0] = xs[hits][(np.cumsum(n) - n)[n > 0]]
+    return np.minimum(counts, 2), witness
+
+
+def _consistent_sets(scheme: CommitScheme, block: SessionBlock, rows: np.ndarray, b: int):
+    """X_{b,t} of the block's rows as (lens, sets): sets(a, c) lists the
+    ascending seed arrays of rows[a:c].
+
+    hm2 reads each as a class of its receiver seed's table, with one table
+    lookup per distinct seed.  Other schemes call consistent_seeds once per
+    distinct transcript for the lengths, then again in each run that needs
+    it, so only one run's sets are held at a time.
+    """
+    if block.ts is None:
+        views, lens = scheme.rows(block.cols["r"][rows]).classes(block.cols["key"][rows] ^ b)
+        return lens, lambda a, c: views[a:c]
+    index: dict = {}
+    tid = np.array([index.setdefault(block.ts[i], len(index)) for i in rows.tolist()])
+    distinct = list(index)
+    lens = np.array([len(scheme.consistent_seeds(t, b)) for t in distinct], dtype=np.int64)[tid]
+
+    def sets(a, c):
+        built = {k: scheme.consistent_seeds(distinct[k], b) for k in set(tid[a:c].tolist())}
+        return [built[k] for k in tid[a:c].tolist()]
+
+    return lens, sets
 
 
 def tally(params: ProtocolParams, records) -> Counter:
     """How often each v2_decide verdict (accepted, reason) occurs over records.
 
     records may be any iterable, a generator included; it is decided
-    STREAM_SESSIONS records at a time with decide_block.
+    STREAM_SESSIONS records at a time, each chunk made a SessionBlock for
+    decide_block.
     """
     verdicts, records = Counter(), iter(records)
-    while block := list(itertools.islice(records, STREAM_SESSIONS)):
-        verdicts.update(decide_block(params, block))
+    while chunk := list(itertools.islice(records, STREAM_SESSIONS)):
+        verdicts.update(decide_block(params, SessionBlock.from_records(params.scheme, chunk)))
     return verdicts
 
 
@@ -641,15 +713,13 @@ class AcceptanceReport:
 
 def _acceptance_counts(params, prover, start, stop, seed) -> Counter:
     if type(prover) is HonestProver and prover.scheme is params.scheme:
-        blocks = (
-            run_block(params, seed, lo, min(lo + STREAM_SESSIONS, stop))
-            for lo in range(start, stop, STREAM_SESSIONS)
-        )
-        records = itertools.chain.from_iterable(blocks)
-    else:
-        rngs = (np.random.default_rng([seed, i]) for i in range(start, stop))
-        records = (run_session(params, prover, rng) for rng in rngs)
-    return tally(params, records)
+        verdicts = Counter()
+        for lo in range(start, stop, STREAM_SESSIONS):
+            block = run_block(params, seed, lo, min(lo + STREAM_SESSIONS, stop))
+            verdicts.update(decide_block(params, block))
+        return verdicts
+    rngs = (np.random.default_rng([seed, i]) for i in range(start, stop))
+    return tally(params, (run_session(params, prover, rng) for rng in rngs))
 
 
 def estimate_acceptance(

@@ -14,6 +14,7 @@ from ivpoq.hashing import (
     _eval_m61,
     enumerate_gf2_affine,
     eval_segments,
+    hash_columns,
     pairwise_bias_bound,
     sample_hash,
     sample_hash_pairs,
@@ -202,7 +203,7 @@ def test_eval_segments_equals_member_by_member(members):
     runs = [np.array(xs, dtype=np.int64) for *_, xs in members]
     lens = np.array([len(run) for run in runs], dtype=np.int64)
     want = [y for h, run in zip(hashes, runs) for y in h.eval_many(run).tolist()]
-    assert eval_segments(hashes, np.concatenate(runs), lens).tolist() == want
+    assert eval_segments(hash_columns(hashes), np.concatenate(runs), lens).tolist() == want
 
 
 def test_json_roundtrip():
@@ -230,10 +231,10 @@ def test_sample_hash_pairs_equal_sample_hash(ell):
     streams = SessionStreams(seed, lo, hi)
     pairs = sample_hash_pairs(ell, row_ks, streams)
     after = streams.integers(1 << 32).tolist()
-    assert {h.p for h in pairs} == set(_PRIMES)
+    assert set(pairs.p) == set(_PRIMES)
     for i, k in zip(range(lo, hi), row_ks):
         rng = np.random.default_rng([seed, i])
         want = [sample_hash(ell, k, rng) for _ in range(2)]
-        assert pairs[2 * (i - lo) : 2 * (i - lo) + 2] == want
+        assert [pairs.member(ell, 2 * (i - lo) + b) for b in (0, 1)] == want
         # Both streams are left at the same place.
         assert after[i - lo] == int(rng.integers(1 << 32))

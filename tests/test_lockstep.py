@@ -1,20 +1,26 @@
 """The lockstep block engine against the one-session reference.
 
 run_block advances honest sessions in lockstep, each on its own
-default_rng([seed, i]) stream; every record must equal run_session's on
+default_rng([seed, i]) stream, and returns them as a SessionBlock of
+columns; every record built from the columns must equal run_session's on
 that stream, field for field, and decide_block must give v2_decide's
 verdict.  The cases cover hm2 on both grids at three lengths, const and
 ident, and their seeds reach both challenge branches and, where the
 scheme allows it, both ways of drawing d.
 """
 
+import dataclasses
+import tracemalloc
 from collections import Counter
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ivpoq.adversaries import ClassicalHonestProver, UnboundedClawProver
-from ivpoq import verifier
+from ivpoq import hashing, verifier
 from ivpoq.coherent_prover import HonestProver, consistent_state
 from ivpoq.commitment import make_scheme
 from ivpoq.verifier import (
@@ -24,6 +30,7 @@ from ivpoq.verifier import (
     REASON_PASS,
     STREAM_SESSIONS,
     ProtocolParams,
+    SessionBlock,
     decide_block,
     estimate_acceptance,
     run_block,
@@ -64,8 +71,9 @@ def test_block_records_equal_run_session(name, ell, kwargs, grid, sessions):
     seed, lo = 40 + ell, 7
     # Two blocks with uneven bounds: records depend on i alone, not on the block.
     cut = lo + sessions // 3
-    records = run_block(params, seed, lo, cut) + run_block(params, seed, cut, lo + sessions)
-    verdicts = decide_block(params, records)
+    blocks = [run_block(params, seed, lo, cut), run_block(params, seed, cut, lo + sessions)]
+    records = [record for block in blocks for record in block.records()]
+    verdicts = [verdict for block in blocks for verdict in decide_block(params, block)]
     prover = HonestProver(params.scheme)
     paths = set()
     for i, (record, verdict) in enumerate(zip(records, verdicts), start=lo):
@@ -88,13 +96,13 @@ def test_block_with_a_seed_of_two_words():
     # A seed >= 2^32 is two entropy words of [seed, i].
     params = _params("hm2", 6, {"a": 3}, GRID_ORACLE)
     seed = (1 << 40) + 3
-    _assert_records_equal_run_session(params, seed, 5, run_block(params, seed, 5, 125))
+    _assert_records_equal_run_session(params, seed, 5, run_block(params, seed, 5, 125).records())
 
 
 def test_blocks_across_a_stream_width_boundary():
     params = _params("hm2", 6, {"a": 3}, GRID_UNIFORM)
     w = STREAM_SESSIONS
-    records = run_block(params, 3, w - 45, w + 2) + run_block(params, 3, w + 2, w + 61)
+    records = [*run_block(params, 3, w - 45, w + 2).records(), *run_block(params, 3, w + 2, w + 61).records()]
     _assert_records_equal_run_session(params, 3, w - 45, records)
     # estimate_acceptance cuts its blocks at multiples of the stream width.
     engine = estimate_acceptance(params, HonestProver(params.scheme), w + 37, seed=3)
@@ -114,7 +122,7 @@ def test_const_l12_full_width_runs_the_chunked_steps(monkeypatch):
             return _real(*args)
 
         monkeypatch.setattr(verifier, name, counted)
-    records = run_block(params, 8, 0, STREAM_SESSIONS)
+    records = run_block(params, 8, 0, STREAM_SESSIONS).records()
     monkeypatch.undo()
     assert calls["eval_segments"] > 1 and calls["wht"] > 1, calls
     _assert_records_equal_run_session(params, 8, 0, records)
@@ -177,22 +185,120 @@ def test_estimate_acceptance_matches_v2_decide_tally(prover, name, ell, kwargs):
 def test_v2_counts_split_by_the_seed_budget(ell, monkeypatch):
     # const keeps X_{b,t} whole: at ell=12 each record's 2^12 seeds fill the
     # hash step's budget of _BLOCK_BYTES >> 8 seeds, at ell=13 they exceed
-    # it, so V2 counts every record in a run of its own.
+    # it, so V2 counts every record in a run of its own.  It builds each
+    # run's sets in turn, so it holds one record's seeds (64 KB at ell=13),
+    # not the block's 64 MB.
     assert verifier._BLOCK_BYTES >> 8 == 1 << 12
     params = _params("const", ell, {}, GRID_ORACLE)
-    records = run_block(params, 5, 0, STREAM_SESSIONS)
+    block = run_block(params, 5, 0, STREAM_SESSIONS)
+    records = block.records()
     want = [v2_decide(params, record) for record in records]
     calls = Counter()
 
     def counted(hashes, xs, lens, _real=verifier.eval_segments):
-        calls[len(hashes)] += 1
+        calls[len(hashes.k)] += 1
         return _real(hashes, xs, lens)
 
     monkeypatch.setattr(verifier, "eval_segments", counted)
-    assert decide_block(params, records) == want
+    tracemalloc.start()
+    try:
+        verdicts = decide_block(params, block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdicts == want
+    assert peak < 8 << 20, peak
     assert set(calls) == {1} and calls[1] >= STREAM_SESSIONS, calls
     assert verifier.tally(params, records) == Counter(want)
 
 
 def test_decide_block_of_no_records():
-    assert decide_block(_params("hm2", 6, {"a": 3}, GRID_ORACLE), []) == []
+    params = _params("hm2", 6, {"a": 3}, GRID_ORACLE)
+    assert decide_block(params, SessionBlock.from_records(params.scheme, [])) == []
+
+
+@pytest.mark.parametrize(
+    "name,ell,kwargs,grid",
+    [
+        ("hm2", 8, {"a": 4}, GRID_UNIFORM),
+        ("hm2", 6, {"a": 3}, GRID_ORACLE),
+        ("const", 5, {}, GRID_UNIFORM),
+    ],
+)
+def test_honest_estimate_builds_no_record_or_hash_objects(name, ell, kwargs, grid, monkeypatch):
+    # The engine keeps a block as columns from the stream draws to V2's
+    # verdict: no SessionRecord and no HashFn on the way.
+    params = _params(name, ell, kwargs, grid)
+    built = Counter()
+    for cls in (verifier.SessionRecord, hashing.HashFn):
+        def counting_init(self, *args, _real=cls.__init__, _name=cls.__name__, **kw):
+            built[_name] += 1
+            _real(self, *args, **kw)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    report = estimate_acceptance(params, HonestProver(params.scheme), STREAM_SESSIONS + 40, seed=31)
+    assert report.trials == STREAM_SESSIONS + 40
+    assert built == Counter()
+    # The counters do see the one-session reference's objects.
+    run_session(params, HonestProver(params.scheme), np.random.default_rng(0))
+    assert built == Counter(SessionRecord=1, HashFn=2)
+
+
+_HM2_SESSIONS = 40
+
+
+@cache
+def _hm2_records():
+    """hm2 ell=6 params and honest records whose transcripts the property replaces."""
+    params = _params("hm2", 6, {"a": 3}, GRID_ORACLE)
+    return params, run_block(params, 11, 0, _HM2_SESSIONS).records()
+
+
+# hm2 transcripts at ell=6, a=3 (beta_1 one byte, alpha_2 = y0 byte and c
+# byte, y0 < 8): a wrong message count, or four messages each drawn from
+# well-formed and malformed values (non-empty t[0] or t[3], beta_1 of the
+# wrong length or >= 2^6, alpha_2 of the wrong length, a last byte > 1 or
+# y0 >= 8).
+_HM2_TRANSCRIPTS = st.one_of(
+    st.lists(st.binary(max_size=2), max_size=6).filter(lambda t: len(t) != 4).map(tuple),
+    st.tuples(
+        st.sampled_from([b"", b"", b"\x00"]),
+        st.one_of(st.integers(0, 63).map(lambda r: bytes([r])), st.binary(max_size=2)),
+        st.one_of(
+            st.tuples(st.integers(0, 7), st.integers(0, 1)).map(bytes),
+            st.tuples(st.integers(0, 255), st.integers(0, 3)).map(bytes),
+            st.binary(max_size=3),
+        ),
+        st.sampled_from([b"", b"", b"\x01"]),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, _HM2_SESSIONS - 1), _HM2_TRANSCRIPTS), max_size=24))
+def test_block_of_malformed_hm2_records_matches_the_references(cases):
+    # The records -> block conversion parses each transcript once; it must
+    # give consistent_seeds' X_{b,t}, raising where it raises, and
+    # decide_block must give v2_decide's verdicts.
+    params, base = _hm2_records()
+    sch = params.scheme
+    kept, want = [], {0: [], 1: []}
+    for i, t in cases:
+        record = dataclasses.replace(base[i], t=t)
+        try:
+            for b in (0, 1):
+                want[b].append(sch.consistent_seeds(t, b).tolist())
+        except ValueError:
+            with pytest.raises(ValueError):
+                SessionBlock.from_records(sch, [record])
+            with pytest.raises(ValueError):
+                v2_decide(params, record)
+            continue
+        kept.append(record)
+    block = SessionBlock.from_records(sch, kept)
+    for b in (0, 1):
+        if kept:
+            lens, sets = verifier._consistent_sets(sch, block, np.arange(len(kept)), b)
+            assert [xs.tolist() for xs in sets(0, len(kept))] == want[b]
+            assert lens.tolist() == [len(xs) for xs in want[b]]
+    assert decide_block(params, block) == [v2_decide(params, record) for record in kept]
