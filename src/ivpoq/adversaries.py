@@ -34,6 +34,7 @@ from .bits import check_ell, dot2, parity_u32, rng_from_key
 from .commitment import CommitScheme, Transcript
 from .hashing import HashFn
 from .verifier import (
+    _BLOCK_BYTES,
     ProtocolParams,
     ProtocolViolation,
     check_reply,
@@ -151,27 +152,56 @@ class UnboundedClawProver(_ReplayableProver):
 
     def d_response(self, t, h0, h1, y, xi):
         state, key, memo = self._post_hash(t, h0, h1, y)
-        if ("d", xi) not in memo:
-            memo["d", xi] = cp.sample_d(state, xi, self._rng("d", key, xi))
-        return memo["d", xi][0]
+        drawn = memo.get(("d", xi))
+        if drawn is None:
+            drawn = memo["d", xi] = cp.sample_d(state, xi, self._rng("d", key, xi))
+        return drawn[0]
 
     def eta_response(self, t, h0, h1, y, xi, d, v2):
         state, key, memo = self._post_hash(t, h0, h1, y)
-        if ("eta", xi, d, v2) not in memo:
+        eta = memo.get(("eta", xi, d, v2))
+        if eta is None:
             drawn = memo.get(("d", xi))
             qubit = drawn[1] if drawn and drawn[0] == d else cp.residual_for_d(state, xi, d)
-            memo["eta", xi, d, v2] = cp.measure_rotated(qubit, v2, self._rng("eta", key, xi, d, v2))
-        return memo["eta", xi, d, v2]
+            eta = memo["eta", xi, d, v2] = self._eta(qubit, key, xi, d, v2)
+        return eta
+
+    def prepare_challenges(self, t, h0, h1, y, xis):
+        """Draw the d and both eta answers of every xi not yet answered.
+
+        The answers are the ones d_response and eta_response would give,
+        from the same per-query coins; only their amplitudes come from one
+        WHT per chunk of xis, each chunk's arrays within _BLOCK_BYTES.  A
+        state of at most two seeds is left to sample_d's rejection path.
+        """
+        state, key, memo = self._post_hash(t, h0, h1, y)
+        if state.size <= 2:
+            return
+        new = [xi for xi in dict.fromkeys(np.asarray(xis).tolist()) if ("d", xi) not in memo]
+        step = max(1, _BLOCK_BYTES >> (state.ell + 6))
+        for lo in range(0, len(new), step):
+            chunk = new[lo : lo + step]
+            for xi, amps in zip(chunk, cp.d_amplitudes(state, chunk)):
+                d, qubit = memo["d", xi] = cp.draw_d(amps, self._rng("d", key, xi))
+                for v2 in (0, 1):
+                    memo["eta", xi, d, v2] = self._eta(qubit, key, xi, d, v2)
+
+    def _eta(self, qubit, key, xi, d, v2):
+        return cp.measure_rotated(qubit, v2, self._rng("eta", key, xi, d, v2))
 
     # state reconstruction --------------------------------------------------
     def _post_hash(self, t, h0, h1, y):
         """(state, prefix key, answers) of the prefix; answers are fixed by (r, prefix, query)."""
-        if self._memo is None or self._memo[0] != (t, h0, h1, y):
-            state = cp.consistent_state(self.scheme, t, (h0, h1, y))
-            if state.size == 0:
-                raise ProtocolViolation("claw prover queried on unreachable prefix")
-            self._memo = ((t, h0, h1, y), state, _prefix_key(t, h0, h1, y), {})
-        return self._memo[1:]
+        memo = self._memo
+        if memo is not None:
+            pt, ph0, ph1, py = memo[0]
+            if (pt is t and ph0 is h0 and ph1 is h1 and py == y) or memo[0] == (t, h0, h1, y):
+                return memo[1]
+        state = cp.consistent_state(self.scheme, t, (h0, h1, y))
+        if state.size == 0:
+            raise ProtocolViolation("claw prover queried on unreachable prefix")
+        self._memo = ((t, h0, h1, y), (state, _prefix_key(t, h0, h1, y), {}))
+        return self._memo[1]
 
     def _state_for_commit(self, prefix: Transcript) -> cp.SupportState:
         state = cp.SupportState.full(self.scheme.ell)
@@ -252,22 +282,37 @@ def predict_claw_parity(prefix, xi: int, prover) -> int:
 
 @dataclass
 class PredictionOracle:
-    """A xi -> bit predictor plus its declared domain length."""
+    """A xi -> bit predictor plus its declared domain length.
+
+    prepare, when given, sees each query_many batch before its queries
+    are asked one by one; it may precompute answers but asks none.
+    """
 
     ell: int
     fn: Callable[[int], int]
     queries: int = 0
+    prepare: Callable[[np.ndarray], None] | None = None
 
     def query(self, xi: int) -> int:
         self.queries += 1
         return int(self.fn(int(xi))) & 1
 
     def query_many(self, xis: np.ndarray) -> np.ndarray:
-        return np.fromiter((self.query(int(x)) for x in xis), dtype=np.int64, count=len(xis))
+        xis = np.asarray(xis)
+        if self.prepare is not None:
+            self.prepare(xis)
+        return np.fromiter((self.query(x) for x in xis.tolist()), dtype=np.int64, count=len(xis))
 
 
 def oracle_from_prover(prefix, prover, ell: int) -> PredictionOracle:
-    return PredictionOracle(ell=ell, fn=lambda xi: predict_claw_parity(prefix, xi, prover))
+    """The two-challenge predictor on one prefix.  A prover with
+    prepare_challenges gets each batch of xis first; every query still
+    asks it for d twice and eta twice."""
+    prepare_challenges = getattr(prover, "prepare_challenges", None)
+    prepare = None if prepare_challenges is None else (lambda xis: prepare_challenges(*prefix, xis))
+    return PredictionOracle(
+        ell=ell, fn=lambda xi: predict_claw_parity(prefix, xi, prover), prepare=prepare
+    )
 
 
 # Goldreich-Levin list decoding --------------------------------------------------
@@ -307,19 +352,17 @@ def goldreich_levin(
     n_comb = (1 << t) - 1
 
     # unit-vector probe: exact for noiseless linear oracles
-    unit = 0
-    for i in range(ell):
-        unit |= oracle.query(1 << i) << i
-    candidates = [unit]
+    weights = np.int64(1) << np.arange(ell, dtype=np.int64)
+    candidates = [int(oracle.query_many(weights) @ weights)]
 
-    seeds = [int(rng.integers(1 << ell)) for _ in range(t)]
+    seeds = rng.integers(1 << ell, size=t)
     combos = np.zeros(1 << t, dtype=np.int64)
-    for sigma in range(1, 1 << t):
-        combos[sigma] = combos[sigma & (sigma - 1)] ^ seeds[(sigma & -sigma).bit_length() - 1]
+    for j in range(t):
+        combos[1 << j : 2 << j] = combos[: 1 << j] ^ seeds[j]
 
-    votes = np.empty((n_comb, ell), dtype=np.int64)
-    for i in range(ell):
-        votes[:, i] = oracle.query_many(combos[1:] ^ (1 << i))
+    # coordinate-major: all combos with bit 0 flipped, then bit 1, ...
+    queries = (combos[None, 1:] ^ weights[:, None]).ravel()
+    votes = oracle.query_many(queries).reshape(ell, n_comb).T
 
     guesses = np.arange(1 << t, dtype=np.uint32)
     sigmas = np.arange(1, 1 << t, dtype=np.uint32)
@@ -327,23 +370,15 @@ def goldreich_levin(
     signs = 1 - 2 * parity_u32(guesses[:, None] & sigmas[None, :]).astype(np.int64)
     scores = signs @ (1 - 2 * votes)
     bits = scores < 0
-    weights = np.int64(1) << np.arange(ell, dtype=np.int64)
-    candidates.extend(int(v) for v in (bits @ weights))
-
-    seen: dict[int, None] = {}
-    for s in candidates:
-        seen.setdefault(s, None)
-    distinct = list(seen)
+    candidates.extend((bits @ weights).tolist())
+    distinct = np.array(list(dict.fromkeys(candidates)), dtype=np.int64)
 
     n_test = max(64, int(np.ceil(8.0 / (advantage * advantage))))
-    test_xis = np.array([int(rng.integers(1 << ell)) for _ in range(n_test)], dtype=np.int64)
+    test_xis = rng.integers(1 << ell, size=n_test)
     answers = oracle.query_many(test_xis)
+    agree = np.count_nonzero(parity_u32(distinct[:, None] & test_xis) == answers, axis=1) / n_test
     threshold = 0.5 + advantage / 2.0
-    kept: list[tuple[float, int]] = []
-    for s in distinct:
-        agree = float(np.mean(parity_u32(test_xis & np.int64(s)) == answers))
-        if agree >= threshold:
-            kept.append((agree, s))
+    kept = [(a, s) for a, s in zip(agree.tolist(), distinct.tolist()) if a >= threshold]
     kept.sort(key=lambda pair: (-pair[0], pair[1]))
     return [s for _, s in kept]
 

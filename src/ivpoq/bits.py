@@ -14,10 +14,17 @@ import numpy as np
 # Support sets and Walsh-Hadamard transforms are Theta(2**ell).
 ELL_CAP = 24
 
-_POP16 = np.unpackbits(
-    np.arange(1 << 16, dtype=np.uint16).view(np.uint8).reshape(-1, 2), axis=1
-).sum(axis=1)
-PARITY16 = (_POP16 & 1).astype(np.uint8)
+
+def _parity16() -> np.ndarray:
+    """Parity of every 16-bit value: fold the halves together with XOR
+    until bit 0 holds the parity of all sixteen bits."""
+    v = np.arange(1 << 16, dtype=np.uint16)
+    for shift in (8, 4, 2, 1):
+        v ^= v >> shift
+    return (v & 1).astype(np.uint8)
+
+
+PARITY16 = _parity16()
 
 
 def parity(v: int) -> int:

@@ -144,29 +144,34 @@ def d_outcome_law(state: SupportState, xi: int):
     With a_c(d) = sum_{x in S0, xi.x=c} (-1)^(d.x)
                 + sum_{x in S1, xi.x=c^1} (-1)^(d.x),
     Pr[d] = (a_0(d)^2 + a_1(d)^2) / (2^ell * |state|) and the residual
-    qubit is (a_0(d), a_1(d)).  Computed with two integer Walsh-Hadamard
-    transforms of the branch indicator vectors; everything before the
-    final normalization is exact integer arithmetic.
+    qubit is (a_0(d), a_1(d)).  Computed with one integer Walsh-Hadamard
+    transform of the two indicator rows (d_amplitudes); everything before
+    the final normalization is exact integer arithmetic.
     """
-    a0, a1 = _d_amplitudes(state, xi)
+    ((a0, a1),) = d_amplitudes(state, [xi])
     probs = (a0 * a0 + a1 * a1) / ((1 << state.ell) * state.size)
     return probs, a0, a1
 
 
-def _d_amplitudes(state: SupportState, xi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Integer amplitudes (a_0(d), a_1(d)) for every d, by two WHTs."""
+def d_amplitudes(state: SupportState, xis) -> np.ndarray:
+    """Integer amplitudes a_c(d) for every d, one (2, 2^ell) slice per xi.
+
+    Row c of xi's slice indicates the seeds x of S0 with xi.x = c and of
+    S1 with xi.x ^ 1 = c; one WHT over all 2 len(xis) rows gives the
+    amplitudes, of shape (len(xis), 2, 2^ell).  A seed lies at most once
+    in each branch and in different rows for the two, so each row is a
+    0/1 indicator.
+    """
     if state.size == 0:
         raise EmptyStateError("measurement on empty state")
     check_ell(state.ell)
-    w = np.zeros((2, 1 << state.ell), dtype=np.int64)
-    c0 = parity_u32(state.s0 & np.int64(xi)).astype(np.int64)
-    c1 = parity_u32(state.s1 & np.int64(xi)).astype(np.int64) ^ 1
-    np.add.at(w[0], state.s0[c0 == 0], 1)
-    np.add.at(w[1], state.s0[c0 == 1], 1)
-    np.add.at(w[0], state.s1[c1 == 0], 1)
-    np.add.at(w[1], state.s1[c1 == 1], 1)
-    a0, a1 = wht(w)
-    return a0, a1
+    xis = np.asarray(xis, dtype=np.int64)
+    seeds = np.concatenate((state.s0, state.s1))
+    flip = np.repeat(np.array([0, 1], dtype=np.uint8), (len(state.s0), len(state.s1)))
+    rows = 2 * np.arange(len(xis))[:, None] + (parity_u32(xis[:, None] & seeds) ^ flip)
+    indicator = np.zeros((2 * len(xis), 1 << state.ell), dtype=np.int8)
+    indicator[rows, seeds] = 1
+    return wht(indicator).reshape(len(xis), 2, 1 << state.ell)
 
 
 def residual_for_d(state: SupportState, xi: int, d: int) -> ResidualQubit:
@@ -193,8 +198,15 @@ def sample_d(
             qubit = residual_for_d(state, xi, d)
             if qubit.norm2 > 0:
                 return d, qubit
-    # Weights a0^2 + a1^2 sum to 2^ell |state| <= 2^49, exact in int64.
-    a0, a1 = _d_amplitudes(state, xi)
+    return draw_d(d_amplitudes(state, [xi])[0], rng)
+
+
+def draw_d(amps: np.ndarray, rng: np.random.Generator) -> tuple[int, ResidualQubit]:
+    """Draw d from one xi's (2, 2^ell) amplitudes, with weights a0^2 + a1^2.
+
+    The weights sum to 2^ell |state| <= 2^49, exact in int64.
+    """
+    a0, a1 = amps
     d = sample_index(a0 * a0 + a1 * a1, rng)
     return d, ResidualQubit(float(a0[d]), float(a1[d]))
 

@@ -1,10 +1,12 @@
+import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats as sstats
 
-from ivpoq import adversaries, verifier
+from ivpoq import adversaries, coherent_prover, verifier
 from ivpoq.adversaries import (
     ClassicalHonestProver,
     PredictionOracle,
@@ -20,6 +22,7 @@ from ivpoq.adversaries import (
 from ivpoq.coherent_prover import (
     HONEST_UNIQUE_RATE,
     HonestProver,
+    consistent_state,
     d_outcome_law,
     hash_outcome_law,
 )
@@ -186,6 +189,108 @@ def test_claw_prover_memo_follows_prefix_changes():
     assert claw_answers(prover, a) == fresh_a
     assert claw_answers(prover, b) == fresh_b
     assert claw_answers(prover, a) == fresh_a
+
+
+def claw_prefixes(sch, params, big, count, seed=130):
+    """count prefixes a claw-prover session reaches whose post-hash state
+    has more than two seeds (big) or at most two (not big)."""
+    prover = unbounded_claw_prover(sch)
+    found = []
+    for i in range(400):
+        prefix, _ = run_preamble(params, prover.new_session(None), np.random.default_rng([seed, i]))
+        if (consistent_state(sch, prefix[0], prefix[1:]).size > 2) == big:
+            found.append(prefix)
+            if len(found) == count:
+                return prover, found
+    pytest.fail("no suitable prefix found")
+
+
+def memo_of(session, prefix):
+    """The answers a claw-prover session holds for the prefix."""
+    return session._post_hash(*prefix)[2]
+
+
+def scalar_memo(prover, prefix, xis):
+    """The answers a fresh session holds after d, then eta for both v2,
+    of each xi in turn."""
+    session = prover.new_session(None)
+    t, h0, h1, y = prefix
+    for xi in xis:
+        d = session.d_response(t, h0, h1, y, xi)
+        for v2 in (0, 1):
+            session.eta_response(t, h0, h1, y, xi, d, v2)
+    return memo_of(session, prefix)
+
+
+CLAW_CONFIGS = [
+    ("const", 5, {}, {}),
+    ("hm2", 7, {"a": 3}, {"grid_mode": GRID_ORACLE}),
+    ("hm2", 9, {"a": 5}, {"grid_mode": GRID_ORACLE}),
+]
+
+
+@pytest.mark.parametrize("name,ell,skw,pkw", CLAW_CONFIGS)
+def test_prepare_challenges_fills_the_scalar_answers(name, ell, skw, pkw):
+    sch = make_scheme(name, ell, **skw)
+    params = ProtocolParams(scheme=sch, epsilon=0.5, **pkw)
+    prover, prefixes = claw_prefixes(sch, params, big=True, count=2)
+    rng = np.random.default_rng(131)
+    for prefix in prefixes:
+        # every xi, shuffled, with repeats; then a second batch of old and new xis
+        first = np.concatenate((rng.permutation(1 << ell), rng.integers(1 << ell, size=50)))
+        session = prover.new_session(None)
+        session.prepare_challenges(*prefix, first[: len(first) // 2])
+        session.prepare_challenges(*prefix, first)
+        want = scalar_memo(prover, prefix, range(1 << ell))
+        assert memo_of(session, prefix) == want
+        assert len(want) == 3 << ell
+
+
+@pytest.mark.parametrize("name,ell,skw,pkw", CLAW_CONFIGS)
+def test_prepare_challenges_leaves_small_states_to_rejection(name, ell, skw, pkw):
+    sch = make_scheme(name, ell, **skw)
+    params = ProtocolParams(scheme=sch, epsilon=0.5, **pkw)
+    prover, (prefix,) = claw_prefixes(sch, params, big=False, count=1)
+    session = prover.new_session(None)
+    session.prepare_challenges(*prefix, np.arange(1 << ell))
+    assert memo_of(session, prefix) == {}
+
+
+def test_prepare_challenges_chunks_at_the_block_budget(monkeypatch):
+    sch = make_scheme("const", 5)
+    params = ProtocolParams(scheme=sch, epsilon=0.5)
+    prover, (prefix,) = claw_prefixes(sch, params, big=True, count=1)
+    chunks = []
+
+    def recorded(state, xis, _real=coherent_prover.d_amplitudes):
+        chunks.append(len(xis))
+        return _real(state, xis)
+
+    # three xis' worth of amplitudes per chunk
+    monkeypatch.setattr(adversaries, "_BLOCK_BYTES", 3 << (5 + 6))
+    monkeypatch.setattr(coherent_prover, "d_amplitudes", recorded)
+    xis = np.array([9, 4, 9, 30, 1, 17, 4, 22, 8, 0, 13, 2])
+    session = prover.new_session(None)
+    session.prepare_challenges(*prefix, xis)
+    assert chunks == [3, 3, 3, 1]
+    assert memo_of(session, prefix) == scalar_memo(prover, prefix, dict.fromkeys(xis.tolist()))
+
+
+def test_prepare_challenges_memory_stays_within_the_block_budget():
+    # unchunked, 600 xis at ell=12 would hold about 80 MB of transforms
+    sch = make_scheme("hm2", 12, a=6)
+    params = ProtocolParams(scheme=sch, epsilon=0.5, grid_mode=GRID_ORACLE)
+    prover, (prefix,) = claw_prefixes(sch, params, big=True, count=1)
+    session = prover.new_session(None)
+    session.prepare_challenges(*prefix, np.arange(1))  # rebuild the state outside the measurement
+    tracemalloc.start()
+    try:
+        session.prepare_challenges(*prefix, np.arange(1, 601))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(memo_of(session, prefix)) == 3 * 601
+    assert peak < 3 * verifier._BLOCK_BYTES, peak
 
 
 def test_claw_prover_unreachable_prefix_is_a_violation():
@@ -449,6 +554,59 @@ def test_gl_candidates_pass_agreement_filter():
     for s in out:
         agreement = np.mean([(int(x) & s).bit_count() & 1 for x in xis] == answers)
         assert agreement >= 0.5  # soundness floor on the full domain
+
+
+def reference_gl_queries(ell, advantage, confidence, rng):
+    """goldreich_levin's queries in order, drawn and listed by scalar loops."""
+    need = ell / (4.0 * advantage * advantage * confidence)
+    t = min(max(1, int(np.ceil(np.log2(need + 1)))), 14)
+    queries = [1 << i for i in range(ell)]
+    seeds = [int(rng.integers(1 << ell)) for _ in range(t)]
+    combos = [0] * (1 << t)
+    for sigma in range(1, 1 << t):
+        combos[sigma] = combos[sigma & (sigma - 1)] ^ seeds[(sigma & -sigma).bit_length() - 1]
+    for i in range(ell):
+        queries += [c ^ (1 << i) for c in combos[1:]]
+    n_test = max(64, int(np.ceil(8.0 / (advantage * advantage))))
+    queries += [int(rng.integers(1 << ell)) for _ in range(n_test)]
+    return queries
+
+
+@pytest.mark.parametrize("ell,advantage,confidence", [(5, 0.2, 0.25), (12, 0.25, 0.05), (3, 0.5, 0.5)])
+def test_gl_asks_the_scalar_query_sequence(ell, advantage, confidence):
+    log = []
+
+    def fn(xi):
+        log.append(xi)
+        return (xi & 5).bit_count() & 1
+
+    oracle = PredictionOracle(ell=ell, fn=fn)
+    rng, ref_rng = np.random.default_rng(24), np.random.default_rng(24)
+    goldreich_levin(oracle, ell, advantage, confidence, rng)
+    assert log == reference_gl_queries(ell, advantage, confidence, ref_rng)
+    assert oracle.queries == len(log)
+    assert rng.integers(1 << 30) == ref_rng.integers(1 << 30)  # same draws consumed
+
+
+def test_binding_attack_asks_the_scalar_query_sequence(monkeypatch):
+    sch = make_scheme("const", 5)
+    params = ProtocolParams(scheme=sch, epsilon=0.5)
+    log, gl_rngs = [], []
+
+    def recorded(prefix, xi, prover, _real=adversaries.predict_claw_parity):
+        log.append(xi)
+        return _real(prefix, xi, prover)
+
+    def gl(oracle, ell, advantage, confidence, rng, _real=adversaries.goldreich_levin):
+        gl_rngs.append((ell, advantage, confidence, copy.deepcopy(rng)))
+        return _real(oracle, ell, advantage, confidence, rng)
+
+    monkeypatch.setattr(adversaries, "predict_claw_parity", recorded)
+    monkeypatch.setattr(adversaries, "goldreich_levin", gl)
+    res = binding_attack(params, unbounded_claw_prover(sch), np.random.default_rng([7, 0]))
+    (call,) = gl_rngs
+    assert len(log) == res.gl_queries == 840
+    assert log == reference_gl_queries(*call)
 
 
 # the binding attack -------------------------------------------------------------------

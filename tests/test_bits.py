@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ivpoq.bits import dot2, parity, parity_u32, to_hex, from_hex, wht
+from ivpoq.bits import PARITY16, dot2, parity, parity_u32, to_hex, from_hex, wht
 
 
 def test_parity_matches_popcount():
@@ -13,6 +13,20 @@ def test_parity_matches_popcount():
     assert (parity_u32(vals) == expect).all()
     for v in vals[:50]:
         assert parity(int(v)) == int(v).bit_count() % 2
+
+
+def test_parity_table_is_popcount_parity():
+    assert PARITY16.dtype == np.uint8
+    assert PARITY16.tolist() == [v.bit_count() & 1 for v in range(1 << 16)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 24), st.integers(1, 300), st.integers(0, 2**32 - 1))
+def test_integers_batch_equals_scalar_draws(ell, k, seed):
+    # goldreich_levin draws its seeds and test xis k at a time
+    batch = np.random.default_rng(seed).integers(1 << ell, size=k)
+    rng = np.random.default_rng(seed)
+    assert batch.tolist() == [int(rng.integers(1 << ell)) for _ in range(k)]
 
 
 def test_dot2_is_bilinear():
