@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -79,8 +80,38 @@ def one_class_law(xs0: np.ndarray, xs1: np.ndarray, msg: bytes) -> CommitRoundLa
     return CommitRoundLaw(keys, counts, lambda key: msg, lambda key: (xs0, xs1))
 
 
+class ClassTable(NamedTuple):
+    """A table of seed classes: class k is order[starts[k]:starts[k+1]],
+    ascending.  X_{b,t} is class key ^ b for t's transcript_key."""
+
+    order: np.ndarray
+    starts: np.ndarray
+
+    def seeds(self, key: int) -> np.ndarray:
+        """Class `key` as ascending int64 seeds."""
+        return self.order[self.starts[key] : self.starts[key + 1]].astype(np.int64)
+
+
+class ClassRows(NamedTuple):
+    """Rows of sessions, each with its receiver seed's table: orders[i] is
+    row i's seed order and starts[inv[i]] its class starts (int64), one
+    starts row per distinct table."""
+
+    orders: list
+    inv: np.ndarray
+    starts: np.ndarray
+
+    def classes(self, keys: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+        """Class keys[i] of each row's table as a view (its narrow seed
+        dtype) and the views' lengths; a negative key is the empty class."""
+        at = np.maximum(keys, 0)
+        lo = self.starts[self.inv, at]
+        hi = np.where(keys < 0, lo, self.starts[self.inv, at + 1])
+        return [o[s:e] for o, s, e in zip(self.orders, lo.tolist(), hi.tolist())], hi - lo
+
+
 class CommitScheme:
-    """Base class: generic brute-force implementations of everything."""
+    """Base class: the transcript encoding and generic brute-force paths."""
 
     name = "abstract"
     rounds = 1
@@ -104,27 +135,58 @@ class CommitScheme:
         if len(prefix) != want:
             raise ValueError(f"round-{j} prefix must have {want} messages, got {len(prefix)}")
 
+    # the transcript encoding ----------------------------------------------
+    # transcript_key(t) is (r, key): X_{b,t} is class key ^ b of _bucket(r),
+    # a ClassTable, and key is -1 where no seed replays t; a t of the wrong
+    # length raises ValueError.  transcript(r, key) gives t back for
+    # key >= 0, and commit_keys(rows, streams) draws each row's honest
+    # commit key on its SessionStreams row as HonestSession draws each
+    # round.  Unless tables_by_receiver, every receiver seed reads table 0.
+    tables_by_receiver = False
+
+    def transcript_key(self, t: Transcript) -> tuple[int, int]:
+        raise NotImplementedError
+
+    def transcript(self, r: int, key: int) -> Transcript:
+        raise NotImplementedError
+
+    def commit_keys(self, rows: ClassRows, streams) -> np.ndarray:
+        raise NotImplementedError
+
+    def _bucket(self, r: int) -> ClassTable:
+        return self._table
+
+    def rows(self, rs: np.ndarray) -> ClassRows:
+        """The tables of receiver seeds rs, one lookup per distinct table."""
+        rs = rs if self.tables_by_receiver else np.zeros_like(rs)
+        distinct, inv = np.unique(rs, return_inverse=True)
+        tables = [self._bucket(r) for r in distinct.tolist()]
+        starts = np.stack([t.starts for t in tables]).astype(np.int64)
+        return ClassRows([tables[i].order for i in inv.tolist()], inv, starts)
+
+    def _check_length(self, t: Transcript) -> None:
+        if len(t) != 2 * self.rounds:
+            raise ValueError(f"transcript must have {2 * self.rounds} messages")
+
     # derived operations -------------------------------------------------
     def open_verify(self, t: Transcript, b: int, x: int) -> bool:
         """Replay f_j(b, x, .) against the transcript's sender messages."""
-        if len(t) != 2 * self.rounds:
-            raise ValueError(f"transcript must have {2 * self.rounds} messages")
+        self._check_length(t)
         for j in range(1, self.rounds + 1):
             if self.sender_msg(j, b, x, t[: 2 * j - 2]) != t[2 * j - 2]:
                 return False
         return True
 
-    def consistent_mask(self, t: Transcript, b: int) -> np.ndarray:
-        """Boolean mask over {0,1}^ell of seeds replaying every alpha_j."""
-        mask = np.ones(1 << self.ell, dtype=bool)
-        for x in range(1 << self.ell):
-            if mask[x]:
-                mask[x] = self.open_verify(t, b, x)
-        return mask
-
     def consistent_seeds(self, t: Transcript, b: int) -> np.ndarray:
         """X_{b,t}: the seeds replaying every alpha_j, as ascending int64."""
-        return np.flatnonzero(self.consistent_mask(t, b)).astype(np.int64, copy=False)
+        r, key = self.transcript_key(t)
+        return self._bucket(r).seeds(key ^ b) if key >= 0 else np.empty(0, dtype=np.int64)
+
+    def consistent_mask(self, t: Transcript, b: int) -> np.ndarray:
+        """X_{b,t} as a boolean mask over {0,1}^ell."""
+        mask = np.zeros(1 << self.ell, dtype=bool)
+        mask[CommitScheme.consistent_seeds(self, t, b)] = True
+        return mask
 
     def receiver_mask(self, t: Transcript) -> np.ndarray:
         """Mask of receiver seeds r replaying every beta_j of t."""
@@ -185,9 +247,29 @@ class ConstScheme(CommitScheme):
         self._check_round(j, prefix, 1)
         return b""
 
-    def consistent_mask(self, t, b):
-        ok = t == (b"", b"")
-        return np.full(1 << self.ell, ok, dtype=bool)
+    def transcript_key(self, t):
+        self._check_length(t)
+        return 0, (0 if t == (b"", b"") else -1)
+
+    def transcript(self, r, key):
+        return b"", b""
+
+    @cached_property
+    def _table(self) -> ClassTable:
+        # Classes 0 and 1 both hold every seed.
+        n = 1 << self.ell
+        xs = np.arange(n, dtype=np.min_scalar_type(n - 1))
+        starts = np.array([0, n, 2 * n], dtype=np.min_scalar_type(2 * n))
+        return ClassTable(np.concatenate((xs, xs)), starts)
+
+    def commit_keys(self, rows, streams):
+        # Round 1 has one message, seen on all 2^(ell+1) branches.
+        return np.zeros_like(streams.integers(2 << self.ell))
+
+    def consistent_seeds(self, t, b):
+        # Through the mask: perfbench's smoke run requires consistent_mask
+        # calls on bind-const-l5.
+        return np.flatnonzero(self.consistent_mask(t, b)).astype(np.int64, copy=False)
 
     def alpha_partition(self, j, xs0, xs1, prefix):
         return one_class_law(xs0, xs1, b"")
@@ -207,60 +289,28 @@ class IdentScheme(CommitScheme):
         self._check_round(j, prefix, 1)
         return b""
 
-    def consistent_mask(self, t, b):
-        mask = np.zeros(1 << self.ell, dtype=bool)
-        alpha = t[0]
-        if len(alpha) == 1 + (self.ell + 7) // 8 and alpha[0] == b:
-            x = int.from_bytes(alpha[1:], "big")
-            if x < 1 << self.ell:
-                mask[x] = True
-        return mask
+    def transcript_key(self, t):
+        """(0, 2x + b) for t = (b || x, ""), else (0, -1)."""
+        self._check_length(t)
+        if t[1] != b"" or len(t[0]) != 1 + (self.ell + 7) // 8 or t[0][0] > 1:
+            return 0, -1
+        key = int.from_bytes(t[0][1:], "big") << 1 | t[0][0]
+        return 0, (key if key < 2 << self.ell else -1)
 
+    def transcript(self, r, key):
+        return self.sender_msg(1, key & 1, key >> 1, ()), b""
 
-class Hm2Table(NamedTuple):
-    """One receiver seed's F_r table, indexed by message key.
+    @cached_property
+    def _table(self) -> ClassTable:
+        # Class 2x is {x} and class 2x + 1 is empty.
+        n = 1 << self.ell
+        starts = ((np.arange(2 * n + 1) + 1) >> 1).astype(np.min_scalar_type(n))
+        return ClassTable(np.arange(n, dtype=np.min_scalar_type(n - 1)), starts)
 
-    Seed x's round-2 message on branch 0 has key k(x) = F_r(x)<<1 | e_r(x)
-    (branch 1 flips the low bit).  order holds the seeds stably sorted by
-    key, so class k is order[starts[k]:starts[k+1]] and ascending.
-    """
-
-    order: np.ndarray
-    starts: np.ndarray
-
-    def seeds(self, key: int) -> np.ndarray:
-        """Class `key` as ascending int64 seeds."""
-        return self.order[self.starts[key] : self.starts[key + 1]].astype(np.int64)
-
-
-class Hm2Rows(NamedTuple):
-    """Rows of sessions, each with its receiver seed's table: orders[i] is
-    row i's seed order and starts[inv[i]] its class starts (int64), one
-    starts row per distinct seed."""
-
-    orders: list
-    inv: np.ndarray
-    starts: np.ndarray
-
-    def commit_keys(self, us: np.ndarray) -> np.ndarray:
-        """Round 2's key K of each row from the full state, as sample_index
-        picks it with draw u < 2^(ell+1) over the full-state alpha_partition's
-        counts: the cumulative count through key 2m+1 is 2 starts[2m+2] and
-        through key 2m it is starts[2m] + starts[2m+2].  Each table's pair
-        ends, offset by its index times 2^ell + 1, make one ascending array."""
-        width = self.starts[0, -1] + 1
-        ends = self.starts[:, 2::2] + width * np.arange(len(self.starts))[:, None]
-        m = ends.ravel().searchsorted(width * self.inv + (us >> 1), side="right")
-        m -= ends.shape[1] * self.inv
-        return 2 * m + (self.starts[self.inv, 2 * m] + self.starts[self.inv, 2 * m + 2] <= us)
-
-    def classes(self, keys: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-        """Class keys[i] of each row's table as a view (its narrow seed
-        dtype) and the views' lengths; a negative key is the empty class."""
-        at = np.maximum(keys, 0)
-        lo = self.starts[self.inv, at]
-        hi = np.where(keys < 0, lo, self.starts[self.inv, at + 1])
-        return [o[s:e] for o, s, e in zip(self.orders, lo.tolist(), hi.tolist())], hi - lo
+    def commit_keys(self, rows, streams):
+        # HonestSession's round law lists (0, x) for every x, then (1, x).
+        u = streams.integers(2 << self.ell)
+        return 2 * (u & ((1 << self.ell) - 1)) + (u >> self.ell)
 
 
 class Hm2Scheme(CommitScheme):
@@ -274,6 +324,7 @@ class Hm2Scheme(CommitScheme):
 
     name = "hm2"
     rounds = 2
+    tables_by_receiver = True
 
     def __init__(self, ell: int, a: int = 8):
         super().__init__(ell)
@@ -282,14 +333,13 @@ class Hm2Scheme(CommitScheme):
         self.a = a
         self.out_bits = ell - a
         self._seed_bytes = (ell + 7) // 8
-        self._out_bytes = (self.out_bits + 7) // 8
         n = 1 << ell
         self._n_keys = 2 << self.out_bits
         # Narrowest dtypes for keys (a fill temporary), seeds and class
         # offsets; keys of 16 bits or fewer make the stable argsort a radix sort.
         self._dtypes = tuple(np.min_scalar_type(v) for v in (self._n_keys - 1, n - 1, n))
         entry = n * self._dtypes[1].itemsize + (self._n_keys + 1) * self._dtypes[2].itemsize
-        self._buckets: OrderedDict[int, Hm2Table] = OrderedDict()
+        self._buckets: OrderedDict[int, ClassTable] = OrderedDict()
         self._max_cached = max(4, _CACHE_BYTES // entry)
 
     # the compressing function and the extractor -------------------------
@@ -304,8 +354,10 @@ class Hm2Scheme(CommitScheme):
         """e_r(x): GF(2) inner product of the seed mask with x."""
         return (r & x).bit_count() & 1
 
-    def _bucket(self, r: int) -> Hm2Table:
-        """r's table of every seed indexed by message key, cached per receiver seed."""
+    def _bucket(self, r: int) -> ClassTable:
+        """r's table of every seed indexed by message key, cached per receiver
+        seed: seed x's round-2 message on branch 0 has key k(x) = F_r(x)<<1 |
+        e_r(x), and branch 1 flips the low bit."""
         hit = self._buckets.get(r)
         if hit is not None:
             self._buckets.move_to_end(r)
@@ -334,7 +386,7 @@ class Hm2Scheme(CommitScheme):
         keys |= parity_u32(np.arange(n, dtype=np.uint32) & np.uint32(r))
         starts = np.zeros(self._n_keys + 1, dtype=start_t)
         starts[1:] = np.bincount(keys, minlength=self._n_keys).cumsum()
-        table = Hm2Table(np.argsort(keys, kind="stable").astype(seed_t), starts)
+        table = ClassTable(np.argsort(keys, kind="stable").astype(seed_t), starts)
         self._buckets[r] = table
         if len(self._buckets) > self._max_cached:
             self._buckets.popitem(last=False)
@@ -368,35 +420,34 @@ class Hm2Scheme(CommitScheme):
         return r
 
     # structured fast paths --------------------------------------------------
-    def transcript_key(self, t) -> tuple[int, int]:
-        """(r, K) for transcript t: X_{b,t} is class K ^ b of r's table, and
-        K is -1 where no seed replays t.  A t of the wrong length or with a
-        malformed beta_1 raises ValueError."""
-        if len(t) != 4:
-            raise ValueError("transcript must have 4 messages")
+    def transcript_key(self, t):
+        """(r, alpha_2's key) for t = ("", r, alpha_2, ""); a malformed
+        beta_1 raises ValueError."""
+        self._check_length(t)
         if t[0] != b"" or t[3] != b"":
             return 0, -1
         r = self._seed_from_beta1(t[1])
-        alpha2 = t[2]
-        if len(alpha2) != self._out_bytes + 1 or alpha2[-1] > 1:
+        if len(t[2]) != 1 + (self.out_bits + 7) // 8 or t[2][-1] > 1:
             return r, -1
-        key = int.from_bytes(alpha2[:-1], "big") << 1 | alpha2[-1]
+        key = int.from_bytes(t[2][:-1], "big") << 1 | t[2][-1]
         return r, (key if key < self._n_keys else -1)
 
-    def transcript(self, r: int, key: int) -> Transcript:
-        """The transcript whose transcript_key is (r, key), for key >= 0."""
+    def transcript(self, r, key):
         return (b"", to_bytes(r, self.ell), self._decode_key(key), b"")
 
-    def consistent_seeds(self, t, b):
-        r, key = self.transcript_key(t)
-        if key < 0:
-            return np.empty(0, dtype=np.int64)
-        return self._bucket(r).seeds(key ^ b)
-
-    def consistent_mask(self, t, b):
-        mask = np.zeros(1 << self.ell, dtype=bool)
-        mask[self.consistent_seeds(t, b)] = True
-        return mask
+    def commit_keys(self, rows, streams):
+        """Round 1 has one message, seen on all 2^(ell+1) branches.  Round 2
+        picks K with draw u < 2^(ell+1) over the full-state alpha_partition's
+        counts: the cumulative count through key 2m+1 is 2 starts[2m+2] and
+        through key 2m it is starts[2m] + starts[2m+2].  Each table's pair
+        ends, offset by its index times 2^ell + 1, make one ascending array."""
+        streams.integers(2 << self.ell)
+        us = streams.integers(2 << self.ell)
+        width = rows.starts[0, -1] + 1
+        ends = rows.starts[:, 2::2] + width * np.arange(len(rows.starts))[:, None]
+        m = ends.ravel().searchsorted(width * rows.inv + (us >> 1), side="right")
+        m -= ends.shape[1] * rows.inv
+        return 2 * m + (rows.starts[rows.inv, 2 * m] + rows.starts[rows.inv, 2 * m + 2] <= us)
 
     def alpha_partition(self, j, xs0, xs1, prefix):
         if j == 1:
@@ -413,13 +464,6 @@ class Hm2Scheme(CommitScheme):
         return CommitRoundLaw(
             alive, both[alive], self._decode_key, lambda key: (table.seeds(key), table.seeds(key ^ 1))
         )
-
-    def rows(self, rs: np.ndarray) -> "Hm2Rows":
-        """The tables of receiver seeds rs, one lookup per distinct seed."""
-        distinct, inv = np.unique(rs, return_inverse=True)
-        tables = [self._bucket(r) for r in distinct.tolist()]
-        starts = np.stack([t.starts for t in tables]).astype(np.int64)
-        return Hm2Rows([tables[i].order for i in inv.tolist()], inv, starts)
 
     def params_dict(self):
         return {"name": self.name, "ell": self.ell, "a": self.a}

@@ -42,7 +42,7 @@ import numpy as np
 from . import stats
 from .bits import dot2, from_hex, parity_u32, to_hex, wht
 from .coherent_prover import HonestProver, HonestSession, SupportState, eta0_probs
-from .commitment import CommitScheme, Hm2Scheme, Transcript, make_scheme
+from .commitment import CommitScheme, Transcript
 from .hashing import HashColumns, HashFn, eval_segments, hash_columns, sample_hash, sample_hash_pairs
 from .streams import SessionStreams
 
@@ -211,35 +211,31 @@ class SessionBlock(NamedTuple):
     """Sessions as columns: row i is one session's record without its verdict.
 
     cols holds the _COLUMNS fields as int64 columns, 0 where a row's
-    branch has no such field.  An hm2 block holds transcript i as
-    cols["r"][i] and round 2's key cols["key"][i] (transcript_key's, -1
-    where no seed replays it), with ts None; other schemes keep the
-    transcripts ts.  Member 2i + b of hashes is row i's h_b.
+    branch has no such field, and transcript i as cols["r"][i] and
+    cols["key"][i], its scheme's transcript_key (key -1 where no seed
+    replays it).  Member 2i + b of hashes is row i's h_b.
     """
 
     scheme: CommitScheme
-    ts: list | None
     hashes: HashColumns
     cols: dict
 
     @classmethod
     def from_records(cls, scheme: CommitScheme, records: list[SessionRecord]) -> "SessionBlock":
-        """The block of records; an hm2 transcript is parsed once, raising
+        """The block of records; each transcript is parsed once, raising
         ValueError where consistent_seeds would."""
-        ts = [rec.t for rec in records]
         cols = {name: np.array([getattr(rec, name) or 0 for rec in records], dtype=np.int64)
                 for name in _COLUMNS}
-        if isinstance(scheme, Hm2Scheme):
-            parsed = np.array([scheme.transcript_key(t) for t in ts], dtype=np.int64)
-            (cols["r"], cols["key"]), ts = parsed.reshape(-1, 2).T, None
-        return cls(scheme, ts, hash_columns([h for rec in records for h in (rec.h0, rec.h1)]), cols)
+        parsed = np.array([scheme.transcript_key(rec.t) for rec in records], dtype=np.int64)
+        cols["r"], cols["key"] = parsed.reshape(-1, 2).T
+        return cls(scheme, hash_columns([h for rec in records for h in (rec.h0, rec.h1)]), cols)
 
     def records(self) -> list[SessionRecord]:
         """Each row as the SessionRecord that run_session makes for it."""
         scheme, ell, out = self.scheme, self.scheme.ell, []
         for i, vals in enumerate(zip(*(col.tolist() for col in self.cols.values()))):
             row = dict(zip(self.cols, vals))
-            t = self.ts[i] if self.ts is not None else scheme.transcript(row.pop("r"), row.pop("key"))
+            t = scheme.transcript(row.pop("r"), row.pop("key"))
             for name in ("d", "v2", "eta") if row["v1"] == 0 else ("bprime", "xprime"):
                 row[name] = None
             h0, h1 = self.hashes.member(ell, 2 * i), self.hashes.member(ell, 2 * i + 1)
@@ -418,13 +414,13 @@ def run_block(params: ProtocolParams, seed: int, lo: int, hi: int) -> SessionBlo
     default_rng([seed, i])): SessionStreams makes each session's draws on
     that stream, in run_session's order, one numpy pass per draw for the
     whole block, while the deterministic work between draws also runs
-    once per block: hm2's round-2 key, the hash kernel on every session's
-    support, the y law as a segmented sort, and the Hadamard-measurement
-    law as transforms of (rows, 2^ell) matrices.
+    once per block: the commit's key (the scheme's commit_keys), the hash
+    kernel on every session's support, the y law as a segmented sort, and
+    the Hadamard-measurement law as transforms of (rows, 2^ell) matrices.
     """
     ell, scheme, n = params.ell, params.scheme, hi - lo
     streams = SessionStreams(seed, lo, hi)
-    ts, cols, supports = _commit_step(scheme, streams)
+    cols, supports = _commit_step(scheme, streams)
     lens = np.array([len(xs) for xs in supports], dtype=np.int64)
     # Grid index and hash pair.  An honest commit leaves S0 = X_{0,t}.
     js = np.full(n, -1, dtype=np.int64)
@@ -449,37 +445,18 @@ def run_block(params: ProtocolParams, seed: int, lo: int, hi: int) -> SessionBlo
     etas[v1_rows] = streams.random(v1_rows) >= eta0_probs(a0[v1_rows], a1[v1_rows], v2s[v1_rows])
     cols.update(j=js, y=ys, v1=v1s, xi=xis, bprime=bprime, xprime=xprime, d=ds, v2=v2s, eta=etas)
     cols["v2coin"] = streams.integers(8)
-    return SessionBlock(scheme, ts, hashes, cols)
+    return SessionBlock(scheme, hashes, cols)
 
 
 def _commit_step(scheme: CommitScheme, streams: SessionStreams):
-    """Each session's receiver seed r and commit rounds from the full state.
-
-    Returns (ts, cols, supports), the supports ordered [S0 of session 0,
-    S1 of session 0, S0 of session 1, ...].  hm2 reads round 2's key off
-    r's table, so its transcripts are the columns r and key and ts is
-    None; other schemes draw each round's message from its law as
-    HonestSession.commit_message does, for all sessions at once.
-    """
-    n = 1 << scheme.ell
-    rs = streams.integers(n)
-    if isinstance(scheme, Hm2Scheme):
-        streams.integers(2 * n)  # round 1 has one message, seen on all 2n branches
-        rows = scheme.rows(rs)
-        keys = rows.commit_keys(streams.integers(2 * n))
-        (s0, _), (s1, _) = rows.classes(keys), rows.classes(keys ^ 1)
-        return None, {"r": rs, "key": keys}, [xs for pair in zip(s0, s1) for xs in pair]
-    full = SupportState.full(scheme.ell)
-    ts, states = [()] * len(rs), [(full.s0, full.s1)] * len(rs)
-    for j in range(1, scheme.rounds + 1):
-        laws = [scheme.alpha_partition(j, *state, t) for state, t in zip(states, ts)]
-        us = streams.integers([int(law.counts.sum()) for law in laws]).tolist()
-        for i, (law, u, r) in enumerate(zip(laws, us, rs.tolist())):
-            idx = int(law.counts.cumsum(dtype=np.int64).searchsorted(u, side="right"))
-            states[i] = law.split(idx)
-            alpha = law.alpha(idx)
-            ts[i] += (alpha, scheme.receiver_msg(j, r, ts[i] + (alpha,)))
-    return ts, {}, [xs for state in states for xs in state]
+    """Each session's receiver seed r and honest commit key, as the columns
+    r and key, and the supports [S0 of session 0, S1 of session 0, S0 of
+    session 1, ...], the classes key and key ^ 1 of r's table."""
+    rs = streams.integers(1 << scheme.ell)
+    rows = scheme.rows(rs)
+    keys = scheme.commit_keys(rows, streams)
+    (s0, _), (s1, _) = rows.classes(keys), rows.classes(keys ^ 1)
+    return {"r": rs, "key": keys}, [xs for pair in zip(s0, s1) for xs in pair]
 
 
 def _runs(sizes: np.ndarray, budget: int):
@@ -609,45 +586,22 @@ def decide_block(params: ProtocolParams, block: SessionBlock) -> list[tuple[bool
 
 def _count_block(scheme: CommitScheme, block: SessionBlock, rows: np.ndarray, b: int):
     """count_consistent_preimages(scheme, t, h_b, y, b) on the block's rows,
-    as (counts capped at 2, least witnesses, 0 where there is none), hashed
-    in runs of at most _BLOCK_BYTES >> 8 seeds, as in _hash_step."""
+    as (counts capped at 2, least witnesses, 0 where there is none).  X_{b,t}
+    is class key ^ b of r's table, hashed in runs of at most
+    _BLOCK_BYTES >> 8 seeds, as in _hash_step."""
     counts, witness = np.zeros((2, len(rows)), dtype=np.int64)
     if not len(rows):
         return counts, witness
-    lens, sets = _consistent_sets(scheme, block, rows, b)
+    sets, lens = scheme.rows(block.cols["r"][rows]).classes(block.cols["key"][rows] ^ b)
     hashes, ys = block.hashes.take(2 * rows + b), block.cols["y"][rows]
     for a, c in _runs(lens, _BLOCK_BYTES >> 8):
-        xs = np.concatenate(sets(a, c)).astype(np.int64, copy=False)
+        xs = np.concatenate(sets[a:c]).astype(np.int64, copy=False)
         sid = np.repeat(np.arange(a, c), lens[a:c])
         hits = eval_segments(hashes.take(slice(a, c)), xs, lens[a:c]) == ys[sid]
         counts[a:c] = n = np.bincount(sid[hits] - a, minlength=c - a)
         # Each set is ascending, so a row's first hit is its least witness.
         witness[a:c][n > 0] = xs[hits][(np.cumsum(n) - n)[n > 0]]
     return np.minimum(counts, 2), witness
-
-
-def _consistent_sets(scheme: CommitScheme, block: SessionBlock, rows: np.ndarray, b: int):
-    """X_{b,t} of the block's rows as (lens, sets): sets(a, c) lists the
-    ascending seed arrays of rows[a:c].
-
-    hm2 reads each as a class of its receiver seed's table, with one table
-    lookup per distinct seed.  Other schemes call consistent_seeds once per
-    distinct transcript for the lengths, then again in each run that needs
-    it, so only one run's sets are held at a time.
-    """
-    if block.ts is None:
-        views, lens = scheme.rows(block.cols["r"][rows]).classes(block.cols["key"][rows] ^ b)
-        return lens, lambda a, c: views[a:c]
-    index: dict = {}
-    tid = np.array([index.setdefault(block.ts[i], len(index)) for i in rows.tolist()])
-    distinct = list(index)
-    lens = np.array([len(scheme.consistent_seeds(t, b)) for t in distinct], dtype=np.int64)[tid]
-
-    def sets(a, c):
-        built = {k: scheme.consistent_seeds(distinct[k], b) for k in set(tid[a:c].tolist())}
-        return [built[k] for k in tid[a:c].tolist()]
-
-    return lens, sets
 
 
 def tally(params: ProtocolParams, records) -> Counter:

@@ -111,6 +111,17 @@ def test_consistent_sets_const():
     assert sch.consistent_seeds(t, 1).tolist() == list(range(16))
 
 
+@pytest.mark.parametrize("name", ["const", "ident"])
+def test_one_round_consistent_sets_need_a_transcript_a_receiver_sends(name):
+    sch = make_scheme(name, 4)
+    t = run_classical_commit(sch, 1, 5, 0)
+    for bad in ((), t[:1], t + (b"",)):
+        with pytest.raises(ValueError):
+            sch.consistent_seeds(bad, 1)
+    # No receiver seed sends a non-empty beta_1, so no seed is consistent.
+    assert sch.consistent_seeds((t[0], b"\x00"), 1).tolist() == []
+
+
 def test_consistent_sets_hm2_match_independent_scan():
     # the vectorized filter equals a second scan built on the reference
     ell, a = 9, 4

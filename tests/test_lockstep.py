@@ -10,6 +10,7 @@ scheme allows it, both ways of drawing d.
 """
 
 import dataclasses
+import json
 import tracemalloc
 from collections import Counter
 from functools import cache
@@ -23,6 +24,7 @@ from ivpoq.adversaries import ClassicalHonestProver, UnboundedClawProver
 from ivpoq import hashing, verifier
 from ivpoq.coherent_prover import HonestProver, consistent_state
 from ivpoq.commitment import make_scheme
+from builders import replayed_seeds
 from ivpoq.verifier import (
     GRID_ORACLE,
     GRID_UNIFORM,
@@ -152,6 +154,24 @@ def test_estimate_acceptance_engine_matches_scalar_loop(name, ell, kwargs, grid,
 
 
 
+@pytest.mark.parametrize("name", ["const", "ident"])
+def test_honest_estimate_reads_every_x_bt_from_the_class_table(name, monkeypatch):
+    # The engine's commit and V2's counts take X_{b,t} as classes of the
+    # scheme's table for every scheme, so neither calls consistent_seeds
+    # or consistent_mask; the scalar loop, which does, gives the same report.
+    params = _params(name, 5, {}, GRID_ORACLE)
+    want = estimate_acceptance(params, _ScalarHonestProver(params.scheme), STREAM_SESSIONS + 40, seed=13)
+
+    def refuse(*args):
+        raise AssertionError("X_{b,t} read outside the class table")
+
+    for attr in ("consistent_seeds", "consistent_mask"):
+        monkeypatch.setattr(params.scheme, attr, refuse)
+    got = estimate_acceptance(params, HonestProver(params.scheme), STREAM_SESSIONS + 40, seed=13)
+    # As JSON, so that ident's nan unique_rate (no unique claw) compares equal.
+    assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+
+
 PROVERS = {
     "classical-honest": lambda sch: ClassicalHonestProver(sch, 0, 21),
     "unbounded-claw": lambda sch: UnboundedClawProver(sch, b"\x03"),
@@ -244,14 +264,49 @@ def test_honest_estimate_builds_no_record_or_hash_objects(name, ell, kwargs, gri
     assert built == Counter(SessionRecord=1, HashFn=2)
 
 
-_HM2_SESSIONS = 40
+_MALFORMED_SESSIONS = 40
 
 
 @cache
-def _hm2_records():
-    """hm2 ell=6 params and honest records whose transcripts the property replaces."""
-    params = _params("hm2", 6, {"a": 3}, GRID_ORACLE)
-    return params, run_block(params, 11, 0, _HM2_SESSIONS).records()
+def _malformed_base(name):
+    """ell=6 params and honest records whose transcripts the properties replace."""
+    params = _params(name, 6, {"a": 3} if name == "hm2" else {}, GRID_ORACLE)
+    return params, run_block(params, 11, 0, _MALFORMED_SESSIONS).records()
+
+
+def _check_block_of_malformed_records(name, cases):
+    # The records -> block conversion parses each transcript once; the
+    # block's table classes must give consistent_seeds' X_{b,t}, raising
+    # where it raises, which must equal the brute-force replay's wherever
+    # that does not raise, and decide_block must give v2_decide's verdicts.
+    params, base = _malformed_base(name)
+    sch = params.scheme
+    kept, want = [], []
+    for i, t in cases:
+        record = dataclasses.replace(base[i], t=t)
+        try:
+            sets = [sch.consistent_seeds(t, b).tolist() for b in (0, 1)]
+        except ValueError:
+            with pytest.raises(ValueError):
+                SessionBlock.from_records(sch, [record])
+            with pytest.raises(ValueError):
+                v2_decide(params, record)
+            continue
+        for b in (0, 1):
+            try:
+                reference = replayed_seeds(sch, t, b)
+            except ValueError:
+                continue
+            assert sets[b] == reference, (t, b)
+        kept.append(record)
+        want.append(sets)
+    block = SessionBlock.from_records(sch, kept)
+    for b in (0, 1):
+        if kept:
+            views, lens = sch.rows(block.cols["r"]).classes(block.cols["key"] ^ b)
+            assert [xs.tolist() for xs in views] == [sets[b] for sets in want]
+            assert lens.tolist() == [len(sets[b]) for sets in want]
+    assert decide_block(params, block) == [v2_decide(params, record) for record in kept]
 
 
 # hm2 transcripts at ell=6, a=3 (beta_1 one byte, alpha_2 = y0 byte and c
@@ -275,30 +330,31 @@ _HM2_TRANSCRIPTS = st.one_of(
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, _HM2_SESSIONS - 1), _HM2_TRANSCRIPTS), max_size=24))
+@given(st.lists(st.tuples(st.integers(0, _MALFORMED_SESSIONS - 1), _HM2_TRANSCRIPTS), max_size=24))
 def test_block_of_malformed_hm2_records_matches_the_references(cases):
-    # The records -> block conversion parses each transcript once; it must
-    # give consistent_seeds' X_{b,t}, raising where it raises, and
-    # decide_block must give v2_decide's verdicts.
-    params, base = _hm2_records()
-    sch = params.scheme
-    kept, want = [], {0: [], 1: []}
-    for i, t in cases:
-        record = dataclasses.replace(base[i], t=t)
-        try:
-            for b in (0, 1):
-                want[b].append(sch.consistent_seeds(t, b).tolist())
-        except ValueError:
-            with pytest.raises(ValueError):
-                SessionBlock.from_records(sch, [record])
-            with pytest.raises(ValueError):
-                v2_decide(params, record)
-            continue
-        kept.append(record)
-    block = SessionBlock.from_records(sch, kept)
-    for b in (0, 1):
-        if kept:
-            lens, sets = verifier._consistent_sets(sch, block, np.arange(len(kept)), b)
-            assert [xs.tolist() for xs in sets(0, len(kept))] == want[b]
-            assert lens.tolist() == [len(xs) for xs in want[b]]
-    assert decide_block(params, block) == [v2_decide(params, record) for record in kept]
+    _check_block_of_malformed_records("hm2", cases)
+
+
+# One-round transcripts at ell=6 (ident's alpha_1 = b byte and x byte,
+# x < 2^6): a wrong message count, the empty one included, or two messages
+# drawn from well-formed and malformed values (const's empty alpha_1,
+# ident's with b > 1 or x >= 2^6, any bytes, a non-empty beta_1).
+_ONE_ROUND_TRANSCRIPTS = st.one_of(
+    st.lists(st.binary(max_size=2), max_size=4).filter(lambda t: len(t) != 2).map(tuple),
+    st.tuples(
+        st.one_of(
+            st.just(b""),
+            st.tuples(st.integers(0, 1), st.integers(0, 63)).map(bytes),
+            st.tuples(st.integers(0, 3), st.integers(0, 255)).map(bytes),
+            st.binary(max_size=3),
+        ),
+        st.sampled_from([b"", b"", b"\x00"]),
+    ),
+)
+
+
+@pytest.mark.parametrize("name", ["const", "ident"])
+@settings(max_examples=100, deadline=None)
+@given(cases=st.lists(st.tuples(st.integers(0, _MALFORMED_SESSIONS - 1), _ONE_ROUND_TRANSCRIPTS), max_size=24))
+def test_block_of_malformed_one_round_records_matches_the_references(name, cases):
+    _check_block_of_malformed_records(name, cases)

@@ -1,4 +1,5 @@
-"""Every function and class in src/ivpoq has a caller outside the tests.
+"""Every function and class in src/ivpoq has a caller outside the tests,
+and every name a src module imports is used there.
 
 A name defined in src/ivpoq/*.py that no other src line and no
 perfbench/*.py file mentions is API only the tests call: test through
@@ -55,3 +56,32 @@ def _unused_names(src: Path, perfbench: Path) -> list[str]:
 
 def test_every_src_name_has_a_caller_outside_the_tests():
     assert _unused_names(ROOT / "src" / "ivpoq", ROOT / "perfbench") == []
+
+
+# (module, name) imports that the module itself does not use, and why.
+ALLOWED_IMPORTS = {
+    # perfbench/tracing.py patches adversaries.sample_hash.
+    ("adversaries", "sample_hash"),
+}
+
+
+def _unused_imports(src: Path) -> list[str]:
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":  # its imports are the package's re-exports
+            continue
+        tree = ast.parse(path.read_text())
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [alias.asname or alias.name for alias in node.names]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}.{name}" for name in imported
+                   if name not in used and (path.stem, name) not in ALLOWED_IMPORTS]
+    return unused
+
+
+def test_every_src_import_is_used():
+    assert _unused_imports(ROOT / "src" / "ivpoq") == []
