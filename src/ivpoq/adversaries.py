@@ -135,8 +135,8 @@ class UnboundedClawProver(_ReplayableProver):
 
     # exact honest-law sampling, PRF-randomized per query ------------------
     def commit_message(self, j, prefix):
-        state = self._state_for_commit(prefix)
-        law = cp.commit_alpha_law(self.scheme, state, j, prefix)
+        # Only the keyed round splits the state, and it is the last round.
+        law = cp.commit_alpha_law(self.scheme, cp.SupportState.full(self.scheme.ell), j, prefix)
         rng = self._rng("commit", len(prefix).to_bytes(2, "big"), *prefix)
         return law.alpha(cp.sample_index(law.counts, rng))
 
@@ -202,17 +202,6 @@ class UnboundedClawProver(_ReplayableProver):
             raise ProtocolViolation("claw prover queried on unreachable prefix")
         self._memo = ((t, h0, h1, y), (state, _prefix_key(t, h0, h1, y), {}))
         return self._memo[1]
-
-    def _state_for_commit(self, prefix: Transcript) -> cp.SupportState:
-        state = cp.SupportState.full(self.scheme.ell)
-        for jj in range(1, len(prefix) // 2 + 1):
-            sub = prefix[: 2 * jj - 2]
-            law = cp.commit_alpha_law(self.scheme, state, jj, sub)
-            idx = law.index_of(prefix[2 * jj - 2])
-            if idx is None:
-                return cp.SupportState(state.ell, state.s0[:0], state.s1[:0])
-            state = cp.SupportState(state.ell, *law.split(idx))
-        return state
 
 
 def unbounded_claw_prover(scheme: CommitScheme, r: bytes = b"") -> UnboundedClawProver:

@@ -65,12 +65,6 @@ class CommitRoundLaw(NamedTuple):
     def split(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         return self.split_key(int(self.keys[i]))
 
-    def index_of(self, alpha: bytes) -> int | None:
-        for i in range(len(self.counts)):
-            if self.alpha(i) == alpha:
-                return i
-        return None
-
 
 def one_class_law(xs0: np.ndarray, xs1: np.ndarray, msg: bytes) -> CommitRoundLaw:
     """A round whose message is msg on every branch: the state survives whole."""
@@ -111,10 +105,13 @@ class ClassRows(NamedTuple):
 
 
 class CommitScheme:
-    """Base class: the transcript encoding and generic brute-force paths."""
+    """Base class: the transcript encoding, honest commit law and brute-force replays."""
 
     name = "abstract"
     rounds = 1
+    # The one round whose message depends on (b, x), 0 if none: every
+    # other round sends one message on every branch.
+    keyed_round = 0
 
     def __init__(self, ell: int):
         check_ell(ell)
@@ -139,18 +136,14 @@ class CommitScheme:
     # transcript_key(t) is (r, key): X_{b,t} is class key ^ b of _bucket(r),
     # a ClassTable, and key is -1 where no seed replays t; a t of the wrong
     # length raises ValueError.  transcript(r, key) gives t back for
-    # key >= 0, and commit_keys(rows, streams) draws each row's honest
-    # commit key on its SessionStreams row as HonestSession draws each
-    # round.  Unless tables_by_receiver, every receiver seed reads table 0.
+    # key >= 0.  Unless tables_by_receiver, every receiver seed reads
+    # table 0.
     tables_by_receiver = False
 
     def transcript_key(self, t: Transcript) -> tuple[int, int]:
         raise NotImplementedError
 
     def transcript(self, r: int, key: int) -> Transcript:
-        raise NotImplementedError
-
-    def commit_keys(self, rows: ClassRows, streams) -> np.ndarray:
         raise NotImplementedError
 
     def _bucket(self, r: int) -> ClassTable:
@@ -199,34 +192,48 @@ class CommitScheme:
                     break
         return mask
 
-    # coherent-execution fast path ----------------------------------------
+    # the honest commit law ------------------------------------------------
     def alpha_partition(self, j: int, xs0: np.ndarray, xs1: np.ndarray, prefix: Transcript):
         """The exact law of the round-j message over the state (xs0, xs1).
 
-        The generic path calls f_j per element and interns the messages
-        as integer keys; structured schemes override it.
+        The keyed round is read off the full state's table: message key K
+        is seen on branch 0's class K and on branch 1's class K^1, so both
+        keys of a pair (2m, 2m+1) count the pair's seeds, starts[2m+2] -
+        starts[2m], and the splits are slices.  Any other state there
+        raises ValueError.
         """
-        table: dict[bytes, int] = {}
-        inv: list[bytes] = []
-
-        def intern(b: int, xs: np.ndarray) -> np.ndarray:
-            keys = np.empty(len(xs), dtype=np.int64)
-            for i, x in enumerate(xs):
-                msg = self.sender_msg(j, b, int(x), prefix)
-                key = table.get(msg)
-                if key is None:
-                    key = table[msg] = len(inv)
-                    inv.append(msg)
-                keys[i] = key
-            return keys
-
-        keys0 = intern(0, xs0)
-        keys1 = intern(1, xs1)
-        both = np.bincount(keys0, minlength=len(inv)) + np.bincount(keys1, minlength=len(inv))
+        self._check_round(j, prefix, 2 * j - 2)
+        if j != self.keyed_round:
+            return one_class_law(xs0, xs1, self.sender_msg(j, 0, 0, prefix))
+        if len(xs0) != 1 << self.ell or len(xs1) != 1 << self.ell:
+            raise ValueError(f"{self.name} round {j} has a law on the full state only")
+        # The prefix, padded with empty messages, names its receiver seed.
+        r, _ = self.transcript_key(prefix + (b"",) * (2 * self.rounds - len(prefix)))
+        table = self._bucket(r)
+        both = np.repeat(np.diff(table.starts[::2].astype(np.int64)), 2)
         alive = np.flatnonzero(both)
         return CommitRoundLaw(
-            alive, both[alive], inv.__getitem__, lambda key: (xs0[keys0 == key], xs1[keys1 == key])
+            alive, both[alive], lambda key: self.transcript(r, key)[2 * j - 2],
+            lambda key: (table.seeds(key), table.seeds(key ^ 1)),
         )
+
+    def commit_keys(self, rows: ClassRows, streams) -> np.ndarray:
+        """Each row's honest commit key, drawn on its SessionStreams row as
+        HonestSession draws: one integers(2^(ell+1)) a round, every state
+        full.  In the keyed round draw u picks K over alpha_partition's
+        counts: the cumulative count through key 2m+1 is 2 starts[2m+2] and
+        through key 2m it is starts[2m] + starts[2m+2].  Each table's pair
+        ends, offset by its index times 2^ell + 1, make one ascending array."""
+        keys = np.zeros(len(rows.inv), dtype=np.int64)
+        for j in range(1, self.rounds + 1):
+            us = streams.integers(2 << self.ell)
+            if j == self.keyed_round:
+                width = rows.starts[0, -1] + 1
+                ends = rows.starts[:, 2::2] + width * np.arange(len(rows.starts))[:, None]
+                m = ends.ravel().searchsorted(width * rows.inv + (us >> 1), side="right")
+                m -= ends.shape[1] * rows.inv
+                keys = 2 * m + (rows.starts[rows.inv, 2 * m] + rows.starts[rows.inv, 2 * m + 2] <= us)
+        return keys
 
     # housekeeping ---------------------------------------------------------
     def params_dict(self) -> dict:
@@ -262,17 +269,10 @@ class ConstScheme(CommitScheme):
         starts = np.array([0, n, 2 * n], dtype=np.min_scalar_type(2 * n))
         return ClassTable(np.concatenate((xs, xs)), starts)
 
-    def commit_keys(self, rows, streams):
-        # Round 1 has one message, seen on all 2^(ell+1) branches.
-        return np.zeros_like(streams.integers(2 << self.ell))
-
     def consistent_seeds(self, t, b):
         # Through the mask: perfbench's smoke run requires consistent_mask
         # calls on bind-const-l5.
         return np.flatnonzero(self.consistent_mask(t, b)).astype(np.int64, copy=False)
-
-    def alpha_partition(self, j, xs0, xs1, prefix):
-        return one_class_law(xs0, xs1, b"")
 
 
 class IdentScheme(CommitScheme):
@@ -280,6 +280,7 @@ class IdentScheme(CommitScheme):
 
     name = "ident"
     rounds = 1
+    keyed_round = 1
 
     def sender_msg(self, j, b, x, prefix):
         self._check_round(j, prefix, 0)
@@ -307,11 +308,6 @@ class IdentScheme(CommitScheme):
         starts = ((np.arange(2 * n + 1) + 1) >> 1).astype(np.min_scalar_type(n))
         return ClassTable(np.arange(n, dtype=np.min_scalar_type(n - 1)), starts)
 
-    def commit_keys(self, rows, streams):
-        # HonestSession's round law lists (0, x) for every x, then (1, x).
-        u = streams.integers(2 << self.ell)
-        return 2 * (u & ((1 << self.ell) - 1)) + (u >> self.ell)
-
 
 class Hm2Scheme(CommitScheme):
     """Two rounds, statistically hiding for ell - a >> 1.
@@ -324,6 +320,7 @@ class Hm2Scheme(CommitScheme):
 
     name = "hm2"
     rounds = 2
+    keyed_round = 2
     tables_by_receiver = True
 
     def __init__(self, ell: int, a: int = 8):
@@ -419,7 +416,7 @@ class Hm2Scheme(CommitScheme):
             raise ValueError("malformed receiver message")
         return r
 
-    # structured fast paths --------------------------------------------------
+    # the transcript encoding ----------------------------------------------
     def transcript_key(self, t):
         """(r, alpha_2's key) for t = ("", r, alpha_2, ""); a malformed
         beta_1 raises ValueError."""
@@ -434,36 +431,6 @@ class Hm2Scheme(CommitScheme):
 
     def transcript(self, r, key):
         return (b"", to_bytes(r, self.ell), self._decode_key(key), b"")
-
-    def commit_keys(self, rows, streams):
-        """Round 1 has one message, seen on all 2^(ell+1) branches.  Round 2
-        picks K with draw u < 2^(ell+1) over the full-state alpha_partition's
-        counts: the cumulative count through key 2m+1 is 2 starts[2m+2] and
-        through key 2m it is starts[2m] + starts[2m+2].  Each table's pair
-        ends, offset by its index times 2^ell + 1, make one ascending array."""
-        streams.integers(2 << self.ell)
-        us = streams.integers(2 << self.ell)
-        width = rows.starts[0, -1] + 1
-        ends = rows.starts[:, 2::2] + width * np.arange(len(rows.starts))[:, None]
-        m = ends.ravel().searchsorted(width * rows.inv + (us >> 1), side="right")
-        m -= ends.shape[1] * rows.inv
-        return 2 * m + (rows.starts[rows.inv, 2 * m] + rows.starts[rows.inv, 2 * m + 2] <= us)
-
-    def alpha_partition(self, j, xs0, xs1, prefix):
-        if j == 1:
-            return one_class_law(xs0, xs1, b"")
-        if len(xs0) != 1 << self.ell or len(xs1) != 1 << self.ell:
-            return super().alpha_partition(j, xs0, xs1, prefix)
-        # The full state (its seeds are distinct): message key K is seen on
-        # branch 0's class K and on branch 1's class K^1, so both keys of a
-        # pair (2m, 2m+1) count the pair's seeds, starts[2m+2] - starts[2m],
-        # and the splits are slices.
-        table = self._bucket(self._seed_from_beta1(prefix[1]))
-        both = np.repeat(np.diff(table.starts[::2].astype(np.int64)), 2)
-        alive = np.flatnonzero(both)
-        return CommitRoundLaw(
-            alive, both[alive], self._decode_key, lambda key: (table.seeds(key), table.seeds(key ^ 1))
-        )
 
     def params_dict(self):
         return {"name": self.name, "ell": self.ell, "a": self.a}

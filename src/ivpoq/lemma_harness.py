@@ -271,6 +271,14 @@ def coherent_transcript_law(scheme: CommitScheme) -> dict[Transcript, Fraction]:
     return law
 
 
+def replayed_seeds(scheme: CommitScheme, t: Transcript, b: int) -> list[int]:
+    """X_{b,t} by brute force: the seeds x that open_verify(t, b, x) accepts,
+    or none when no receiver seed sends t's receiver messages.  Raises
+    ValueError where open_verify or receiver_mask does."""
+    xs = [x for x in range(1 << scheme.ell) if scheme.open_verify(t, b, x)]
+    return xs if scheme.receiver_mask(t).any() else []
+
+
 def check_transcript_identity(
     scheme: CommitScheme,
     trials: int = 0,
@@ -279,7 +287,8 @@ def check_transcript_identity(
     """Three-way check of Pr[t] = (|R_t|/2^ell) (|X0|+|X1|)/2^(ell+1).
 
     Exact legs: (1) the coherent-run tree law, (2) the identity's right
-    side with R_t and the consistency sets brute-forced, (3) the
+    side with R_t and the consistency sets brute-forced by replaying the
+    message functions, never the class tables, (3) the
     classical law (|R_t|/2^ell)(|X_b|+...)/2 from full (b, x, r)
     enumeration.  All three must agree as exact rationals.  With
     trials > 0 an empirical leg samples coherent runs and checks each
@@ -297,8 +306,7 @@ def check_transcript_identity(
         c0, c1 = classical.get(t, (0, 0))
         p_classical = Fraction(c0 + c1, 2 * n * n)
         r_t = int(scheme.receiver_mask(t).sum())
-        size0 = int(scheme.consistent_mask(t, 0).sum())
-        size1 = int(scheme.consistent_mask(t, 1).sum())
+        size0, size1 = (len(replayed_seeds(scheme, t, b)) for b in (0, 1))
         p_identity = Fraction(r_t, n) * Fraction(size0 + size1, 2 * n)
         if not (p_tree == p_classical == p_identity):
             mismatch = {

@@ -231,11 +231,15 @@ class SessionBlock(NamedTuple):
         return cls(scheme, hash_columns([h for rec in records for h in (rec.h0, rec.h1)]), cols)
 
     def records(self) -> list[SessionRecord]:
-        """Each row as the SessionRecord that run_session makes for it."""
+        """Each row as the SessionRecord that run_session makes for it; a row
+        whose transcript no seed replays (key -1) raises ValueError."""
         scheme, ell, out = self.scheme, self.scheme.ell, []
         for i, vals in enumerate(zip(*(col.tolist() for col in self.cols.values()))):
             row = dict(zip(self.cols, vals))
-            t = scheme.transcript(row.pop("r"), row.pop("key"))
+            r, key = row.pop("r"), row.pop("key")
+            if key < 0:
+                raise ValueError(f"row {i}: the block keeps no transcript that no seed replays")
+            t = scheme.transcript(r, key)
             for name in ("d", "v2", "eta") if row["v1"] == 0 else ("bprime", "xprime"):
                 row[name] = None
             h0, h1 = self.hashes.member(ell, 2 * i), self.hashes.member(ell, 2 * i + 1)

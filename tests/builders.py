@@ -1,9 +1,10 @@
 """Small fixtures the tests share: a support state from any seed collections,
-the identity hash and X_{b,t} by brute-force replay."""
+the identity hash and the round law by interning every branch's message."""
 
 import numpy as np
 
 from ivpoq.coherent_prover import SupportState
+from ivpoq.commitment import CommitRoundLaw
 from ivpoq.hashing import HashFn
 
 
@@ -21,9 +22,27 @@ def identity_hash(ell: int) -> HashFn:
     return HashFn(ell=ell, k=1 << ell, a=1, b=0, p=(1 << 61) - 1)
 
 
-def replayed_seeds(scheme, t, b) -> list[int]:
-    """X_{b,t} by brute force: the seeds x that open_verify(t, b, x) accepts,
-    or none when no receiver seed sends t's receiver messages.  Raises
-    ValueError where open_verify or receiver_mask does."""
-    xs = [x for x in range(1 << scheme.ell) if scheme.open_verify(t, b, x)]
-    return xs if scheme.receiver_mask(t).any() else []
+def interned_law(scheme, j, xs0, xs1, prefix) -> CommitRoundLaw:
+    """The exact law of the round-j message over (xs0, xs1) by calling f_j
+    on every branch and interning the messages as integer keys, in the
+    order they are first sent: the reference for alpha_partition."""
+    table: dict[bytes, int] = {}
+    inv: list[bytes] = []
+
+    def intern(b, xs):
+        keys = np.empty(len(xs), dtype=np.int64)
+        for i, x in enumerate(xs):
+            msg = scheme.sender_msg(j, b, int(x), prefix)
+            key = table.get(msg)
+            if key is None:
+                key = table[msg] = len(inv)
+                inv.append(msg)
+            keys[i] = key
+        return keys
+
+    keys0, keys1 = intern(0, xs0), intern(1, xs1)
+    both = np.bincount(keys0, minlength=len(inv)) + np.bincount(keys1, minlength=len(inv))
+    alive = np.flatnonzero(both)
+    return CommitRoundLaw(
+        alive, both[alive], inv.__getitem__, lambda key: (xs0[keys0 == key], xs1[keys1 == key])
+    )

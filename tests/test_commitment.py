@@ -5,9 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from builders import interned_law
 from ivpoq import commitment
 from ivpoq.commitment import (
-    CommitScheme,
     hiding_distance,
     make_scheme,
     run_classical_commit,
@@ -169,34 +169,50 @@ def _law_by_alpha(law):
     return out
 
 
-@pytest.mark.parametrize("ell,a,r", [(5, 4, 0), (6, 3, 17), (8, 4, 200), (9, 1, 313), (12, 8, 4095)])
-def test_hm2_indexed_partition_equals_generic_law(ell, a, r):
-    # The indexed law on the full state (class offsets and slices) against
-    # the base class's per-seed sender_msg path; other states take that path.
-    sch = make_scheme("hm2", ell, a=a)
+@pytest.mark.parametrize(
+    "name,ell,kwargs,r",
+    [
+        ("hm2", 5, {"a": 4}, 0),
+        ("hm2", 6, {"a": 3}, 17),
+        ("hm2", 8, {"a": 4}, 200),
+        ("hm2", 9, {"a": 1}, 313),
+        ("hm2", 12, {"a": 8}, 4095),
+        ("ident", 6, {}, 5),
+        ("const", 5, {}, 9),
+    ],
+    ids=["hm2-5-4-0", "hm2-6-3-17", "hm2-8-4-200", "hm2-9-1-313", "hm2-12-8-4095", "ident-6-5", "const-5-9"],
+)
+def test_commit_law_equals_the_interned_law(name, ell, kwargs, r):
+    # Every round's law on the full state against the reference that calls
+    # f_j on every branch: one message outside the keyed round, the class
+    # table (no message computed) in it, where no other state has a law.
+    sch = make_scheme(name, ell, **kwargs)
     n = 1 << ell
-    prefix = (b"", r.to_bytes((ell + 7) // 8, "big"))
     full = np.arange(n, dtype=np.int64)
     sparse0 = full[::3]
     sparse1 = np.flatnonzero(np.random.default_rng([ell, r]).random(n) < 0.4).astype(np.int64)
+    t = run_classical_commit(sch, 0, 0, r)
     sender_msg, calls = sch.sender_msg, []
     sch.sender_msg = lambda *args: calls.append(args) or sender_msg(*args)
-    law = sch.alpha_partition(2, full, full.copy(), prefix)
-    assert len(calls) == 0  # read off the table, no message computed
-    alphas = [law.alpha(i) for i in range(len(law.counts))]
-    # Ascending message order is ascending key order, the order draws use.
-    assert alphas == sorted(alphas) and len(set(alphas)) == len(alphas)
-    assert law.counts.dtype == np.int64 and law.counts.min() > 0
-    assert _law_by_alpha(law) == _law_by_alpha(CommitScheme.alpha_partition(sch, 2, full, full, prefix))
-    for i in range(len(law.counts)):
-        s0, s1 = law.split(i)
-        assert s0.dtype == s1.dtype == np.int64
-        assert law.index_of(law.alpha(i)) == i
-    # A state that is not full has no class structure to read off.
-    calls.clear()
-    law = sch.alpha_partition(2, sparse0, sparse1, prefix)
-    assert len(calls) == len(sparse0) + len(sparse1)  # one message per branch
-    assert _law_by_alpha(law) == _law_by_alpha(CommitScheme.alpha_partition(sch, 2, sparse0, sparse1, prefix))
+    for j in range(1, sch.rounds + 1):
+        prefix = t[: 2 * j - 2]
+        keyed = j == sch.keyed_round
+        calls.clear()
+        law = sch.alpha_partition(j, full, full.copy(), prefix)
+        assert len(calls) == (0 if keyed else 1)
+        assert law.counts.dtype == np.int64 and law.counts.min() > 0
+        assert (np.diff(law.keys) > 0).all()  # the order draws use
+        assert _law_by_alpha(law) == _law_by_alpha(interned_law(sch, j, full, full, prefix))
+        for i in range(len(law.counts)):
+            s0, s1 = law.split(i)
+            assert s0.dtype == s1.dtype == np.int64
+        if keyed:
+            with pytest.raises(ValueError):
+                sch.alpha_partition(j, sparse0, sparse1, prefix)
+        else:
+            law = sch.alpha_partition(j, sparse0, sparse1, prefix)
+            assert _law_by_alpha(law) == _law_by_alpha(interned_law(sch, j, sparse0, sparse1, prefix))
+    assert sch.keyed_round == {"hm2": 2, "ident": 1, "const": 0}[name]
 
 
 def test_one_class_rounds_keep_the_state():

@@ -31,6 +31,15 @@ GOLDEN = {
          "--trials", "1000", "--seed", "2"],
         "e668a7a44a9d141390b1599373a2aa68ba9e7355b565b984c4dec560053bc841",
     ),
+    "completeness-ident-l6": (
+        ["completeness", "--scheme", "ident", "--ell", "6", "--epsilon", "0.5",
+         "--trials", "1000", "--seed", "2"],
+        "4e74eb9e26391853b9085791c4609d0f444a44e836544ca232dad722f7943385",
+    ),
+    "run-ident-l6": (
+        ["run", "--scheme", "ident", "--ell", "6", "--epsilon", "0.5", "--seed", "2"],
+        "6197cf43ccf1818102a022468a04b8a353cf0de61c4552e9f3fcc55eff88cb01",
+    ),
     "soundness-classical-honest-hm2-l6": (
         ["soundness", "--scheme", "hm2", "--ell", "6", "--a", "3", "--trials", "400",
          "--seed", "2", "--prover", "classical-honest", "--r-grid", "4"],

@@ -24,7 +24,7 @@ from ivpoq.adversaries import ClassicalHonestProver, UnboundedClawProver
 from ivpoq import hashing, verifier
 from ivpoq.coherent_prover import HonestProver, consistent_state
 from ivpoq.commitment import make_scheme
-from builders import replayed_seeds
+from ivpoq.lemma_harness import replayed_seeds
 from ivpoq.verifier import (
     GRID_ORACLE,
     GRID_UNIFORM,
@@ -307,6 +307,19 @@ def _check_block_of_malformed_records(name, cases):
             assert [xs.tolist() for xs in views] == [sets[b] for sets in want]
             assert lens.tolist() == [len(sets[b]) for sets in want]
     assert decide_block(params, block) == [v2_decide(params, record) for record in kept]
+
+
+@pytest.mark.parametrize("name", ["hm2", "const", "ident"])
+def test_block_records_refuse_a_transcript_no_seed_replays(name):
+    # A block keeps a transcript as (r, key) only; a row of key -1 has no
+    # transcript to give back.
+    params, base = _malformed_base(name)
+    bad = dataclasses.replace(base[1], t=(b"\x05\x05\x05",) + base[1].t[1:])
+    block = SessionBlock.from_records(params.scheme, [base[0], bad])
+    assert block.cols["key"][1] == -1
+    with pytest.raises(ValueError, match="row 1"):
+        block.records()
+    assert SessionBlock.from_records(params.scheme, [base[0]]).records() == [base[0]]
 
 
 # hm2 transcripts at ell=6, a=3 (beta_1 one byte, alpha_2 = y0 byte and c
