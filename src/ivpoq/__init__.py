@@ -29,7 +29,6 @@ from .adversaries import (
 from .coherent_prover import (
     HONEST_UNIQUE_RATE,
     HonestProver,
-    ResidualQubit,
     SupportState,
     answer_v0,
     measure_hash,

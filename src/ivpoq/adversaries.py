@@ -31,10 +31,10 @@ import numpy as np
 
 from . import coherent_prover as cp
 from .bits import check_ell, dot2, parity_u32, rng_from_key
+from .coherent_prover import _BLOCK_BYTES
 from .commitment import CommitScheme, Transcript
 from .hashing import HashFn
 from .verifier import (
-    _BLOCK_BYTES,
     ProtocolParams,
     ProtocolViolation,
     check_reply,
@@ -170,9 +170,10 @@ class UnboundedClawProver(_ReplayableProver):
         """Draw the d and both eta answers of every xi not yet answered.
 
         The answers are the ones d_response and eta_response would give,
-        from the same per-query coins; only their amplitudes come from one
-        WHT per chunk of xis, each chunk's arrays within _BLOCK_BYTES.  A
-        state of at most two seeds is left to sample_d's rejection path.
+        from the same per-query coins: each xi's u is sample_d's one draw
+        on its "d" coins, and hadamard_draws measures a chunk of xis at a
+        time, each chunk's arrays within _BLOCK_BYTES.  A state of at most
+        two seeds is left to sample_d's rejection path.
         """
         state, key, memo = self._post_hash(t, h0, h1, y)
         if state.size <= 2:
@@ -181,10 +182,12 @@ class UnboundedClawProver(_ReplayableProver):
         step = max(1, _BLOCK_BYTES >> (state.ell + 6))
         for lo in range(0, len(new), step):
             chunk = new[lo : lo + step]
-            for xi, amps in zip(chunk, cp.d_amplitudes(state, chunk)):
-                d, qubit = memo["d", xi] = cp.draw_d(amps, self._rng("d", key, xi))
+            us = [self._rng("d", key, xi).integers(state.size << state.ell) for xi in chunk]
+            drawn = cp.hadamard_draws(state.ell, *state.segments(len(chunk)), chunk, us)
+            for xi, (d, a0, a1) in zip(chunk, drawn.T.tolist()):
+                memo["d", xi] = d, (a0, a1)
                 for v2 in (0, 1):
-                    memo["eta", xi, d, v2] = self._eta(qubit, key, xi, d, v2)
+                    memo["eta", xi, d, v2] = self._eta((a0, a1), key, xi, d, v2)
 
     def _eta(self, qubit, key, xi, d, v2):
         return cp.measure_rotated(qubit, v2, self._rng("eta", key, xi, d, v2))

@@ -31,6 +31,13 @@ SIN_PI8 = np.sin(np.pi / 8)
 # 1/2 * 1 + 1/2 * cos^2(pi/8).
 HONEST_UNIQUE_RATE = 0.5 + 0.5 * COS_PI8**2
 
+# Bytes of the largest arrays of a batched step.  The engine's hash step and
+# V2's counts take _BLOCK_BYTES >> 8 seeds at a time, and their kernel makes
+# about a dozen int64 arrays of that length; hadamard_draws takes
+# _BLOCK_BYTES >> (ell + 6) measurements at a time, each with about four
+# arrays of 2 x 2^ell int64 (amplitudes, the transform's buffer, weights).
+_BLOCK_BYTES = 1 << 20
+
 
 class EmptyStateError(RuntimeError):
     """Raised when a measurement is asked of a state with empty support."""
@@ -54,24 +61,17 @@ class SupportState:
     def size(self) -> int:
         return len(self.s0) + len(self.s1)
 
+    def segments(self, copies: int = 1):
+        """hadamard_draws' seeds and segments for copies measurements of the state."""
+        seg = np.repeat(np.arange(2 * copies), np.tile((len(self.s0), len(self.s1)), copies))
+        return np.tile(np.concatenate((self.s0, self.s1)), copies), seg
+
 
 @lru_cache(maxsize=4)  # a process uses one or two lengths; each array is 8 * 2^ell bytes
 def _all_seeds(ell: int) -> np.ndarray:
     xs = np.arange(1 << ell, dtype=np.int64)
     xs.setflags(write=False)
     return xs
-
-
-@dataclass
-class ResidualQubit:
-    """Unnormalized real amplitudes (a0, a1) after the d-measurement."""
-
-    a0: float
-    a1: float
-
-    @property
-    def norm2(self) -> float:
-        return self.a0 * self.a0 + self.a1 * self.a1
 
 
 def sample_index(counts: np.ndarray, rng: np.random.Generator) -> int:
@@ -145,48 +145,65 @@ def d_outcome_law(state: SupportState, xi: int):
                 + sum_{x in S1, xi.x=c^1} (-1)^(d.x),
     Pr[d] = (a_0(d)^2 + a_1(d)^2) / (2^ell * |state|) and the residual
     qubit is (a_0(d), a_1(d)).  Computed with one integer Walsh-Hadamard
-    transform of the two indicator rows (d_amplitudes); everything before
-    the final normalization is exact integer arithmetic.
-    """
-    ((a0, a1),) = d_amplitudes(state, [xi])
-    probs = (a0 * a0 + a1 * a1) / ((1 << state.ell) * state.size)
-    return probs, a0, a1
-
-
-def d_amplitudes(state: SupportState, xis) -> np.ndarray:
-    """Integer amplitudes a_c(d) for every d, one (2, 2^ell) slice per xi.
-
-    Row c of xi's slice indicates the seeds x of S0 with xi.x = c and of
-    S1 with xi.x ^ 1 = c; one WHT over all 2 len(xis) rows gives the
-    amplitudes, of shape (len(xis), 2, 2^ell).  A seed lies at most once
-    in each branch and in different rows for the two, so each row is a
-    0/1 indicator.
+    transform of the two indicator rows; everything before the final
+    normalization is exact integer arithmetic.  The tests' reference for
+    hadamard_draws, so it builds its rows on its own.
     """
     if state.size == 0:
         raise EmptyStateError("measurement on empty state")
     check_ell(state.ell)
-    xis = np.asarray(xis, dtype=np.int64)
-    seeds = np.concatenate((state.s0, state.s1))
-    flip = np.repeat(np.array([0, 1], dtype=np.uint8), (len(state.s0), len(state.s1)))
-    rows = 2 * np.arange(len(xis))[:, None] + (parity_u32(xis[:, None] & seeds) ^ flip)
-    indicator = np.zeros((2 * len(xis), 1 << state.ell), dtype=np.int8)
-    indicator[rows, seeds] = 1
-    return wht(indicator).reshape(len(xis), 2, 1 << state.ell)
+    indicator = np.zeros((2, 1 << state.ell), dtype=np.int8)
+    indicator[parity_u32(xi & state.s0), state.s0] = 1
+    indicator[parity_u32(xi & state.s1) ^ 1, state.s1] = 1
+    a0, a1 = wht(indicator)
+    probs = (a0 * a0 + a1 * a1) / ((1 << state.ell) * state.size)
+    return probs, a0, a1
 
 
-def residual_for_d(state: SupportState, xi: int, d: int) -> ResidualQubit:
+def hadamard_draws(ell: int, xs, seg, xis, us) -> np.ndarray:
+    """The Hadamard-basis measurement of many states: (d, a_0(d), a_1(d)) each.
+
+    Measurement w holds the seeds xs in segments 2w + b (branch b), with
+    seg ascending.  Seed x of branch b is a 1 in row 2w + (xis[w].x ^ b)
+    of a (2 len(xis), 2^ell) indicator matrix, and one WHT of it gives
+    the amplitudes a_c(d) of every measurement; transforms run
+    _BLOCK_BYTES >> (ell + 6) measurements at a time.  d is the least
+    index whose cumulative weight a_0^2 + a_1^2 exceeds us[w], which is
+    sample_index's rule for u drawn as integers(2^ell * |S_w|): the
+    weights sum to 2^ell times the measurement's seeds.  Returns a
+    (3, len(xis)) int64 array of d, a_0(d) and a_1(d).
+    """
+    xis, us = np.asarray(xis, dtype=np.int64), np.asarray(us, dtype=np.int64)
+    rows = seg ^ parity_u32(xs & xis[seg >> 1])
+    out = np.zeros((3, len(xis)), dtype=np.int64)
+    step = max(1, _BLOCK_BYTES >> (ell + 6))
+    for c in range(0, len(xis), step):
+        part = slice(*np.searchsorted(seg, [2 * c, 2 * (c + step)]))
+        at = np.arange(c, min(c + step, len(xis)))
+        indicator = np.zeros((2 * len(at), 1 << ell), dtype=np.int8)
+        indicator[rows[part] - 2 * c, xs[part]] = 1
+        amps = wht(indicator).reshape(len(at), 2, 1 << ell)
+        weights = amps[:, 0] * amps[:, 0]
+        weights += amps[:, 1] * amps[:, 1]
+        d = (np.cumsum(weights, axis=1, out=weights) <= us[at, None]).sum(axis=1)
+        out[:, at] = d, amps[at - c, 0, d], amps[at - c, 1, d]
+    return out
+
+
+def residual_for_d(state: SupportState, xi: int, d: int) -> tuple[int, int]:
     """The residual amplitudes (a0(d), a1(d)) without a full transform."""
     a = [0, 0]
     for x in state.s0:
         a[dot2(xi, int(x))] += -1 if dot2(d, int(x)) else 1
     for x in state.s1:
         a[dot2(xi, int(x)) ^ 1] += -1 if dot2(d, int(x)) else 1
-    return ResidualQubit(float(a[0]), float(a[1]))
+    return a[0], a[1]
 
 
 def sample_d(
     state: SupportState, xi: int, rng: np.random.Generator
-) -> tuple[int, ResidualQubit]:
+) -> tuple[int, tuple[int, int]]:
+    """d and the residual amplitudes (a0(d), a1(d)) it leaves."""
     if state.size <= 2:
         # One or two support points: Pr[d] is uniform on the subcube where
         # the two amplitudes do not cancel, so rejection sampling is exact
@@ -196,19 +213,11 @@ def sample_d(
         while True:
             d = int(rng.integers(1 << state.ell))
             qubit = residual_for_d(state, xi, d)
-            if qubit.norm2 > 0:
+            if qubit != (0, 0):
                 return d, qubit
-    return draw_d(d_amplitudes(state, [xi])[0], rng)
-
-
-def draw_d(amps: np.ndarray, rng: np.random.Generator) -> tuple[int, ResidualQubit]:
-    """Draw d from one xi's (2, 2^ell) amplitudes, with weights a0^2 + a1^2.
-
-    The weights sum to 2^ell |state| <= 2^49, exact in int64.
-    """
-    a0, a1 = amps
-    d = sample_index(a0 * a0 + a1 * a1, rng)
-    return d, ResidualQubit(float(a0[d]), float(a1[d]))
+    u = rng.integers(state.size << state.ell)
+    d, a0, a1 = hadamard_draws(state.ell, *state.segments(), [xi], [u])[:, 0].tolist()
+    return d, (a0, a1)
 
 
 def eta0_probs(a0, a1, v2):
@@ -219,14 +228,15 @@ def eta0_probs(a0, a1, v2):
     return amp * amp / (a0 * a0 + a1 * a1)
 
 
-def eta0_prob(qubit: ResidualQubit, v2: int) -> float:
-    """eta0_probs on one residual qubit, which must not be zero."""
-    if qubit.norm2 <= 0.0:
+def eta0_prob(qubit: tuple, v2: int) -> float:
+    """eta0_probs on one residual qubit (a0, a1), which must not be zero."""
+    a0, a1 = qubit
+    if a0 == 0 and a1 == 0:
         raise EmptyStateError("rotated measurement on a zero vector")
-    return eta0_probs(qubit.a0, qubit.a1, v2)
+    return eta0_probs(a0, a1, v2)
 
 
-def measure_rotated(qubit: ResidualQubit, v2: int, rng: np.random.Generator) -> int:
+def measure_rotated(qubit: tuple, v2: int, rng: np.random.Generator) -> int:
     return 0 if rng.random() < eta0_prob(qubit, v2) else 1
 
 
@@ -261,7 +271,7 @@ class HonestSession:
         self.scheme = scheme
         self.rng = rng
         self.state = SupportState.full(scheme.ell)
-        self.qubit: ResidualQubit | None = None
+        self.qubit: tuple[int, int] | None = None
 
     def commit_message(self, j: int, prefix: Transcript) -> bytes:
         law = commit_alpha_law(self.scheme, self.state, j, prefix)

@@ -27,7 +27,6 @@ make: existence, witness search, and a second-element check.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from collections import Counter
@@ -40,8 +39,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import stats
-from .bits import dot2, from_hex, parity_u32, to_hex, wht
-from .coherent_prover import HonestProver, HonestSession, SupportState, eta0_probs
+from .bits import dot2, from_hex, parity_u32, to_hex
+from .coherent_prover import (
+    _BLOCK_BYTES, HonestProver, HonestSession, SupportState, eta0_probs, hadamard_draws
+)
 from .commitment import CommitScheme, Transcript
 from .hashing import HashColumns, HashFn, eval_segments, hash_columns, sample_hash, sample_hash_pairs
 from .streams import SessionStreams
@@ -81,24 +82,29 @@ def grid_sizes(ell: int, epsilon: float) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=256)
-def _grid_caps(ell: int, epsilon: float) -> tuple[int, ...]:
-    """floor((1+epsilon) k_j) for each grid size, in exact rationals."""
-    one_plus_eps = 1 + Fraction(epsilon)
-    return tuple(math.floor(one_plus_eps * k) for k in grid_sizes(ell, epsilon))
+def _grid_bounds(ell: int, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """The grid sizes k_j and floor((1+epsilon) k_j), in exact rationals, as arrays."""
+    ks = grid_sizes(ell, epsilon)
+    return np.array(ks), np.array([math.floor((1 + Fraction(epsilon)) * k) for k in ks])
 
 
-def grid_brackets(ell: int, epsilon: float, size0: int) -> range:
-    """The grid indices j with k_j <= 2*size0 <= (1+epsilon) k_j, ascending.
+def _grid_ends(ell: int, epsilon: float, sizes0):
+    """For each size0 (an int or an array of them), the first and the stop
+    of the grid indices j with k_j <= 2*size0 <= (1+epsilon) k_j.
 
     Both k_j and floor((1+epsilon) k_j) are nondecreasing in j, so the
     indices form one contiguous run, found with two bisections.  It is
     nonempty whenever 1 <= size0 <= 2^ell.
     """
-    target = 2 * size0
-    return range(
-        bisect.bisect_left(_grid_caps(ell, epsilon), target),
-        bisect.bisect_right(grid_sizes(ell, epsilon), target),
-    )
+    ks, caps = _grid_bounds(ell, epsilon)
+    targets = 2 * np.asarray(sizes0, dtype=np.int64)
+    return np.searchsorted(caps, targets, side="left"), np.searchsorted(ks, targets, side="right")
+
+
+def grid_brackets(ell: int, epsilon: float, size0: int) -> range:
+    """The grid indices j with k_j <= 2*size0 <= (1+epsilon) k_j, ascending."""
+    first, stop = _grid_ends(ell, epsilon, size0)
+    return range(int(first), int(stop))
 
 
 @dataclass
@@ -403,14 +409,6 @@ def _verdict(record: SessionRecord, c0, x0, c1, x1) -> tuple[bool, str]:
 # per numpy call, not per session, so a block spans many sessions.
 STREAM_SESSIONS = 1024
 
-# Bytes of the engine's largest arrays.  The hash step and V2's counts take
-# _BLOCK_BYTES >> 8 seeds at a time, and their kernel makes about a dozen
-# int64 arrays of that length; the WHT step takes
-# _BLOCK_BYTES >> (ell + 6) sessions at a time, each with about four
-# arrays of 2 x 2^ell int64 (amplitudes, the transform's buffer, weights).
-_BLOCK_BYTES = 1 << 20
-
-
 def run_block(params: ProtocolParams, seed: int, lo: int, hi: int) -> SessionBlock:
     """Honest sessions lo..hi-1, advanced step by step in lockstep.
 
@@ -420,7 +418,7 @@ def run_block(params: ProtocolParams, seed: int, lo: int, hi: int) -> SessionBlo
     whole block, while the deterministic work between draws also runs
     once per block: the commit's key (the scheme's commit_keys), the hash
     kernel on every session's support, the y law as a segmented sort, and
-    the Hadamard-measurement law as transforms of (rows, 2^ell) matrices.
+    the Hadamard measurement as one hadamard_draws call.
     """
     ell, scheme, n = params.ell, params.scheme, hi - lo
     streams = SessionStreams(seed, lo, hi)
@@ -429,7 +427,8 @@ def run_block(params: ProtocolParams, seed: int, lo: int, hi: int) -> SessionBlo
     # Grid index and hash pair.  An honest commit leaves S0 = X_{0,t}.
     js = np.full(n, -1, dtype=np.int64)
     if params.grid_mode == GRID_ORACLE:
-        js[:] = [-1 if j is None else j for j in map(params.best_grid_index, lens[0::2].tolist())]
+        first, stop = _grid_ends(ell, params.epsilon, lens[0::2])
+        js = np.where(first < stop, first, js)
     unset = np.flatnonzero(js < 0)
     js[unset] = streams.integers(params.m, unset)
     hashes = sample_hash_pairs(ell, np.array(params.ks)[js], streams)
@@ -535,34 +534,15 @@ def _d_by_rejection(ell, streams, rows, offsets, xs, seg, xis):
 
 
 def _d_by_wht(ell, streams, rows, offsets, xs, seg, xis):
-    """sample_d's Hadamard path for sessions rows, of three or more survivors.
-
-    Session rows[w] owns rows 2w + c of a (2 len(rows), 2^ell) indicator
-    matrix, row c holding its seeds x with xi.x ^ b = c; a WHT gives the
-    amplitudes (a_0(d), a_1(d)), and d is drawn from the integer weights
-    a_0^2 + a_1^2, which sum to 2^ell times the session's survivors.
-    Transforms run _BLOCK_BYTES >> (ell + 6) sessions at a time.  Returns
-    d, a_0(d) and a_1(d) per row.
-    """
+    """sample_d's Hadamard path for sessions rows, of three or more survivors:
+    each row's draw u, then hadamard_draws with session rows[w] as
+    measurement w.  Returns d, a_0(d) and a_1(d) per row."""
     us = streams.integers((offsets[2 * rows + 2] - offsets[2 * rows]) << ell, rows)
     row_of = np.full(len(xis), -1, dtype=np.int64)
     row_of[rows] = np.arange(len(rows))
-    on = row_of[seg >> 1] >= 0
-    px, pw = xs[on], row_of[seg[on] >> 1]
-    clause = _clauses(px, seg[on], xis)
-    out = np.zeros((3, len(rows)), dtype=np.int64)
-    step = max(1, _BLOCK_BYTES >> (ell + 6))
-    for c in range(0, len(rows), step):
-        part = slice(*np.searchsorted(pw, [c, c + step]))
-        at = np.arange(c, min(c + step, len(rows)))
-        indicator = np.zeros((2 * len(at), 1 << ell), dtype=np.int8)
-        indicator[2 * (pw[part] - c) + clause[part], px[part]] = 1
-        amps = wht(indicator).reshape(len(at), 2, 1 << ell)
-        weights = amps[:, 0] * amps[:, 0]
-        weights += amps[:, 1] * amps[:, 1]
-        d = (np.cumsum(weights, axis=1, out=weights) <= us[at, None]).sum(axis=1)
-        out[:, at] = d, amps[at - c, 0, d], amps[at - c, 1, d]
-    return out
+    w = row_of[seg >> 1]
+    on = w >= 0
+    return hadamard_draws(ell, xs[on], 2 * w[on] + (seg[on] & 1), xis[rows], us)
 
 
 _REASONS = (REASON_PASS, REASON_FAIL, REASON_COIN)

@@ -8,7 +8,6 @@ from __future__ import annotations
 import numpy as np
 
 from ivpoq.coherent_prover import (
-    ResidualQubit,
     SupportState,
     d_outcome_law,
     eta0_prob,
@@ -26,8 +25,7 @@ def sparse_challenge_law(ell, s0, s1, h0, h1, xi, v2):
         post = SupportState(ell, state.s0[y0 == y], state.s1[y1 == y])
         dprobs, a0, a1 = d_outcome_law(post, xi)
         for d in np.flatnonzero(dprobs > 1e-18):
-            qubit = ResidualQubit(float(a0[d]), float(a1[d]))
-            p0 = eta0_prob(qubit, v2)
+            p0 = eta0_prob((float(a0[d]), float(a1[d])), v2)
             law[(int(y), int(d), 0)] = py * dprobs[d] * p0
             law[(int(y), int(d), 1)] = py * dprobs[d] * (1 - p0)
     return law

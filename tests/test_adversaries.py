@@ -144,10 +144,9 @@ def test_claw_prover_d_and_eta_frequencies_match_honest_law():
     res = sstats.chisquare(d_counts[live], dprobs[live] * n)
     assert res.pvalue > 0.001
     assert d_counts[~live].sum() == 0
-    from ivpoq.coherent_prover import ResidualQubit, eta0_prob
+    from ivpoq.coherent_prover import eta0_prob
 
-    qubit = ResidualQubit(float(a0[d_fixed]), float(a1[d_fixed]))
-    p0 = eta0_prob(qubit, 0)
+    p0 = eta0_prob((float(a0[d_fixed]), float(a1[d_fixed])), 0)
     assert abs(eta_counts[0] / n - p0) < 0.03
 
 
@@ -262,13 +261,13 @@ def test_prepare_challenges_chunks_at_the_block_budget(monkeypatch):
     prover, (prefix,) = claw_prefixes(sch, params, big=True, count=1)
     chunks = []
 
-    def recorded(state, xis, _real=coherent_prover.d_amplitudes):
+    def recorded(ell, xs, seg, xis, us, _real=coherent_prover.hadamard_draws):
         chunks.append(len(xis))
-        return _real(state, xis)
+        return _real(ell, xs, seg, xis, us)
 
     # three xis' worth of amplitudes per chunk
     monkeypatch.setattr(adversaries, "_BLOCK_BYTES", 3 << (5 + 6))
-    monkeypatch.setattr(coherent_prover, "d_amplitudes", recorded)
+    monkeypatch.setattr(coherent_prover, "hadamard_draws", recorded)
     xis = np.array([9, 4, 9, 30, 1, 17, 4, 22, 8, 0, 13, 2])
     session = prover.new_session(None)
     session.prepare_challenges(*prefix, xis)

@@ -8,22 +8,24 @@ from scipy import stats as sstats
 
 import dense_oracle
 from ivpoq.adversaries import binding_attack, unbounded_claw_prover
+from ivpoq import coherent_prover
 from ivpoq.commitment import make_scheme, run_classical_commit
 from ivpoq.coherent_prover import (
     COS_PI8,
     EmptyStateError,
     HONEST_UNIQUE_RATE,
     HonestProver,
-    ResidualQubit,
     SupportState,
     answer_v0,
     d_outcome_law,
+    hadamard_draws,
     eta0_prob,
     eta0_probs,
     hash_outcome_law,
     measure_hash,
     measure_rotated,
     sample_d,
+    sample_index,
 )
 from ivpoq.hashing import HashFn, sample_hash
 from ivpoq.lemma_harness import coherent_transcript_law
@@ -229,7 +231,7 @@ def test_sample_d_matches_law_small_support():
     for seed in range(n):
         d, qubit = sample_d(state, xi, np.random.default_rng([3, seed]))
         counts[d] += 1
-        assert qubit.norm2 > 0
+        assert qubit[0] ** 2 + qubit[1] ** 2 > 0
     observed = counts[probs > 0]
     res = sstats.chisquare(observed, probs[probs > 0] * n)
     assert res.pvalue > 0.001
@@ -248,14 +250,82 @@ def test_d_law_parseval_random_states():
             assert math.isclose(probs.sum(), 1.0, abs_tol=1e-9)
 
 
+class _FixedDraw:
+    """A Generator stand-in whose one integers(n) draw is u, for n as given."""
+
+    def __init__(self, u, n):
+        self.u, self.n = u, n
+
+    def integers(self, n):
+        assert n == self.n
+        return self.u
+
+
+def _measurement_rows(states):
+    """hadamard_draws' seeds and segments for the states, measurement w = states[w]."""
+    xs = np.concatenate([np.concatenate((state.s0, state.s1)) for state in states])
+    seg = np.concatenate([np.repeat([2 * w, 2 * w + 1], (len(state.s0), len(state.s1)))
+                          for w, state in enumerate(states)])
+    return xs, seg
+
+
+@st.composite
+def _states(draw, ell):
+    """A support of 1 to 40 seeds over both branches."""
+    seeds = st.tuples(st.integers(0, 1), st.integers(0, (1 << ell) - 1))
+    pairs = draw(st.sets(seeds, min_size=1, max_size=40))
+    return support_state(ell, {x for b, x in pairs if b == 0}, {x for b, x in pairs if b == 1})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_hadamard_draws_is_sample_index_over_the_d_law(data):
+    ell = data.draw(st.integers(2, 9))
+    state = data.draw(_states(ell))
+    xi = data.draw(st.integers(0, (1 << ell) - 1))
+    u = data.draw(st.integers(0, (state.size << ell) - 1))
+    _, a0, a1 = d_outcome_law(state, xi)
+    want = sample_index(a0 * a0 + a1 * a1, _FixedDraw(u, state.size << ell))
+    xs, seg = _measurement_rows([state])
+    d, b0, b1 = hadamard_draws(ell, xs, seg, [xi], [u])[:, 0].tolist()
+    assert d == want
+    assert (b0, b1) == (a0[d], a1[d])
+
+
+def test_hadamard_draws_across_chunks_equal_one_call_per_measurement(monkeypatch):
+    ell, n = 6, 25
+    rng = np.random.default_rng(4)
+    states = []
+    for _ in range(n):
+        s0 = rng.choice(1 << ell, size=int(rng.integers(0, 12)), replace=False)
+        s1 = rng.choice(1 << ell, size=int(rng.integers(1, 12)), replace=False)
+        states.append(support_state(ell, s0, s1))
+    xis = rng.integers(1 << ell, size=n)
+    us = [int(rng.integers(state.size << ell)) for state in states]
+    want = [hadamard_draws(ell, *_measurement_rows([state]), [xi], [u])[:, 0].tolist()
+            for state, xi, u in zip(states, xis, us)]
+    transforms = []
+
+    def counted(vec, _real=coherent_prover.wht):
+        transforms.append(len(vec))
+        return _real(vec)
+
+    # three measurements' worth of arrays per chunk
+    monkeypatch.setattr(coherent_prover, "_BLOCK_BYTES", 3 << (ell + 6))
+    monkeypatch.setattr(coherent_prover, "wht", counted)
+    got = hadamard_draws(ell, *_measurement_rows(states), xis, us)
+    assert transforms == [6] * 8 + [2]
+    assert got.T.tolist() == want
+
+
 # rotated measurement -------------------------------------------------------------
 
 def test_rotated_probabilities_eight_conditionals():
     cos2 = COS_PI8**2
-    zero = ResidualQubit(1.0, 0.0)
-    one = ResidualQubit(0.0, 1.0)
-    plus = ResidualQubit(1.0, 1.0)
-    minus = ResidualQubit(1.0, -1.0)
+    zero = (1.0, 0.0)
+    one = (0.0, 1.0)
+    plus = (1.0, 1.0)
+    minus = (1.0, -1.0)
     assert math.isclose(eta0_prob(zero, 0), cos2)
     assert math.isclose(1 - eta0_prob(one, 0), cos2)
     assert math.isclose(eta0_prob(plus, 0), cos2)
@@ -267,7 +337,7 @@ def test_rotated_probabilities_eight_conditionals():
 
 
 def test_rotated_eigenstate():
-    qubit = ResidualQubit(float(np.cos(np.pi / 8)), float(np.sin(np.pi / 8)))
+    qubit = (float(np.cos(np.pi / 8)), float(np.sin(np.pi / 8)))
     assert math.isclose(eta0_prob(qubit, 0), 1.0)
     for seed in range(10):
         assert measure_rotated(qubit, 0, np.random.default_rng(seed)) == 0
@@ -275,7 +345,7 @@ def test_rotated_eigenstate():
 
 def test_rotated_zero_vector_raises():
     with pytest.raises(EmptyStateError):
-        eta0_prob(ResidualQubit(0.0, 0.0), 0)
+        eta0_prob((0.0, 0.0), 0)
 
 
 _AMP = st.one_of(st.just(0), st.integers(-(1 << 24), 1 << 24))
@@ -293,7 +363,7 @@ def test_eta0_probs_on_int_rows_equals_eta0_prob(rows):
     # The engine's int64 amplitudes and the scalar path's floats give
     # the same float, row by row.
     a0, a1, v2 = np.array(rows, dtype=np.int64).T
-    want = [eta0_prob(ResidualQubit(float(x0), float(x1)), v) for x0, x1, v in rows]
+    want = [eta0_prob((float(x0), float(x1)), v) for x0, x1, v in rows]
     assert eta0_probs(a0, a1, v2).tolist() == want
 
 

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ivpoq.adversaries import ClassicalHonestProver, UnboundedClawProver
-from ivpoq import hashing, verifier
+from ivpoq import coherent_prover, hashing, verifier
 from ivpoq.coherent_prover import HonestProver, consistent_state
 from ivpoq.commitment import make_scheme
 from ivpoq.lemma_harness import replayed_seeds
@@ -118,12 +118,12 @@ def test_const_l12_full_width_runs_the_chunked_steps(monkeypatch):
     # chunks of _BLOCK_BYTES >> 18 sessions.
     params = _params("const", 12, {}, GRID_ORACLE)
     calls = Counter()
-    for name in ("eval_segments", "wht"):
-        def counted(*args, _real=getattr(verifier, name), _name=name):
+    for module, name in ((verifier, "eval_segments"), (coherent_prover, "wht")):
+        def counted(*args, _real=getattr(module, name), _name=name):
             calls[_name] += 1
             return _real(*args)
 
-        monkeypatch.setattr(verifier, name, counted)
+        monkeypatch.setattr(module, name, counted)
     records = run_block(params, 8, 0, STREAM_SESSIONS).records()
     monkeypatch.undo()
     assert calls["eval_segments"] > 1 and calls["wht"] > 1, calls

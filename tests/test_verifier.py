@@ -1,6 +1,7 @@
 import decimal
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sstats
 
+from ivpoq import verifier
 from ivpoq.adversaries import (
     ScriptedProver,
     binding_attack,
@@ -29,6 +31,7 @@ from ivpoq.verifier import (
     count_consistent_preimages,
     decide_block,
     estimate_acceptance,
+    grid_brackets,
     grid_sizes,
     run_block,
     run_session,
@@ -76,6 +79,17 @@ def test_best_grid_index_brackets():
         k = params.ks[j]
         assert k <= 2 * size0 <= (1 + params.epsilon) * k
     assert params.best_grid_index(0) is None
+
+
+def test_grid_brackets_of_a_block_follow_the_definition():
+    # the engine brackets a whole block in two searchsorted calls
+    for ell, eps in ((6, 0.5), (6, 0.2), (8, 0.01)):
+        ks = grid_sizes(ell, eps)
+        sizes = np.arange((1 << ell) + 3)
+        first, stop = verifier._grid_ends(ell, eps, sizes)
+        for size0, lo, hi in zip(sizes.tolist(), first.tolist(), stop.tolist()):
+            want = [j for j, k in enumerate(ks) if k <= 2 * size0 <= (1 + Fraction(eps)) * k]
+            assert list(range(lo, hi)) == want == list(grid_brackets(ell, eps, size0))
 
 
 def test_run_session_record_shape_const():
