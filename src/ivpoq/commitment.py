@@ -25,7 +25,7 @@ Three registered schemes:
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
+import mmap
 from functools import cached_property
 from typing import Callable, NamedTuple
 
@@ -35,7 +35,7 @@ from .bits import check_ell, parity_u32, to_bytes
 
 Transcript = tuple[bytes, ...]  # flat (alpha_1, beta_1, ..., alpha_L, beta_L)
 
-# Per-scheme seed-bucket caches are bounded to roughly this many bytes.
+# An hm2 scheme's slab of F_r tables is bounded to roughly this many bytes.
 _CACHE_BYTES = 1 << 28
 # Seeds hashed per decode in an F_r fill: bounds the digests held at once.
 # A multiple of 256, so each block holds whole runs of one seed's high bytes.
@@ -76,7 +76,8 @@ def one_class_law(xs0: np.ndarray, xs1: np.ndarray, msg: bytes) -> CommitRoundLa
 
 class ClassTable(NamedTuple):
     """A table of seed classes: class k is order[starts[k]:starts[k+1]],
-    ascending.  X_{b,t} is class key ^ b for t's transcript_key."""
+    ascending.  X_{b,t} is class key ^ b for t's transcript_key.  An hm2
+    table is a view of its slab row, good until the next fill."""
 
     order: np.ndarray
     starts: np.ndarray
@@ -87,21 +88,27 @@ class ClassTable(NamedTuple):
 
 
 class ClassRows(NamedTuple):
-    """Rows of sessions, each with its receiver seed's table: orders[i] is
-    row i's seed order and starts[inv[i]] its class starts (int64), one
-    starts row per distinct table."""
+    """Rows of sessions, each with its receiver seed's table: row i reads
+    table slot[i], whose seed order is orders[slot[i]] and class starts
+    starts[slot[i]], one slab row each."""
 
-    orders: list
-    inv: np.ndarray
+    orders: np.ndarray
     starts: np.ndarray
+    slot: np.ndarray
 
-    def classes(self, keys: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-        """Class keys[i] of each row's table as a view (its narrow seed
-        dtype) and the views' lengths; a negative key is the empty class."""
+    def classes(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Class keys[i] of each row's table as its offset into the flat
+        orders and its length; a negative key is the empty class."""
         at = np.maximum(keys, 0)
-        lo = self.starts[self.inv, at]
-        hi = np.where(keys < 0, lo, self.starts[self.inv, at + 1])
-        return [o[s:e] for o, s, e in zip(self.orders, lo.tolist(), hi.tolist())], hi - lo
+        lo = self.starts[self.slot, at].astype(np.int64)
+        hi = np.where(keys < 0, lo, self.starts[self.slot, at + 1])
+        return lo + self.slot * self.orders.shape[1], hi - lo
+
+    def seeds(self, offsets: np.ndarray, lens: np.ndarray) -> np.ndarray:
+        """The classes at offsets, of lengths lens, concatenated as int64 seeds."""
+        ends = np.cumsum(lens)
+        at = np.repeat(offsets - ends + lens, lens) + np.arange(ends[-1])
+        return self.orders.reshape(-1)[at].astype(np.int64)
 
 
 class CommitScheme:
@@ -116,6 +123,7 @@ class CommitScheme:
     def __init__(self, ell: int):
         check_ell(ell)
         self.ell = ell
+        self.capacity = 1 << ell  # receiver seeds whose tables are held at once
 
     # message functions -------------------------------------------------
     def sender_msg(self, j: int, b: int, x: int, prefix: Transcript) -> bytes:
@@ -136,9 +144,8 @@ class CommitScheme:
     # transcript_key(t) is (r, key): X_{b,t} is class key ^ b of _bucket(r),
     # a ClassTable, and key is -1 where no seed replays t; a t of the wrong
     # length raises ValueError.  transcript(r, key) gives t back for
-    # key >= 0.  Unless tables_by_receiver, every receiver seed reads
-    # table 0.
-    tables_by_receiver = False
+    # key >= 0.  Every receiver seed reads the one _table unless a scheme
+    # overrides _bucket and rows.
 
     def transcript_key(self, t: Transcript) -> tuple[int, int]:
         raise NotImplementedError
@@ -147,15 +154,14 @@ class CommitScheme:
         raise NotImplementedError
 
     def _bucket(self, r: int) -> ClassTable:
-        return self._table
+        """r's table, as views of its slab row."""
+        tables = self.rows(np.array([r]))
+        return ClassTable(tables.orders[tables.slot[0]], tables.starts[tables.slot[0]])
 
     def rows(self, rs: np.ndarray) -> ClassRows:
-        """The tables of receiver seeds rs, one lookup per distinct table."""
-        rs = rs if self.tables_by_receiver else np.zeros_like(rs)
-        distinct, inv = np.unique(rs, return_inverse=True)
-        tables = [self._bucket(r) for r in distinct.tolist()]
-        starts = np.stack([t.starts for t in tables]).astype(np.int64)
-        return ClassRows([tables[i].order for i in inv.tolist()], inv, starts)
+        """The tables of receiver seeds rs: the one table as a one-row slab."""
+        table = self._table
+        return ClassRows(table.order[None], table.starts[None], np.zeros(len(rs), dtype=np.intp))
 
     def _check_length(self, t: Transcript) -> None:
         if len(t) != 2 * self.rounds:
@@ -209,12 +215,12 @@ class CommitScheme:
             raise ValueError(f"{self.name} round {j} has a law on the full state only")
         # The prefix, padded with empty messages, names its receiver seed.
         r, _ = self.transcript_key(prefix + (b"",) * (2 * self.rounds - len(prefix)))
-        table = self._bucket(r)
-        both = np.repeat(np.diff(table.starts[::2].astype(np.int64)), 2)
+        both = np.repeat(np.diff(self._bucket(r).starts[::2].astype(np.int64)), 2)
         alive = np.flatnonzero(both)
         return CommitRoundLaw(
             alive, both[alive], lambda key: self.transcript(r, key)[2 * j - 2],
-            lambda key: (table.seeds(key), table.seeds(key ^ 1)),
+            # Looked up at the split: a fill since then may have reused r's slab row.
+            lambda key: tuple(self._bucket(r).seeds(key ^ b) for b in (0, 1)),
         )
 
     def commit_keys(self, rows: ClassRows, streams) -> np.ndarray:
@@ -222,17 +228,19 @@ class CommitScheme:
         HonestSession draws: one integers(2^(ell+1)) a round, every state
         full.  In the keyed round draw u picks K over alpha_partition's
         counts: the cumulative count through key 2m+1 is 2 starts[2m+2] and
-        through key 2m it is starts[2m] + starts[2m+2].  Each table's pair
-        ends, offset by its index times 2^ell + 1, make one ascending array."""
-        keys = np.zeros(len(rows.inv), dtype=np.int64)
+        through key 2m it is starts[2m] + starts[2m+2].  Each distinct table's
+        pair ends, offset by its index times 2^ell + 1, make one ascending array."""
+        keys = np.zeros(len(rows.slot), dtype=np.int64)
         for j in range(1, self.rounds + 1):
             us = streams.integers(2 << self.ell)
             if j == self.keyed_round:
-                width = rows.starts[0, -1] + 1
-                ends = rows.starts[:, 2::2] + width * np.arange(len(rows.starts))[:, None]
-                m = ends.ravel().searchsorted(width * rows.inv + (us >> 1), side="right")
-                m -= ends.shape[1] * rows.inv
-                keys = 2 * m + (rows.starts[rows.inv, 2 * m] + rows.starts[rows.inv, 2 * m + 2] <= us)
+                tables, inv = np.unique(rows.slot, return_inverse=True)
+                starts = rows.starts[tables].astype(np.int64)
+                width = starts[0, -1] + 1
+                ends = starts[:, 2::2] + width * np.arange(len(tables))[:, None]
+                m = ends.ravel().searchsorted(width * inv + (us >> 1), side="right")
+                m -= ends.shape[1] * inv
+                keys = 2 * m + (starts[inv, 2 * m] + starts[inv, 2 * m + 2] <= us)
         return keys
 
     # housekeeping ---------------------------------------------------------
@@ -321,7 +329,6 @@ class Hm2Scheme(CommitScheme):
     name = "hm2"
     rounds = 2
     keyed_round = 2
-    tables_by_receiver = True
 
     def __init__(self, ell: int, a: int = 8):
         super().__init__(ell)
@@ -336,8 +343,17 @@ class Hm2Scheme(CommitScheme):
         # offsets; keys of 16 bits or fewer make the stable argsort a radix sort.
         self._dtypes = tuple(np.min_scalar_type(v) for v in (self._n_keys - 1, n - 1, n))
         entry = n * self._dtypes[1].itemsize + (self._n_keys + 1) * self._dtypes[2].itemsize
-        self._buckets: OrderedDict[int, ClassTable] = OrderedDict()
         self._max_cached = max(4, _CACHE_BYTES // entry)
+        # The slab: capacity rows of seed orders, then as many of class starts,
+        # in one zeroed anonymous mapping, so that the kernel backs only rows a
+        # fill writes.  slot[r] is r's row or -1, tick a row's last use (LRU).
+        self.capacity = cap = min(n, self._max_cached)
+        slab = mmap.mmap(-1, cap * entry, flags=mmap.MAP_PRIVATE)
+        self._orders = np.frombuffer(slab, self._dtypes[1], cap * n).reshape(cap, n)
+        self._starts = np.frombuffer(slab, self._dtypes[2], offset=self._orders.nbytes).reshape(cap, -1)
+        self._slot = np.full(n, -1, dtype=np.int32)
+        self._tick = np.zeros(cap, dtype=np.int64)
+        self._clock = 0
 
     # the compressing function and the extractor -------------------------
     def compress(self, r: int, x: int) -> int:
@@ -351,21 +367,29 @@ class Hm2Scheme(CommitScheme):
         """e_r(x): GF(2) inner product of the seed mask with x."""
         return (r & x).bit_count() & 1
 
-    def _bucket(self, r: int) -> ClassTable:
-        """r's table of every seed indexed by message key, cached per receiver
-        seed: seed x's round-2 message on branch 0 has key k(x) = F_r(x)<<1 |
-        e_r(x), and branch 1 flips the low bit."""
-        hit = self._buckets.get(r)
-        if hit is not None:
-            self._buckets.move_to_end(r)
-            return hit
+    def rows(self, rs: np.ndarray) -> ClassRows:
+        """The tables of receiver seeds rs, filling those missing from the slab."""
+        self._clock += 1
+        slots = self._slot[rs]
+        self._tick[slots[slots >= 0]] = self._clock
+        for r in sorted(set(rs[slots < 0].tolist())):  # np.unique's hash path costs 1.4 MB RSS
+            self._fill(r)
+        return ClassRows(self._orders, self._starts, self._slot[rs].astype(np.intp))
+
+    def _fill(self, r: int) -> None:
+        """Write r's table into the least recently used slab row: every seed
+        indexed by message key, where seed x's round-2 message on branch 0
+        has key k(x) = F_r(x)<<1 | e_r(x) and branch 1 flips the low bit."""
+        s = int(self._tick.argmin())
+        if self._tick[s] == self._clock:
+            raise RuntimeError(f"one lookup names more than {self.capacity} receiver seeds")
+        self._slot[self._slot == s] = -1
         n = 1 << self.ell
-        key_t, seed_t, start_t = self._dtypes
         prefix = hashlib.sha256(b"hm2" + to_bytes(r, self.ell))
         # Seeds x..x+255 with x a multiple of 256 share every byte but the
         # last: hash the shared bytes once per run, then each last byte.
         run, high = min(n, 256), self._seed_bytes - 1
-        keys = np.empty(n, dtype=key_t)
+        keys = np.empty(n, dtype=self._dtypes[0])
         for lo in range(0, n, _FILL_BLOCK):
             digests = []
             for x in range(lo, min(lo + _FILL_BLOCK, n), run):
@@ -381,13 +405,9 @@ class Hm2Scheme(CommitScheme):
             keys[lo : lo + len(digests)] = words >> (32 - self.out_bits)
         keys <<= 1
         keys |= parity_u32(np.arange(n, dtype=np.uint32) & np.uint32(r))
-        starts = np.zeros(self._n_keys + 1, dtype=start_t)
-        starts[1:] = np.bincount(keys, minlength=self._n_keys).cumsum()
-        table = ClassTable(np.argsort(keys, kind="stable").astype(seed_t), starts)
-        self._buckets[r] = table
-        if len(self._buckets) > self._max_cached:
-            self._buckets.popitem(last=False)
-        return table
+        self._starts[s, 1:] = np.bincount(keys, minlength=self._n_keys).cumsum()
+        self._orders[s] = np.argsort(keys, kind="stable")
+        self._slot[r], self._tick[s] = s, self._clock
 
     def _decode_key(self, key: int) -> bytes:
         return to_bytes(int(key) >> 1, self.out_bits) + bytes([int(key) & 1])
@@ -435,11 +455,9 @@ class Hm2Scheme(CommitScheme):
     def params_dict(self):
         return {"name": self.name, "ell": self.ell, "a": self.a}
 
-    def __getstate__(self):
-        # The F_r cache stays in this process; a copy refills it.
-        state = dict(self.__dict__)
-        state["_buckets"] = OrderedDict()
-        return state
+    def __reduce__(self):
+        # A copy is built anew: it reserves its own empty slab and refills it.
+        return type(self), (self.ell, self.a)
 
 
 _REGISTRY = {"const": ConstScheme, "ident": IdentScheme, "hm2": Hm2Scheme}

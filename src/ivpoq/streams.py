@@ -12,8 +12,9 @@ its own Generator would give:
 * next32 from the bit generator's persistent buffer: one 64-bit output
   serves two next32 calls, low half first;
 * integers(n) as Generator.integers(n) with int64 output: no draw for
-  n = 1, Lemire's method on next32 below 2^32, a plain next32 for
-  n = 2^32 and 128-bit Lemire on next64 above it;
+  n = 1, Lemire's method on next32 up to 2^32 (at 2^32 a plain next32,
+  as numpy draws it) and 128-bit Lemire on next64 above; one bound for
+  all rows drawn runs only its regime;
 * random() as (next64 >> 11) * 2^-53;
 * bytes(m) as ceil(m/4) next32 words, little-endian.
 
@@ -43,6 +44,13 @@ _MUL = 0x2360ED051FC65DA44385DF649FCCF645
 _MUL_HI, _MUL_LO = _U64(_MUL >> 64), _U64(_MUL & (2**64 - 1))
 _MUL_L0, _MUL_L1 = _U64(_MUL & 0xFFFFFFFF), _U64((_MUL >> 32) & 0xFFFFFFFF)
 _TWO_M53 = 1.0 / 9007199254740992.0
+# integers(n)'s regimes, 0 to 2, are the number of these edges at or below n.
+_EDGES = np.array([2, (1 << 32) + 1], dtype=_U64)
+
+
+def _at(value, idx):
+    """value[idx] for one value per row; a single value is every row's."""
+    return value[idx] if np.ndim(value) else value
 
 
 def _words(n: int) -> list[int]:
@@ -186,40 +194,48 @@ class SessionStreams:
     def integers(self, n, rows=None) -> np.ndarray:
         """Generator.integers(n) for each row, 1 <= n <= 2^63, as int64."""
         rows = self._rows(rows)
-        n = np.broadcast_to(np.asarray(n, dtype=_U64), rows.shape)
-        if len(n) and n.min() == 0:
+        n = np.asarray(n, dtype=_U64)
+        if n.size and n.min() == 0:
             raise ValueError("high <= 0")
+        regimes = _EDGES.searchsorted(n, side="right")
+        if not n.ndim:
+            return self._draw(regimes, rows, n[()]).view(np.int64)
         out = np.zeros(rows.shape, dtype=_U64)
-        self._lemire32(rows, n, out, (n > _U64(1)) & (n < _U64(1 << 32)))
-        word = n == _U64(1 << 32)
-        if word.any():
-            out[word] = self._next32(rows[word])
-        self._lemire64(rows, n, out, n > _U64(1 << 32))
+        for regime in range(1, len(_EDGES) + 1):
+            idx = np.flatnonzero(regimes == regime)
+            if len(idx):
+                out[idx] = self._draw(regime, rows[idx], n[idx])
         return out.view(np.int64)
 
-    def _lemire32(self, rows, n, out, on) -> None:
-        """Lemire's bounded draw on next32 at the rows where on is set: m >> 32
-        of m = next32 * n, drawn again while m's low word is below 2^32 mod n."""
-        idx = np.flatnonzero(on)
-        rows, n = rows[idx], n[idx]
-        threshold = (_U64(1 << 32) - n) % n
-        pending = np.arange(len(idx))
-        while len(pending):
-            m = self._next32(rows[pending]) * n[pending]
-            out[idx[pending]] = m >> _S32
-            pending = pending[(m & _LOW32) < threshold[pending]]
+    def _draw(self, regime, rows, n) -> np.ndarray:
+        """integers(n) on rows in one regime, n one bound or one per row."""
+        if regime == 0:
+            return np.zeros(len(rows), dtype=_U64)
+        return (self._lemire32 if regime == 1 else self._lemire64)(rows, n)
 
-    def _lemire64(self, rows, n, out, on) -> None:
+    def _lemire32(self, rows, n) -> np.ndarray:
+        """Lemire's bounded draw on next32, n <= 2^32: m >> 32 of m = next32 * n,
+        drawn again while m's low word is below 2^32 mod n."""
+        threshold = (_U64(1 << 32) - n) % n
+        out = np.empty(len(rows), dtype=_U64)
+        pending = np.arange(len(rows))
+        while len(pending):
+            m = self._next32(rows[pending]) * _at(n, pending)
+            out[pending] = m >> _S32
+            pending = pending[(m & _LOW32) < _at(threshold, pending)]
+        return out
+
+    def _lemire64(self, rows, n) -> np.ndarray:
         """Lemire's bounded draw on next64, the 128-bit product in 32-bit limbs."""
-        idx = np.flatnonzero(on)
-        rows, n = rows[idx], n[idx]
-        threshold = (_U64(0) - n) % n
+        threshold = (~n + _U64(1)) % n  # 2^64 mod n
         n0, n1 = n & _LOW32, n >> _S32
-        pending = np.arange(len(idx))
+        out = np.empty(len(rows), dtype=_U64)
+        pending = np.arange(len(rows))
         while len(pending):
             x = self._next64(rows[pending])
-            out[idx[pending]] = _mulhi(x, n0[pending], n1[pending])
-            pending = pending[x * n[pending] < threshold[pending]]
+            out[pending] = _mulhi(x, _at(n0, pending), _at(n1, pending))
+            pending = pending[x * _at(n, pending) < _at(threshold, pending)]
+        return out
 
     def random(self, rows=None) -> np.ndarray:
         """Generator.random() for each row."""

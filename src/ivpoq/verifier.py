@@ -15,7 +15,7 @@ advances step by step, each on its own stream with run_session's draws
 hashing, the y law and the Hadamard transforms run once for the block,
 and it returns the block as a SessionBlock of columns.  decide_block is
 V2 over a block, in array operations on its columns, and tally counts the
-verdicts of any stream of records, each STREAM_SESSIONS of them made one
+verdicts of any stream of records, each block_size of them made one
 block.  SessionRecords are built only at the edges: SessionBlock.records
 (the CLI's run and the tests) and SessionBlock.from_records (tally).
 
@@ -43,7 +43,7 @@ from .bits import dot2, from_hex, parity_u32, to_hex
 from .coherent_prover import (
     _BLOCK_BYTES, HonestProver, HonestSession, SupportState, eta0_probs, hadamard_draws
 )
-from .commitment import CommitScheme, Transcript
+from .commitment import ClassRows, CommitScheme, Transcript
 from .hashing import HashColumns, HashFn, eval_segments, hash_columns, sample_hash, sample_hash_pairs
 from .streams import SessionStreams
 
@@ -409,6 +409,12 @@ def _verdict(record: SessionRecord, c0, x0, c1, x1) -> tuple[bool, str]:
 # per numpy call, not per session, so a block spans many sessions.
 STREAM_SESSIONS = 1024
 
+
+def block_size(scheme: CommitScheme) -> int:
+    """STREAM_SESSIONS, or fewer where the scheme holds fewer tables than receiver seeds."""
+    return STREAM_SESSIONS if scheme.capacity >= 1 << scheme.ell else min(STREAM_SESSIONS, scheme.capacity)
+
+
 def run_block(params: ProtocolParams, seed: int, lo: int, hi: int) -> SessionBlock:
     """Honest sessions lo..hi-1, advanced step by step in lockstep.
 
@@ -422,8 +428,7 @@ def run_block(params: ProtocolParams, seed: int, lo: int, hi: int) -> SessionBlo
     """
     ell, scheme, n = params.ell, params.scheme, hi - lo
     streams = SessionStreams(seed, lo, hi)
-    cols, supports = _commit_step(scheme, streams)
-    lens = np.array([len(xs) for xs in supports], dtype=np.int64)
+    cols, tables, firsts, lens = _commit_step(scheme, streams)
     # Grid index and hash pair.  An honest commit leaves S0 = X_{0,t}.
     js = np.full(n, -1, dtype=np.int64)
     if params.grid_mode == GRID_ORACLE:
@@ -432,7 +437,7 @@ def run_block(params: ProtocolParams, seed: int, lo: int, hi: int) -> SessionBlo
     unset = np.flatnonzero(js < 0)
     js[unset] = streams.integers(params.m, unset)
     hashes = sample_hash_pairs(ell, np.array(params.ks)[js], streams)
-    ys, xs, seg = _hash_step(params, streams, supports, lens, hashes)
+    ys, xs, seg = _hash_step(params, streams, tables, firsts, lens, hashes)
     offsets = np.concatenate(([0], np.bincount(seg, minlength=2 * n).cumsum()))
     sizes = offsets[2::2] - offsets[:-1:2]
     # The challenge: v1 and xi, then the preimage test or d, v2 and eta.
@@ -453,13 +458,13 @@ def run_block(params: ProtocolParams, seed: int, lo: int, hi: int) -> SessionBlo
 
 def _commit_step(scheme: CommitScheme, streams: SessionStreams):
     """Each session's receiver seed r and honest commit key, as the columns
-    r and key, and the supports [S0 of session 0, S1 of session 0, S0 of
-    session 1, ...], the classes key and key ^ 1 of r's table."""
+    r and key, their tables, and the supports S0, S1 of session 0, S0 of
+    session 1, ..., classes key and key ^ 1 of r's table, as offsets and lengths."""
     rs = streams.integers(1 << scheme.ell)
-    rows = scheme.rows(rs)
-    keys = scheme.commit_keys(rows, streams)
-    (s0, _), (s1, _) = rows.classes(keys), rows.classes(keys ^ 1)
-    return {"r": rs, "key": keys}, [xs for pair in zip(s0, s1) for xs in pair]
+    tables = scheme.rows(rs)
+    keys = scheme.commit_keys(tables, streams)
+    firsts, lens = np.stack((tables.classes(keys), tables.classes(keys ^ 1)), axis=-1)
+    return {"r": rs, "key": keys}, tables, firsts.ravel(), lens.ravel()
 
 
 def _runs(sizes: np.ndarray, budget: int):
@@ -474,23 +479,23 @@ def _runs(sizes: np.ndarray, budget: int):
 
 
 def _hash_step(
-    params: ProtocolParams, streams: SessionStreams, supports: list, lens: np.ndarray, hashes: HashColumns
+    params: ProtocolParams, streams: SessionStreams, tables: ClassRows, firsts, lens, hashes: HashColumns
 ):
     """Every session's y and the support seeds that survive it.
 
-    Seeds sit in segments 2i + b (session i, branch b), lens[2i + b] of
-    them, hashed by member 2i + b.  y is the u-th smallest hash value of
-    session i's seeds for its draw u, which is sample_index over
-    np.unique's counts.  The kernel runs on runs of sessions of at most
-    _BLOCK_BYTES >> 8 seeds.  Returns (ys, seeds, segments) of the
-    survivors, in segment order.
+    Seeds sit in segments 2i + b (session i, branch b), the lens[2i + b]
+    seeds at firsts[2i + b] of the tables, hashed by member 2i + b.  y is
+    the u-th smallest hash value of session i's seeds for its draw u,
+    which is sample_index over np.unique's counts.  The kernel runs on
+    runs of sessions of at most _BLOCK_BYTES >> 8 seeds.  Returns (ys,
+    seeds, segments) of the survivors, in segment order.
     """
     sizes = lens[0::2] + lens[1::2]
     us = streams.integers(sizes)
     shift = max(params.ks).bit_length()
     ys, kept_xs, kept_seg = [], [], []
     for a, b in _runs(sizes, _BLOCK_BYTES >> 8):
-        xs = np.concatenate(supports[2 * a : 2 * b]).astype(np.int64, copy=False)
+        xs = tables.seeds(firsts[2 * a : 2 * b], lens[2 * a : 2 * b])
         hv = eval_segments(hashes.take(slice(2 * a, 2 * b)), xs, lens[2 * a : 2 * b])
         seg = np.repeat(np.arange(2 * a, 2 * b), lens[2 * a : 2 * b])
         ranked = np.sort(((seg >> 1) << shift) | hv)
@@ -576,10 +581,11 @@ def _count_block(scheme: CommitScheme, block: SessionBlock, rows: np.ndarray, b:
     counts, witness = np.zeros((2, len(rows)), dtype=np.int64)
     if not len(rows):
         return counts, witness
-    sets, lens = scheme.rows(block.cols["r"][rows]).classes(block.cols["key"][rows] ^ b)
+    tables = scheme.rows(block.cols["r"][rows])
+    firsts, lens = tables.classes(block.cols["key"][rows] ^ b)
     hashes, ys = block.hashes.take(2 * rows + b), block.cols["y"][rows]
     for a, c in _runs(lens, _BLOCK_BYTES >> 8):
-        xs = np.concatenate(sets[a:c]).astype(np.int64, copy=False)
+        xs = tables.seeds(firsts[a:c], lens[a:c])
         sid = np.repeat(np.arange(a, c), lens[a:c])
         hits = eval_segments(hashes.take(slice(a, c)), xs, lens[a:c]) == ys[sid]
         counts[a:c] = n = np.bincount(sid[hits] - a, minlength=c - a)
@@ -592,11 +598,11 @@ def tally(params: ProtocolParams, records) -> Counter:
     """How often each v2_decide verdict (accepted, reason) occurs over records.
 
     records may be any iterable, a generator included; it is decided
-    STREAM_SESSIONS records at a time, each chunk made a SessionBlock for
+    block_size records at a time, each chunk made a SessionBlock for
     decide_block.
     """
     verdicts, records = Counter(), iter(records)
-    while chunk := list(itertools.islice(records, STREAM_SESSIONS)):
+    while chunk := list(itertools.islice(records, block_size(params.scheme))):
         verdicts.update(decide_block(params, SessionBlock.from_records(params.scheme, chunk)))
     return verdicts
 
@@ -651,9 +657,9 @@ class AcceptanceReport:
 
 def _acceptance_counts(params, prover, start, stop, seed) -> Counter:
     if type(prover) is HonestProver and prover.scheme is params.scheme:
-        verdicts = Counter()
-        for lo in range(start, stop, STREAM_SESSIONS):
-            block = run_block(params, seed, lo, min(lo + STREAM_SESSIONS, stop))
+        verdicts, size = Counter(), block_size(params.scheme)
+        for lo in range(start, stop, size):
+            block = run_block(params, seed, lo, min(lo + size, stop))
             verdicts.update(decide_block(params, block))
         return verdicts
     rngs = (np.random.default_rng([seed, i]) for i in range(start, stop))

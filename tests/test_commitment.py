@@ -14,6 +14,7 @@ from ivpoq.commitment import (
     sampled_hiding_distance,
     transcript_distributions,
 )
+from ivpoq.lemma_harness import replayed_seeds
 
 
 def hm2_alpha2_reference(ell, a, r, x, b):
@@ -230,10 +231,15 @@ def test_hm2_pickle_drops_cache_and_keeps_answers():
     sch = make_scheme("hm2", 9, a=4)
     t = run_classical_commit(sch, 1, 100, 313)
     want = sch.consistent_mask(t, 1)
-    assert sch._buckets
+    assert (sch._slot >= 0).any()
     copy = pickle.loads(pickle.dumps(sch))
-    assert not copy._buckets
+    assert (copy._slot < 0).all() and not copy._tick.any()
     assert (copy.consistent_mask(t, 1) == want).all()
+    # 100 ell=12 tables fill 800 KB of the slab; the pickle carries none.
+    big = make_scheme("hm2", 12, a=8)
+    big.rows(np.arange(100))
+    assert (big._slot >= 0).sum() == 100
+    assert len(pickle.dumps(big)) < 64 << 10
 
 
 def test_hm2_fill_holds_only_its_table():
@@ -249,6 +255,52 @@ def test_hm2_fill_holds_only_its_table():
         tracemalloc.stop()
     own = table.order.nbytes + table.starts.nbytes
     assert held < 2 * own
+
+
+def _four_table_hm2(monkeypatch):
+    """hm2 at ell=9 whose slab holds four tables."""
+    monkeypatch.setattr(commitment, "_CACHE_BYTES", 0)
+    sch = make_scheme("hm2", 9, a=4)
+    assert sch._max_cached == sch.capacity == 4 and sch._orders.shape == (4, 512)
+    return sch
+
+
+def _held(sch):
+    return set(np.flatnonzero(sch._slot >= 0).tolist())
+
+
+def test_hm2_slab_evicts_the_least_recently_used_table(monkeypatch):
+    sch = _four_table_hm2(monkeypatch)
+    for r in (1, 2, 3, 4):
+        sch._bucket(r)
+    sch._bucket(1)
+    sch._bucket(5)
+    assert _held(sch) == {1, 3, 4, 5}
+    # One lookup uses its tables at once: 3 and 5 stay, 4 is evicted.
+    sch.rows(np.array([3, 6, 3, 5]))
+    assert _held(sch) == {1, 3, 5, 6}
+    # Cycling 12 receiver seeds through the four slots keeps every answer.
+    for r in range(12):
+        t = run_classical_commit(sch, r & 1, 37 * r, r)
+        for b in (0, 1):
+            assert sch.consistent_seeds(t, b).tolist() == replayed_seeds(sch, t, b), (r, b)
+        assert len(_held(sch)) <= 4
+    with pytest.raises(RuntimeError, match="more than 4 receiver seeds"):
+        sch.rows(np.arange(5))
+
+
+def test_hm2_split_survives_a_refill_of_its_slot(monkeypatch):
+    # A round law splits on demand; fills past the slab's bound between
+    # alpha_partition and split reuse r's slot, and the split still reads r's table.
+    sch = _four_table_hm2(monkeypatch)
+    full = np.arange(512, dtype=np.int64)
+    prefix = run_classical_commit(sch, 0, 7, 300)[:2]
+    law = sch.alpha_partition(2, full, full, prefix)
+    sch.rows(np.arange(4))
+    assert 300 not in _held(sch)
+    want = make_scheme("hm2", 9, a=4).alpha_partition(2, full, full, prefix)
+    for i in range(len(law.counts)):
+        assert [xs.tolist() for xs in law.split(i)] == [xs.tolist() for xs in want.split(i)], i
 
 
 def test_hiding_distance_controls():

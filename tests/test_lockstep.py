@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ivpoq.adversaries import ClassicalHonestProver, UnboundedClawProver
-from ivpoq import coherent_prover, hashing, verifier
+from ivpoq import coherent_prover, commitment, hashing, verifier
 from ivpoq.coherent_prover import HonestProver, consistent_state
 from ivpoq.commitment import make_scheme
 from ivpoq.lemma_harness import replayed_seeds
@@ -152,6 +152,25 @@ def test_estimate_acceptance_engine_matches_scalar_loop(name, ell, kwargs, grid,
     assert engine.to_json_dict() == scalar.to_json_dict()
     assert engine.unique_trials > 0
 
+
+
+def test_blocks_no_larger_than_a_four_table_slab(monkeypatch):
+    # hm2 at ell=9 with room for four tables: a block of 40 sessions names
+    # about 40 receiver seeds and is refused, so estimates and tally cut
+    # blocks of four sessions, whose records equal run_session's.
+    monkeypatch.setattr(commitment, "_CACHE_BYTES", 0)
+    params = _params("hm2", 9, {"a": 4}, GRID_ORACLE)
+    sch = params.scheme
+    assert sch.capacity == verifier.block_size(sch) == 4
+    with pytest.raises(RuntimeError, match="more than 4 receiver seeds"):
+        run_block(params, 11, 0, 40)
+    records = [rec for lo in range(0, 40, 4) for rec in run_block(params, 11, lo, lo + 4).records()]
+    assert len({rec.t[1] for rec in records}) > 4
+    _assert_records_equal_run_session(params, 11, 0, records)
+    assert verifier.tally(params, records) == Counter(v2_decide(params, rec) for rec in records)
+    engine = estimate_acceptance(params, HonestProver(sch), 40, seed=11)
+    scalar = estimate_acceptance(params, _ScalarHonestProver(sch), 40, seed=11)
+    assert engine.to_json_dict() == scalar.to_json_dict()
 
 
 @pytest.mark.parametrize("name", ["const", "ident"])
@@ -303,9 +322,12 @@ def _check_block_of_malformed_records(name, cases):
     block = SessionBlock.from_records(sch, kept)
     for b in (0, 1):
         if kept:
-            views, lens = sch.rows(block.cols["r"]).classes(block.cols["key"] ^ b)
-            assert [xs.tolist() for xs in views] == [sets[b] for sets in want]
+            tables = sch.rows(block.cols["r"])
+            firsts, lens = tables.classes(block.cols["key"] ^ b)
+            flat = tables.orders.reshape(-1).tolist()
+            assert [flat[f : f + n] for f, n in zip(firsts, lens)] == [sets[b] for sets in want]
             assert lens.tolist() == [len(sets[b]) for sets in want]
+            assert tables.seeds(firsts, lens).tolist() == [x for sets in want for x in sets[b]]
     assert decide_block(params, block) == [v2_decide(params, record) for record in kept]
 
 

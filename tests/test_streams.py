@@ -104,6 +104,20 @@ def test_one_bound_for_all_rows():
         assert streams.integers(n).tolist() == [int(rng.integers(n)) for rng in rngs]
 
 
+@pytest.mark.parametrize("n", BOUNDS)
+@pytest.mark.parametrize("kind", [int, np.uint64])
+def test_one_bound_draws_as_the_same_bound_per_row(n, kind):
+    # A single bound draws in its one regime; it must give the values and
+    # leave the stream states that the bound repeated per row does, on all
+    # rows and on subsets that leave the next32 buffer full in some rows.
+    one, per_row = SessionStreams(4, 0, SESSIONS), SessionStreams(4, 0, SESSIONS)
+    for rows in (None, [1, 2, 5], [0, 5], None, []):
+        count = SESSIONS if rows is None else len(rows)
+        assert one.integers(kind(n), rows).tolist() == per_row.integers([n] * count, rows).tolist()
+        for state in ("_hi", "_lo", "_buf"):
+            assert (getattr(one, state) == getattr(per_row, state)).all(), (rows, state)
+
+
 def test_negative_seed_raises_like_default_rng():
     with pytest.raises(ValueError) as want:
         np.random.default_rng([-1, 0])
