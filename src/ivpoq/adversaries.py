@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from . import coherent_prover as cp
-from .bits import check_ell, dot2, parity_u32, rng_from_key
+from .bits import check_ell, dot2, parity_u32, rng_from_key, wht
 from .coherent_prover import _BLOCK_BYTES
 from .commitment import CommitScheme, Transcript
 from .hashing import HashFn
@@ -41,6 +41,7 @@ from .verifier import (
     check_v0_reply,
     count_accepts,
     run_challenge,
+    run_commit,
     run_preamble,
     sample_hash,  # noqa: F401  (perfbench/tracing.py patches adversaries.sample_hash)
     tally,
@@ -77,6 +78,25 @@ class _ReplayableProver:
 
     def _rng(self, tag: str, *key_parts) -> np.random.Generator:
         return rng_from_key(self.r, tag, *key_parts)
+
+    def block_session(self, streams, rs: np.ndarray, tables):
+        """verifier.run_block's replies, each row's session asked and checked
+        as run_session does; exact, as a replayable prover draws no stream."""
+        scheme, ell = self.scheme, self.scheme.ell
+        sessions = [self.new_session(None) for _ in range(len(rs))]
+        ts = [run_commit(scheme, session, r) for session, r in zip(sessions, rs.tolist())]
+        hashes = yield np.array([scheme.transcript_key(t)[1] for t in ts], dtype=np.int64)
+        # Each row's query grows a phase at a time: (t, h0, h1), then y, xi and d.
+        queries = [(t, hashes.member(ell, 2 * i), hashes.member(ell, 2 * i + 1)) for i, t in enumerate(ts)]
+        queries = [(*q, check_reply(s.hash_response(*q), q[1].k, "y")) for s, q in zip(sessions, queries)]
+        v1s, xis = yield np.array([q[3] for q in queries], dtype=np.int64)
+        asked = [(s, (*q, xi), v1) for s, q, xi, v1 in zip(sessions, queries, xis.tolist(), v1s.tolist())]
+        v0 = [check_v0_reply(s.v0_response(*q), ell) for s, q, v1 in asked if v1 == 0]
+        asked = [(s, (*q, check_reply(s.d_response(*q), 1 << ell, "d"))) for s, q, v1 in asked if v1]
+        ds = np.array([q[-1] for _, q in asked], dtype=np.int64)
+        v2s = yield np.array(v0, dtype=np.int64).reshape(-1, 2).T, ds
+        etas = [check_reply(s.eta_response(*q, v2), 2, "eta") for (s, q), v2 in zip(asked, v2s.tolist())]
+        yield np.array(etas, dtype=np.int64)
 
 
 class ClassicalHonestProver(_ReplayableProver):
@@ -207,8 +227,7 @@ class UnboundedClawProver(_ReplayableProver):
         return self._memo[1]
 
 
-def unbounded_claw_prover(scheme: CommitScheme, r: bytes = b"") -> UnboundedClawProver:
-    return UnboundedClawProver(scheme, r)
+unbounded_claw_prover = UnboundedClawProver  # the name perfbench imports
 
 
 class ScriptedProver(_ReplayableProver):
@@ -341,7 +360,6 @@ def goldreich_levin(
     need = ell / (4.0 * advantage * advantage * confidence)
     t = max(1, int(np.ceil(np.log2(need + 1))))
     t = min(t, _GL_MAX_BATCH_LOG2)
-    n_comb = (1 << t) - 1
 
     # unit-vector probe: exact for noiseless linear oracles
     weights = np.int64(1) << np.arange(ell, dtype=np.int64)
@@ -354,23 +372,22 @@ def goldreich_levin(
 
     # coordinate-major: all combos with bit 0 flipped, then bit 1, ...
     queries = (combos[None, 1:] ^ weights[:, None]).ravel()
-    votes = oracle.query_many(queries).reshape(ell, n_comb).T
+    votes = oracle.query_many(queries).reshape(ell, -1)
 
-    guesses = np.arange(1 << t, dtype=np.uint32)
-    sigmas = np.arange(1, 1 << t, dtype=np.uint32)
-    # sign matrix (-1)^(g . sigma): rows = guesses, cols = XOR combos
-    signs = 1 - 2 * parity_u32(guesses[:, None] & sigmas[None, :]).astype(np.int64)
-    scores = signs @ (1 - 2 * votes)
-    bits = scores < 0
-    candidates.extend((bits @ weights).tolist())
+    # Guess g's score on a coordinate is sum_sigma (-1)^(g.sigma) (1 - 2 vote):
+    # a WHT of each coordinate's row, with combo 0 (no query) padded as 0.
+    scores = wht(np.pad(1 - 2 * votes, ((0, 0), (1, 0))))
+    candidates.extend((weights @ (scores < 0)).tolist())
     distinct = np.array(list(dict.fromkeys(candidates)), dtype=np.int64)
 
     n_test = max(64, int(np.ceil(8.0 / (advantage * advantage))))
     test_xis = rng.integers(1 << ell, size=n_test)
     answers = oracle.query_many(test_xis)
-    agree = np.count_nonzero(parity_u32(distinct[:, None] & test_xis) == answers, axis=1) / n_test
-    threshold = 0.5 + advantage / 2.0
-    kept = [(a, s) for a, s in zip(agree.tolist(), distinct.tolist()) if a >= threshold]
+    step = max(1, _BLOCK_BYTES // (8 * n_test))  # candidates per parity matrix of _BLOCK_BYTES
+    hits = [np.count_nonzero(parity_u32(distinct[lo : lo + step, None] & test_xis) == answers, axis=1)
+            for lo in range(0, len(distinct), step)]
+    agree = np.concatenate(hits) / n_test
+    kept = [(a, s) for a, s in zip(agree.tolist(), distinct.tolist()) if a >= 0.5 + advantage / 2.0]
     kept.sort(key=lambda pair: (-pair[0], pair[1]))
     return [s for _, s in kept]
 

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .verifier import ProtocolParams, count_accepts, run_session, tally
+from .verifier import ProtocolParams, count_accepts, estimate_acceptance, run_session, tally
 
 
 def required_N(c: float, s: float, lam: float) -> int:
@@ -150,15 +150,12 @@ def per_randomness_profile(
 
     Estimates the acceptance rate of prover_factory(r) for a grid of
     fixed randomness values r and reports the fraction of r whose rate
-    reaches the threshold.  A report, not an asymptotic claim.
+    reaches the threshold.  A report, not an asymptotic claim.  Grid
+    point i's sessions are one estimate_acceptance on the entropy prefix
+    (seed, i): session j draws on default_rng([seed, i, j]).
     """
-    rates = []
-    for i in range(n_r):
-        r = b"r-grid" + int(i).to_bytes(4, "big")
-        prover = prover_factory(r)
-        rngs = (np.random.default_rng([seed, i, j]) for j in range(trials))
-        records = (run_session(params, prover, rng) for rng in rngs)
-        rates.append(count_accepts(tally(params, records)) / trials)
+    provers = map(prover_factory, (b"r-grid" + i.to_bytes(4, "big") for i in range(n_r)))
+    rates = [estimate_acceptance(params, p, trials, (seed, i)).rate for i, p in enumerate(provers)]
     above = sum(rate >= threshold for rate in rates)
     return {
         "n_r": n_r,

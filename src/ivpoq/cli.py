@@ -140,9 +140,8 @@ def _emit(args, payload: dict, csv_rows: list[dict] | None = None) -> None:
 def cmd_run(args) -> int:
     """run one session end to end and print its record"""
     params = _make_params(args)
-    # Session 0 of seed args.seed, the session run_session makes on
-    # default_rng([args.seed, 0]) for the honest prover.
-    block = run_block(params, args.seed, 0, 1)
+    # Session 0 of seed args.seed: run_session's record on default_rng([args.seed, 0]).
+    block = run_block(params, HonestProver(params.scheme), args.seed, 0, 1)
     record = block.records()[0]
     record.verdict, record.verdict_reason = decide_block(params, block)[0]
     _emit(args, {"record": record.to_json_dict()})
@@ -166,7 +165,7 @@ def cmd_soundness(args) -> int:
             params.scheme, 0, int.from_bytes(r, "big") % (1 << params.ell)
         )
     else:
-        factory = lambda r: adversaries.unbounded_claw_prover(params.scheme, r)
+        factory = lambda r: adversaries.UnboundedClawProver(params.scheme, r)
     prover = factory(b"\x00")
     report = estimate_acceptance(params, prover, args.trials, args.seed, args.workers)
     profile = amplification.per_randomness_profile(
@@ -206,7 +205,7 @@ def cmd_lemmas(args) -> int:
 def cmd_reduce(args) -> int:
     """run the binding attack repeatedly"""
     params = _make_params(args)
-    prover = adversaries.unbounded_claw_prover(params.scheme)
+    prover = adversaries.UnboundedClawProver(params.scheme)
     successes = 0
     queries = 0
     for i in range(args.trials):

@@ -22,8 +22,8 @@ from functools import lru_cache
 import numpy as np
 
 from .bits import check_ell, dot2, parity_u32, wht
-from .commitment import CommitRoundLaw, CommitScheme, Transcript
-from .hashing import HashFn
+from .commitment import ClassRows, CommitRoundLaw, CommitScheme, Transcript
+from .hashing import HashColumns, HashFn, eval_segments
 
 COS_PI8 = np.cos(np.pi / 8)
 SIN_PI8 = np.sin(np.pi / 8)
@@ -31,9 +31,9 @@ SIN_PI8 = np.sin(np.pi / 8)
 # 1/2 * 1 + 1/2 * cos^2(pi/8).
 HONEST_UNIQUE_RATE = 0.5 + 0.5 * COS_PI8**2
 
-# Bytes of the largest arrays of a batched step.  The engine's hash step and
-# V2's counts take _BLOCK_BYTES >> 8 seeds at a time, and their kernel makes
-# about a dozen int64 arrays of that length; hadamard_draws takes
+# Bytes of the largest arrays of a batched step.  The honest block's hash step
+# and V2's counts take _BLOCK_BYTES >> 8 seeds at a time, and their kernel
+# makes about a dozen int64 arrays of that length; hadamard_draws takes
 # _BLOCK_BYTES >> (ell + 6) measurements at a time, each with about four
 # arrays of 2 x 2^ell int64 (amplitudes, the transform's buffer, weights).
 _BLOCK_BYTES = 1 << 20
@@ -263,6 +263,27 @@ class HonestProver:
         session.state = consistent_state(self.scheme, prefix[0], prefix[1:])
         return session
 
+    def block_session(self, streams, rs: np.ndarray, tables: ClassRows):
+        """verifier.run_block's replies, each row drawing as its HonestSession
+        would, the work between draws once per block (the commit keys, the hash
+        kernel and y law, d, eta); session i's S0, S1 are classes key, key ^ 1."""
+        keys = self.scheme.commit_keys(tables, streams)
+        firsts, lens = np.stack((tables.classes(keys), tables.classes(keys ^ 1)), axis=-1).reshape(2, -1)
+        hashes = yield keys
+        ys, xs, seg = _hash_step(streams, tables, firsts, lens, hashes)
+        offsets = np.concatenate(([0], np.bincount(seg, minlength=len(lens)).cumsum()))
+        sizes = offsets[2::2] - offsets[:-1:2]
+        v1s, xis = yield ys
+        v0_rows, v1_rows = np.flatnonzero(v1s == 0), np.flatnonzero(v1s)
+        at = offsets[2 * v0_rows] + streams.integers(sizes[v0_rows], v0_rows)
+        drawn = np.zeros((3, len(v1_rows)), dtype=np.int64)
+        small = sizes[v1_rows] <= 2
+        for part, draw_d in ((small, _d_by_rejection), (~small, _d_by_wht)):
+            drawn[:, part] = draw_d(self.scheme.ell, streams, v1_rows[part], offsets, xs, seg, xis)
+        ds, a0, a1 = drawn
+        v2s = yield (at >= offsets[2 * v0_rows + 1], xs[at]), ds
+        yield streams.random(v1_rows) >= eta0_probs(a0, a1, v2s)
+
 
 class HonestSession:
     """One protocol run; the support-set state evolves with each message."""
@@ -292,3 +313,86 @@ class HonestSession:
 
     def eta_response(self, t, h0, h1, y, xi, d, v2) -> int:
         return measure_rotated(self.qubit, v2, self.rng)
+
+
+# the honest prover on a block of sessions -------------------------------------
+
+def _runs(sizes: np.ndarray, budget: int):
+    """Consecutive ranges [a, b) of sessions whose sizes sum to at most
+    budget, or of one session where a single size exceeds it."""
+    ends = np.cumsum(sizes)
+    a = 0
+    while a < len(sizes):
+        b = int(np.searchsorted(ends, ends[a] - sizes[a] + budget, side="right"))
+        yield a, max(a + 1, b)
+        a = max(a + 1, b)
+
+
+def _hash_step(streams, tables: ClassRows, firsts, lens, hashes: HashColumns):
+    """Every session's y and the support seeds that survive it.
+
+    Seeds sit in segments 2i + b (session i, branch b), the lens[2i + b]
+    seeds at firsts[2i + b] of the tables, hashed by member 2i + b.  y is
+    the u-th smallest hash value of session i's seeds for its draw u,
+    which is sample_index over np.unique's counts.  The kernel runs on
+    runs of sessions of at most _BLOCK_BYTES >> 8 seeds.  Returns (ys,
+    seeds, segments) of the survivors, in segment order.
+    """
+    sizes = lens[0::2] + lens[1::2]
+    us = streams.integers(sizes)
+    shift = int(hashes.k.max()).bit_length()
+    ys, kept_xs, kept_seg = [], [], []
+    for a, b in _runs(sizes, _BLOCK_BYTES >> 8):
+        xs = tables.seeds(firsts[2 * a : 2 * b], lens[2 * a : 2 * b])
+        hv = eval_segments(hashes.take(slice(2 * a, 2 * b)), xs, lens[2 * a : 2 * b])
+        seg = np.repeat(np.arange(2 * a, 2 * b), lens[2 * a : 2 * b])
+        ranked = np.sort(((seg >> 1) << shift) | hv)
+        part = sizes[a:b]
+        y = ranked[np.cumsum(part) - part + us[a:b]] & ((1 << shift) - 1)
+        kept = hv == y[(seg >> 1) - a]
+        ys.append(y)
+        kept_xs.append(xs[kept])
+        kept_seg.append(seg[kept])
+    return np.concatenate(ys), np.concatenate(kept_xs), np.concatenate(kept_seg)
+
+
+def _clauses(xs, seg, xis) -> np.ndarray:
+    """The clause c = xi.x ^ b of each survivor x in segment 2i + b."""
+    return parity_u32(xs & xis[seg >> 1]).astype(np.int64) ^ (seg & 1)
+
+
+def _d_by_rejection(ell, streams, rows, offsets, xs, seg, xis):
+    """sample_d's rejection loop for sessions rows, of one or two survivors.
+
+    d is uniform over the d whose residual amplitudes (a_0(d), a_1(d))
+    do not both vanish; both vanish only when the two survivors share a
+    clause and d.(x ^ x') = 1.  Returns d, a_0(d) and a_1(d) per row.
+    """
+    first = offsets[2 * rows]
+    two = offsets[2 * rows + 2] - first == 2
+    x0, x1 = xs[first], xs[first + two]
+    c0, c1 = _clauses(x0, seg[first], xis), _clauses(x1, seg[first + two], xis)
+    out = np.zeros((3, len(rows)), dtype=np.int64)
+    pending = np.arange(len(rows))
+    while len(pending):
+        d = streams.integers(1 << ell, rows[pending])
+        s0 = 1 - 2 * parity_u32(d & x0[pending]).astype(np.int64)
+        s1 = (1 - 2 * parity_u32(d & x1[pending]).astype(np.int64)) * two[pending]
+        amp0 = s0 * (c0[pending] == 0) + s1 * (c1[pending] == 0)
+        amp1 = s0 * (c0[pending] == 1) + s1 * (c1[pending] == 1)
+        done = (amp0 != 0) | (amp1 != 0)
+        out[:, pending[done]] = d[done], amp0[done], amp1[done]
+        pending = pending[~done]
+    return out
+
+
+def _d_by_wht(ell, streams, rows, offsets, xs, seg, xis):
+    """sample_d's Hadamard path for sessions rows, of three or more survivors:
+    each row's draw u, then hadamard_draws with session rows[w] as
+    measurement w.  Returns d, a_0(d) and a_1(d) per row."""
+    us = streams.integers((offsets[2 * rows + 2] - offsets[2 * rows]) << ell, rows)
+    row_of = np.full(len(xis), -1, dtype=np.int64)
+    row_of[rows] = np.arange(len(rows))
+    w = row_of[seg >> 1]
+    on = w >= 0
+    return hadamard_draws(ell, xs[on], 2 * w[on] + (seg[on] & 1), xis[rows], us)

@@ -35,12 +35,15 @@ _LOW37 = np.uint64((1 << 37) - 1)
 _SCALAR_MAX = 32
 
 
-def _choose_prime(ell: int, k: int) -> int:
-    need = max(1 << ell, (1 << 40) * k)
-    for p in _PRIMES:
-        if p >= need:
-            return p
-    raise ValueError(f"no configured prime covers ell={ell}, k={k}")
+# Prime p serves the k <= p >> 40 (p >= 2^40 k); each exceeds 2^ell at ell <= 24.
+_K_CUTOFFS = [p >> 40 for p in _PRIMES]
+
+
+def _prime_index(ell: int, ks):
+    """The index in _PRIMES of the least prime p >= max(2^ell, 2^40 k), elementwise."""
+    if np.max(ks) > _K_CUTOFFS[-1]:
+        raise ValueError(f"no configured prime covers ell={ell}, k={np.max(ks)}")
+    return np.searchsorted(_K_CUTOFFS[:-1], ks)
 
 
 @dataclass(frozen=True)
@@ -150,7 +153,7 @@ def sample_hash(ell: int, k: int, rng: np.random.Generator) -> HashFn:
     check_ell(ell)
     if k < 1:
         raise ValueError("k must be >= 1")
-    p = _choose_prime(ell, k)
+    p = _PRIMES[_prime_index(ell, k)]
     a = _uniform_below(p, rng)
     b = _uniform_below(p, rng)
     return HashFn(ell, k, a, b, p)
@@ -181,15 +184,14 @@ def sample_hash_pairs(ell: int, ks, streams) -> HashColumns:
     ks = np.asarray(ks)  # object where a k exceeds int64
     if ks.min() < 1:
         raise ValueError("k must be >= 1")
-    distinct, inv = np.unique(ks, return_inverse=True)
-    primes = np.array([_choose_prime(ell, k) for k in distinct.tolist()], dtype=object)
-    coeffs = np.zeros((4, len(ks)), dtype=np.uint64 if set(primes) == {_PRIMES[0]} else object)
-    for p in set(primes):
-        rows = np.flatnonzero((primes == p)[inv])
+    at = _prime_index(ell, ks)
+    coeffs = np.zeros((4, len(ks)), dtype=np.uint64 if not at.any() else object)
+    for i in np.flatnonzero(np.bincount(at)).tolist():
+        rows = np.flatnonzero(at == i)
         for col in coeffs:
-            col[rows] = _uniform_below_rows(p, streams, rows)
+            col[rows] = _uniform_below_rows(_PRIMES[i], streams, rows)
     cols = coeffs[0::2].T.ravel(), coeffs[1::2].T.ravel(), np.repeat(ks, 2).astype(coeffs.dtype)
-    return HashColumns(*cols, np.repeat(primes[inv], 2))
+    return HashColumns(*cols, np.repeat(np.array(_PRIMES, dtype=object)[at], 2))
 
 
 def _uniform_below_rows(p: int, streams, rows: np.ndarray):

@@ -1,12 +1,12 @@
 """numpy's default_rng([seed, i]) streams for many sessions i, drawn together.
 
 A session's stream is a pure function of (seed, i): SeedSequence hashes
-the entropy words of [seed, i] into a pool of four 32-bit words, draws
-four 64-bit words from it, and seeds PCG64 with them.  SessionStreams
-holds that PCG64 state for every session of a range as uint64 arrays
-and makes one draw for many sessions in one pass of numpy operations,
-with numpy's own algorithms, so each session sees exactly the values
-its own Generator would give:
+the entropy words of [seed, i], or [*seed, i] for a tuple seed, into a
+pool of four 32-bit words, draws four 64-bit words from it, and seeds
+PCG64 with them.  SessionStreams holds that PCG64 state for every
+session of a range as uint64 arrays and makes one draw for many
+sessions in one pass of numpy operations, with numpy's own algorithms,
+so each session sees exactly the values its own Generator would give:
 
 * the 128-bit LCG step, multiplied in 32-bit limbs, with XSL-RR output;
 * next32 from the bit generator's persistent buffer: one 64-bit output
@@ -123,19 +123,21 @@ def _step(hi, lo, inc_hi, inc_lo):
 
 
 class SessionStreams:
-    """The Generators default_rng([seed, i]) for lo <= i < hi, drawn row-wise.
+    """The Generators default_rng([seed, i]) for lo <= i < hi, drawn row-wise;
+    a tuple seed is an entropy prefix, default_rng([*seed, i]).
 
     Row r is session lo + r.  Each draw method takes rows, an int array
     of distinct rows (all rows when None), and advances only those
     streams; n may be one bound or one bound per row.
     """
 
-    def __init__(self, seed: int, lo: int, hi: int):
+    def __init__(self, seed: int | tuple[int, ...], lo: int, hi: int):
         _check_numpy()
         self._init(seed, lo, hi)
 
-    def _init(self, seed: int, lo: int, hi: int) -> None:
-        head = np.array(_words(seed), dtype=_U32)[:, None]
+    def _init(self, seed: int | tuple[int, ...], lo: int, hi: int) -> None:
+        prefix = seed if isinstance(seed, tuple) else (seed,)
+        head = np.array([w for part in prefix for w in _words(part)], dtype=_U32)[:, None]
         _words(lo)
         count = hi - lo
         self._hi = np.empty(count, dtype=_U64)
@@ -145,7 +147,7 @@ class SessionStreams:
         # The buffered upper half of a 64-bit output, or -1 when empty.
         self._buf = np.full(count, -1, dtype=np.int64)
         self._all = np.arange(count)
-        # Entropy [seed, i]: the seed's words, then i's; sessions are grouped
+        # Entropy [*prefix, i]: the prefix's words, then i's; sessions are grouped
         # by the number of words of i (one below 2^32).
         if hi <= 1 << 32:
             groups = [(self._all, np.arange(lo, hi, dtype=_U32)[None, :])]

@@ -9,15 +9,16 @@ pure function of the resulting record: V1 appends three fair coin bits
 to the transcript, so the 7/8-acceptance branch of V2 is derandomized
 and every run replays to the same verdict.
 
-run_block is the lockstep engine for honest sessions: a block of them
-advances step by step, each on its own stream with run_session's draws
-(SessionStreams makes each draw for the whole block at once), while the
-hashing, the y law and the Hadamard transforms run once for the block,
-and it returns the block as a SessionBlock of columns.  decide_block is
-V2 over a block, in array operations on its columns, and tally counts the
-verdicts of any stream of records, each block_size of them made one
-block.  SessionRecords are built only at the edges: SessionBlock.records
-(the CLI's run and the tests) and SessionBlock.from_records (tally).
+run_block is V1 over a block of sessions in lockstep, each on its own
+stream with run_session's draws (SessionStreams makes each draw for the
+whole block at once); the prover answers each phase for the whole block
+through its block_session generator, and the block comes back as a
+SessionBlock of columns; estimate_acceptance runs every session through
+it.  decide_block is V2 over a block, in array operations on its columns,
+and tally counts the verdicts of any stream of records, each block_size
+of them made one block.  SessionRecords are built only at the edges:
+SessionBlock.records (the CLI's run and the tests) and
+SessionBlock.from_records (tally).
 
 V2's hard steps (counting consistent preimages and finding witnesses)
 go through count_consistent_preimages, a brute-force stand-in for the
@@ -40,10 +41,8 @@ import numpy as np
 
 from . import stats
 from .bits import dot2, from_hex, parity_u32, to_hex
-from .coherent_prover import (
-    _BLOCK_BYTES, HonestProver, HonestSession, SupportState, eta0_probs, hadamard_draws
-)
-from .commitment import ClassRows, CommitScheme, Transcript
+from .coherent_prover import _BLOCK_BYTES, HonestSession, SupportState, _runs
+from .commitment import CommitScheme, Transcript
 from .hashing import HashColumns, HashFn, eval_segments, hash_columns, sample_hash, sample_hash_pairs
 from .streams import SessionStreams
 
@@ -403,7 +402,7 @@ def _verdict(record: SessionRecord, c0, x0, c1, x1) -> tuple[bool, str]:
     return ok, (REASON_PASS if ok else REASON_FAIL)
 
 
-# the lockstep engine -----------------------------------------------------------
+# lockstep blocks ---------------------------------------------------------------
 
 # Sessions whose streams run_block draws together: SessionStreams costs
 # per numpy call, not per session, so a block spans many sessions.
@@ -415,139 +414,39 @@ def block_size(scheme: CommitScheme) -> int:
     return STREAM_SESSIONS if scheme.capacity >= 1 << scheme.ell else min(STREAM_SESSIONS, scheme.capacity)
 
 
-def run_block(params: ProtocolParams, seed: int, lo: int, hi: int) -> SessionBlock:
-    """Honest sessions lo..hi-1, advanced step by step in lockstep.
-
-    Row i - lo equals run_session(params, HonestProver(params.scheme),
-    default_rng([seed, i])): SessionStreams makes each session's draws on
-    that stream, in run_session's order, one numpy pass per draw for the
-    whole block, while the deterministic work between draws also runs
-    once per block: the commit's key (the scheme's commit_keys), the hash
-    kernel on every session's support, the y law as a segmented sort, and
-    the Hadamard measurement as one hadamard_draws call.
+def run_block(params: ProtocolParams, prover, seed, lo: int, hi: int) -> SessionBlock:
+    """V1 on sessions lo..hi-1, phase by phase in lockstep: row i - lo equals
+    run_session(params, prover, default_rng([seed, i])), or [*seed, i] for a
+    tuple seed, as SessionStreams draws for every row at once.  The prover's
+    generator block_session(streams, rs, tables) yields the commit keys (-1
+    where no seed replays the transcript); sent the HashColumns, y; sent
+    (v1s, xis), ((b', x') of the v1=0 rows, d of the v1=1 rows); sent their
+    v2, their eta.  The oracle grid reads |X_{0,t}| as class key's length.
     """
     ell, scheme, n = params.ell, params.scheme, hi - lo
     streams = SessionStreams(seed, lo, hi)
-    cols, tables, firsts, lens = _commit_step(scheme, streams)
-    # Grid index and hash pair.  An honest commit leaves S0 = X_{0,t}.
+    rs = streams.integers(1 << ell)
+    tables = scheme.rows(rs)
+    replies = prover.block_session(streams, rs, tables)
+    keys = next(replies)
     js = np.full(n, -1, dtype=np.int64)
     if params.grid_mode == GRID_ORACLE:
-        first, stop = _grid_ends(ell, params.epsilon, lens[0::2])
+        first, stop = _grid_ends(ell, params.epsilon, tables.classes(keys)[1])
         js = np.where(first < stop, first, js)
     unset = np.flatnonzero(js < 0)
     js[unset] = streams.integers(params.m, unset)
     hashes = sample_hash_pairs(ell, np.array(params.ks)[js], streams)
-    ys, xs, seg = _hash_step(params, streams, tables, firsts, lens, hashes)
-    offsets = np.concatenate(([0], np.bincount(seg, minlength=2 * n).cumsum()))
-    sizes = offsets[2::2] - offsets[:-1:2]
-    # The challenge: v1 and xi, then the preimage test or d, v2 and eta.
+    ys = replies.send(hashes)
     v1s, xis = streams.integers(2), streams.integers(1 << ell)
     v0_rows, v1_rows = np.flatnonzero(v1s == 0), np.flatnonzero(v1s)
-    at = offsets[2 * v0_rows] + streams.integers(sizes[v0_rows], v0_rows)
-    bprime, xprime, ds, v2s, etas, a0, a1 = np.zeros((7, n), dtype=np.int64)
-    bprime[v0_rows], xprime[v0_rows] = at >= offsets[2 * v0_rows + 1], xs[at]
-    small = sizes[v1_rows] <= 2
-    for rows, draw_d in ((v1_rows[small], _d_by_rejection), (v1_rows[~small], _d_by_wht)):
-        ds[rows], a0[rows], a1[rows] = draw_d(ell, streams, rows, offsets, xs, seg, xis)
-    v2s[v1_rows] = streams.integers(2, v1_rows)
-    etas[v1_rows] = streams.random(v1_rows) >= eta0_probs(a0[v1_rows], a1[v1_rows], v2s[v1_rows])
-    cols.update(j=js, y=ys, v1=v1s, xi=xis, bprime=bprime, xprime=xprime, d=ds, v2=v2s, eta=etas)
-    cols["v2coin"] = streams.integers(8)
+    (bprimes, xprimes), ds = replies.send((v1s, xis))
+    v2s = streams.integers(2, v1_rows)
+    etas = replies.send(v2s)
+    cols = {name: np.zeros(n, dtype=np.int64) for name in _COLUMNS}
+    cols.update(r=rs, key=keys, j=js, y=ys, v1=v1s, xi=xis, v2coin=streams.integers(8))
+    cols["bprime"][v0_rows], cols["xprime"][v0_rows] = bprimes, xprimes
+    cols["d"][v1_rows], cols["v2"][v1_rows], cols["eta"][v1_rows] = ds, v2s, etas
     return SessionBlock(scheme, hashes, cols)
-
-
-def _commit_step(scheme: CommitScheme, streams: SessionStreams):
-    """Each session's receiver seed r and honest commit key, as the columns
-    r and key, their tables, and the supports S0, S1 of session 0, S0 of
-    session 1, ..., classes key and key ^ 1 of r's table, as offsets and lengths."""
-    rs = streams.integers(1 << scheme.ell)
-    tables = scheme.rows(rs)
-    keys = scheme.commit_keys(tables, streams)
-    firsts, lens = np.stack((tables.classes(keys), tables.classes(keys ^ 1)), axis=-1)
-    return {"r": rs, "key": keys}, tables, firsts.ravel(), lens.ravel()
-
-
-def _runs(sizes: np.ndarray, budget: int):
-    """Consecutive ranges [a, b) of sessions whose sizes sum to at most
-    budget, or of one session where a single size exceeds it."""
-    ends = np.cumsum(sizes)
-    a = 0
-    while a < len(sizes):
-        b = int(np.searchsorted(ends, ends[a] - sizes[a] + budget, side="right"))
-        yield a, max(a + 1, b)
-        a = max(a + 1, b)
-
-
-def _hash_step(
-    params: ProtocolParams, streams: SessionStreams, tables: ClassRows, firsts, lens, hashes: HashColumns
-):
-    """Every session's y and the support seeds that survive it.
-
-    Seeds sit in segments 2i + b (session i, branch b), the lens[2i + b]
-    seeds at firsts[2i + b] of the tables, hashed by member 2i + b.  y is
-    the u-th smallest hash value of session i's seeds for its draw u,
-    which is sample_index over np.unique's counts.  The kernel runs on
-    runs of sessions of at most _BLOCK_BYTES >> 8 seeds.  Returns (ys,
-    seeds, segments) of the survivors, in segment order.
-    """
-    sizes = lens[0::2] + lens[1::2]
-    us = streams.integers(sizes)
-    shift = max(params.ks).bit_length()
-    ys, kept_xs, kept_seg = [], [], []
-    for a, b in _runs(sizes, _BLOCK_BYTES >> 8):
-        xs = tables.seeds(firsts[2 * a : 2 * b], lens[2 * a : 2 * b])
-        hv = eval_segments(hashes.take(slice(2 * a, 2 * b)), xs, lens[2 * a : 2 * b])
-        seg = np.repeat(np.arange(2 * a, 2 * b), lens[2 * a : 2 * b])
-        ranked = np.sort(((seg >> 1) << shift) | hv)
-        part = sizes[a:b]
-        y = ranked[np.cumsum(part) - part + us[a:b]] & ((1 << shift) - 1)
-        kept = hv == y[(seg >> 1) - a]
-        ys.append(y)
-        kept_xs.append(xs[kept])
-        kept_seg.append(seg[kept])
-    return np.concatenate(ys), np.concatenate(kept_xs), np.concatenate(kept_seg)
-
-
-def _clauses(xs, seg, xis) -> np.ndarray:
-    """The clause c = xi.x ^ b of each survivor x in segment 2i + b."""
-    return parity_u32(xs & xis[seg >> 1]).astype(np.int64) ^ (seg & 1)
-
-
-def _d_by_rejection(ell, streams, rows, offsets, xs, seg, xis):
-    """sample_d's rejection loop for sessions rows, of one or two survivors.
-
-    d is uniform over the d whose residual amplitudes (a_0(d), a_1(d))
-    do not both vanish; both vanish only when the two survivors share a
-    clause and d.(x ^ x') = 1.  Returns d, a_0(d) and a_1(d) per row.
-    """
-    first = offsets[2 * rows]
-    two = offsets[2 * rows + 2] - first == 2
-    x0, x1 = xs[first], xs[first + two]
-    c0, c1 = _clauses(x0, seg[first], xis), _clauses(x1, seg[first + two], xis)
-    out = np.zeros((3, len(rows)), dtype=np.int64)
-    pending = np.arange(len(rows))
-    while len(pending):
-        d = streams.integers(1 << ell, rows[pending])
-        s0 = 1 - 2 * parity_u32(d & x0[pending]).astype(np.int64)
-        s1 = (1 - 2 * parity_u32(d & x1[pending]).astype(np.int64)) * two[pending]
-        amp0 = s0 * (c0[pending] == 0) + s1 * (c1[pending] == 0)
-        amp1 = s0 * (c0[pending] == 1) + s1 * (c1[pending] == 1)
-        done = (amp0 != 0) | (amp1 != 0)
-        out[:, pending[done]] = d[done], amp0[done], amp1[done]
-        pending = pending[~done]
-    return out
-
-
-def _d_by_wht(ell, streams, rows, offsets, xs, seg, xis):
-    """sample_d's Hadamard path for sessions rows, of three or more survivors:
-    each row's draw u, then hadamard_draws with session rows[w] as
-    measurement w.  Returns d, a_0(d) and a_1(d) per row."""
-    us = streams.integers((offsets[2 * rows + 2] - offsets[2 * rows]) << ell, rows)
-    row_of = np.full(len(xis), -1, dtype=np.int64)
-    row_of[rows] = np.arange(len(rows))
-    w = row_of[seg >> 1]
-    on = w >= 0
-    return hadamard_draws(ell, xs[on], 2 * w[on] + (seg[on] & 1), xis[rows], us)
 
 
 _REASONS = (REASON_PASS, REASON_FAIL, REASON_COIN)
@@ -577,7 +476,7 @@ def _count_block(scheme: CommitScheme, block: SessionBlock, rows: np.ndarray, b:
     """count_consistent_preimages(scheme, t, h_b, y, b) on the block's rows,
     as (counts capped at 2, least witnesses, 0 where there is none).  X_{b,t}
     is class key ^ b of r's table, hashed in runs of at most
-    _BLOCK_BYTES >> 8 seeds, as in _hash_step."""
+    _BLOCK_BYTES >> 8 seeds, as in the honest prover's hash step."""
     counts, witness = np.zeros((2, len(rows)), dtype=np.int64)
     if not len(rows):
         return counts, witness
@@ -632,7 +531,7 @@ class AcceptanceReport:
     nonunique_rate: float
     nonunique_ci: tuple[float, float]
     by_reason: dict
-    seed: int
+    seed: int | tuple[int, ...]
 
     def to_json_dict(self) -> dict:
         d = dict(self.__dict__)
@@ -656,30 +555,26 @@ class AcceptanceReport:
 
 
 def _acceptance_counts(params, prover, start, stop, seed) -> Counter:
-    if type(prover) is HonestProver and prover.scheme is params.scheme:
-        verdicts, size = Counter(), block_size(params.scheme)
-        for lo in range(start, stop, size):
-            block = run_block(params, seed, lo, min(lo + size, stop))
-            verdicts.update(decide_block(params, block))
-        return verdicts
-    rngs = (np.random.default_rng([seed, i]) for i in range(start, stop))
-    return tally(params, (run_session(params, prover, rng) for rng in rngs))
+    verdicts, size = Counter(), block_size(params.scheme)
+    for lo in range(start, stop, size):
+        verdicts.update(decide_block(params, run_block(params, prover, seed, lo, min(lo + size, stop))))
+    return verdicts
 
 
 def estimate_acceptance(
     params: ProtocolParams,
     prover,
     trials: int,
-    seed: int = 0,
+    seed: int | tuple[int, ...] = 0,
     workers: int = 1,
 ) -> AcceptanceReport:
     """Estimate V2's acceptance rate over independent sessions.
 
-    Session i always uses the RNG stream derived from (seed, i), so the
-    result is independent of the worker count; worker tallies merge by
-    summation.  The honest prover's sessions run in lockstep blocks
-    (run_block), any other prover's through run_session one at a time;
-    both give the same records, and tally decides them.
+    Session i always uses the RNG stream derived from (seed, i), or
+    (*seed, i) for a tuple seed, so the result is independent of the
+    worker count; worker tallies merge by summation.  Sessions run in
+    lockstep blocks of block_size (run_block), each decided by
+    decide_block; prover needs a block_session method.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

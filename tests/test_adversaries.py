@@ -7,6 +7,7 @@ import pytest
 from scipy import stats as sstats
 
 from ivpoq import adversaries, coherent_prover, verifier
+from ivpoq.bits import parity_u32
 from ivpoq.adversaries import (
     ClassicalHonestProver,
     PredictionOracle,
@@ -553,6 +554,72 @@ def test_gl_candidates_pass_agreement_filter():
     for s in out:
         agreement = np.mean([(int(x) & s).bit_count() & 1 for x in xis] == answers)
         assert agreement >= 0.5  # soundness floor on the full domain
+
+
+def sign_matrix_gl(ell, advantage, batches):
+    """goldreich_levin's list from its three query_many batches, each guess's
+    scores taken as the explicit (-1)^(g.sigma) sign matrix times the votes."""
+    (_, unit_votes), (_, votes), (test_xis, answers) = batches
+    weights = np.int64(1) << np.arange(ell, dtype=np.int64)
+    votes = votes.reshape(ell, -1).T
+    t = len(votes).bit_length()
+    guesses = np.arange(1 << t, dtype=np.uint32)
+    sigmas = np.arange(1, 1 << t, dtype=np.uint32)
+    signs = 1 - 2 * parity_u32(guesses[:, None] & sigmas[None, :]).astype(np.int64)
+    candidates = [int(unit_votes @ weights), *(((signs @ (1 - 2 * votes)) < 0) @ weights).tolist()]
+    kept = []
+    for s in dict.fromkeys(candidates):
+        agree = np.count_nonzero(parity_u32(np.int64(s) & test_xis) == answers) / len(test_xis)
+        if agree >= 0.5 + advantage / 2:
+            kept.append((-agree, s))
+    return [s for _, s in sorted(kept)]
+
+
+@pytest.mark.parametrize(
+    "ell,advantage,confidence",
+    [(2, 0.5, 0.9), (3, 0.5, 0.5), (4, 0.5, 0.3), (5, 0.4, 0.5), (6, 0.3, 0.5),
+     (6, 0.25, 0.25), (8, 0.2, 0.25), (8, 0.15, 0.25), (10, 0.12, 0.25)],
+)
+def test_gl_decode_equals_the_sign_matrix(ell, advantage, confidence):
+    # Batches of t = 2..10 seed strings, decoded by one WHT per coordinate.
+    planted = (0b1011001101 >> (10 - ell)) | 1
+    oracle, batches = planted_oracle(ell, planted, 0.15, seed=ell), []
+    real = oracle.query_many
+    oracle.query_many = lambda xis: batches.append((np.asarray(xis), real(xis))) or batches[-1][1]
+    out = goldreich_levin(oracle, ell, advantage, confidence, np.random.default_rng(ell))
+    assert len(batches) == 3 and len(batches[1][0]) < ell << 10
+    assert out == sign_matrix_gl(ell, advantage, batches)
+
+
+class _VectorLinearOracle:
+    """xi -> xi.planted, flipped on a fixed random quarter of the xis, asked
+    a batch at a time."""
+
+    def __init__(self, ell, planted, seed):
+        self.planted = planted
+        self.wrong = np.random.default_rng(seed).random(1 << ell) < 0.25
+        self.queries = 0
+
+    def query_many(self, xis):
+        xis = np.asarray(xis)
+        self.queries += len(xis)
+        return parity_u32(xis & self.planted).astype(np.int64) ^ self.wrong[xis]
+
+
+def test_gl_decodes_at_the_batch_cap_in_bounded_memory():
+    # ell=12 at advantage 0.05 and confidence 0.1 asks for t = 14, the cap,
+    # where a 2^t x (2^t - 1) sign matrix alone would take 2 GiB.
+    ell, planted = 12, 0b101100111010
+    oracle = _VectorLinearOracle(ell, planted, seed=4)
+    tracemalloc.start()
+    try:
+        out = goldreich_levin(oracle, ell, 0.05, 0.1, np.random.default_rng(5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert oracle.queries == ell + ell * ((1 << 14) - 1) + 3200
+    assert planted in out
+    assert peak < 32 << 20, peak
 
 
 def reference_gl_queries(ell, advantage, confidence, rng):

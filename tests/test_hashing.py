@@ -238,3 +238,29 @@ def test_sample_hash_pairs_equal_sample_hash(ell):
         assert [pairs.member(ell, 2 * (i - lo) + b) for b in (0, 1)] == want
         # Both streams are left at the same place.
         assert after[i - lo] == int(rng.integers(1 << 32))
+
+
+# k around each prime's cut-off p >> 40, and anywhere up to the last one.
+_KS = st.one_of(
+    st.integers(1, 1 << 22),
+    *(st.integers((p >> 40) - 3, (p >> 40) + 3) for p in _PRIMES[:-1]),
+    st.integers(1, _PRIMES[-1] >> 40),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 24), _KS)
+def test_prime_is_the_least_one_covering_ell_and_k(ell, k):
+    # The rule p >= max(2^ell, 2^40 k), as a scan over the primes.
+    want = next(p for p in _PRIMES if p >= max(1 << ell, (1 << 40) * k))
+    assert sample_hash(ell, k, np.random.default_rng(0)).p == want
+    pairs = sample_hash_pairs(ell, [k, 1], SessionStreams(3, 0, 2))
+    assert pairs.p.tolist() == [want, want, _PRIMES[0], _PRIMES[0]]
+
+
+@pytest.mark.parametrize("ks", [[1 << 87], [3, (1 << 87) + 5]])
+def test_k_beyond_the_last_prime_raises(ks):
+    with pytest.raises(ValueError, match="no configured prime"):
+        sample_hash(6, ks[-1], np.random.default_rng(0))
+    with pytest.raises(ValueError, match="no configured prime"):
+        sample_hash_pairs(6, ks, SessionStreams(3, 0, len(ks)))

@@ -1,12 +1,13 @@
-"""The lockstep block engine against the one-session reference.
+"""Lockstep blocks against the one-session reference.
 
-run_block advances honest sessions in lockstep, each on its own
+run_block advances a prover's sessions in lockstep, each on its own
 default_rng([seed, i]) stream, and returns them as a SessionBlock of
 columns; every record built from the columns must equal run_session's on
 that stream, field for field, and decide_block must give v2_decide's
-verdict.  The cases cover hm2 on both grids at three lengths, const and
-ident, and their seeds reach both challenge branches and, where the
-scheme allows it, both ways of drawing d.
+verdict.  The honest cases cover hm2 on both grids at three lengths,
+const and ident, and their seeds reach both challenge branches and,
+where the scheme allows it, both ways of drawing d; every other prover
+answers through its scalar methods, row by row.
 """
 
 import dataclasses
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ivpoq.adversaries import ClassicalHonestProver, UnboundedClawProver
+from ivpoq.adversaries import ClassicalHonestProver, ScriptedProver, UnboundedClawProver
 from ivpoq import coherent_prover, commitment, hashing, verifier
 from ivpoq.coherent_prover import HonestProver, consistent_state
 from ivpoq.commitment import make_scheme
@@ -32,6 +33,7 @@ from ivpoq.verifier import (
     REASON_PASS,
     STREAM_SESSIONS,
     ProtocolParams,
+    ProtocolViolation,
     SessionBlock,
     decide_block,
     estimate_acceptance,
@@ -73,7 +75,7 @@ def test_block_records_equal_run_session(name, ell, kwargs, grid, sessions):
     seed, lo = 40 + ell, 7
     # Two blocks with uneven bounds: records depend on i alone, not on the block.
     cut = lo + sessions // 3
-    blocks = [run_block(params, seed, lo, cut), run_block(params, seed, cut, lo + sessions)]
+    blocks = [run_block(params, HonestProver(params.scheme), seed, lo, cut), run_block(params, HonestProver(params.scheme), seed, cut, lo + sessions)]
     records = [record for block in blocks for record in block.records()]
     verdicts = [verdict for block in blocks for verdict in decide_block(params, block)]
     prover = HonestProver(params.scheme)
@@ -88,28 +90,44 @@ def test_block_records_equal_run_session(name, ell, kwargs, grid, sessions):
     assert paths == ({"v0", "rejection"} if name == "ident" else {"v0", "wht", "rejection"})
 
 
-def _assert_records_equal_run_session(params, seed, lo, records):
-    prover = HonestProver(params.scheme)
+def _assert_records_equal_run_session(params, seed, lo, records, prover=None):
+    prover = prover or HonestProver(params.scheme)
     for i, record in enumerate(records, start=lo):
         assert record == run_session(params, prover, np.random.default_rng([seed, i])), i
+
+
+def _scalar_verdicts(params, prover, trials, seed):
+    """v2_decide over run_session's records on the streams [seed, i]."""
+    rngs = (np.random.default_rng([seed, i]) for i in range(trials))
+    return Counter(v2_decide(params, run_session(params, prover, rng)) for rng in rngs)
+
+
+def _assert_report_counts(report, verdicts):
+    """Every count an AcceptanceReport derives from its verdicts equals verdicts'."""
+    assert report.trials == sum(verdicts.values())
+    assert report.by_reason == {
+        reason: verdicts[True, reason] + verdicts[False, reason] for reason in report.by_reason
+    }
+    assert report.unique_accepts == verdicts[True, REASON_PASS]
+    assert report.nonunique_accepts == verdicts[True, REASON_COIN]
+    assert report.accepts == sum(n for (ok, _), n in verdicts.items() if ok)
 
 
 def test_block_with_a_seed_of_two_words():
     # A seed >= 2^32 is two entropy words of [seed, i].
     params = _params("hm2", 6, {"a": 3}, GRID_ORACLE)
     seed = (1 << 40) + 3
-    _assert_records_equal_run_session(params, seed, 5, run_block(params, seed, 5, 125).records())
+    _assert_records_equal_run_session(params, seed, 5, run_block(params, HonestProver(params.scheme), seed, 5, 125).records())
 
 
 def test_blocks_across_a_stream_width_boundary():
     params = _params("hm2", 6, {"a": 3}, GRID_UNIFORM)
     w = STREAM_SESSIONS
-    records = [*run_block(params, 3, w - 45, w + 2).records(), *run_block(params, 3, w + 2, w + 61).records()]
+    records = [*run_block(params, HonestProver(params.scheme), 3, w - 45, w + 2).records(), *run_block(params, HonestProver(params.scheme), 3, w + 2, w + 61).records()]
     _assert_records_equal_run_session(params, 3, w - 45, records)
     # estimate_acceptance cuts its blocks at multiples of the stream width.
     engine = estimate_acceptance(params, HonestProver(params.scheme), w + 37, seed=3)
-    scalar = estimate_acceptance(params, _ScalarHonestProver(params.scheme), w + 37, seed=3)
-    assert engine.to_json_dict() == scalar.to_json_dict()
+    _assert_report_counts(engine, _scalar_verdicts(params, HonestProver(params.scheme), w + 37, 3))
 
 
 def test_const_l12_full_width_runs_the_chunked_steps(monkeypatch):
@@ -118,20 +136,16 @@ def test_const_l12_full_width_runs_the_chunked_steps(monkeypatch):
     # chunks of _BLOCK_BYTES >> 18 sessions.
     params = _params("const", 12, {}, GRID_ORACLE)
     calls = Counter()
-    for module, name in ((verifier, "eval_segments"), (coherent_prover, "wht")):
+    for module, name in ((coherent_prover, "eval_segments"), (coherent_prover, "wht")):
         def counted(*args, _real=getattr(module, name), _name=name):
             calls[_name] += 1
             return _real(*args)
 
         monkeypatch.setattr(module, name, counted)
-    records = run_block(params, 8, 0, STREAM_SESSIONS).records()
+    records = run_block(params, HonestProver(params.scheme), 8, 0, STREAM_SESSIONS).records()
     monkeypatch.undo()
     assert calls["eval_segments"] > 1 and calls["wht"] > 1, calls
     _assert_records_equal_run_session(params, 8, 0, records)
-
-
-class _ScalarHonestProver(HonestProver):
-    """The honest prover, driven session by session through run_session."""
 
 
 @pytest.mark.parametrize(
@@ -143,13 +157,11 @@ class _ScalarHonestProver(HonestProver):
     ],
 )
 def test_estimate_acceptance_engine_matches_scalar_loop(name, ell, kwargs, grid, trials):
-    # Two blocks, the last one short, each tallied in several runs of seeds;
-    # estimate_acceptance runs the engine only for HonestProver itself, so
-    # the subclass takes the scalar loop.
+    # Two blocks, the last one short, each tallied in several runs of seeds,
+    # against v2_decide over run_session's records.
     params = _params(name, ell, kwargs, grid)
     engine = estimate_acceptance(params, HonestProver(params.scheme), trials, seed=17)
-    scalar = estimate_acceptance(params, _ScalarHonestProver(params.scheme), trials, seed=17)
-    assert engine.to_json_dict() == scalar.to_json_dict()
+    _assert_report_counts(engine, _scalar_verdicts(params, HonestProver(params.scheme), trials, 17))
     assert engine.unique_trials > 0
 
 
@@ -163,23 +175,22 @@ def test_blocks_no_larger_than_a_four_table_slab(monkeypatch):
     sch = params.scheme
     assert sch.capacity == verifier.block_size(sch) == 4
     with pytest.raises(RuntimeError, match="more than 4 receiver seeds"):
-        run_block(params, 11, 0, 40)
-    records = [rec for lo in range(0, 40, 4) for rec in run_block(params, 11, lo, lo + 4).records()]
+        run_block(params, HonestProver(params.scheme), 11, 0, 40)
+    records = [rec for lo in range(0, 40, 4) for rec in run_block(params, HonestProver(params.scheme), 11, lo, lo + 4).records()]
     assert len({rec.t[1] for rec in records}) > 4
     _assert_records_equal_run_session(params, 11, 0, records)
     assert verifier.tally(params, records) == Counter(v2_decide(params, rec) for rec in records)
     engine = estimate_acceptance(params, HonestProver(sch), 40, seed=11)
-    scalar = estimate_acceptance(params, _ScalarHonestProver(sch), 40, seed=11)
-    assert engine.to_json_dict() == scalar.to_json_dict()
+    _assert_report_counts(engine, Counter(v2_decide(params, rec) for rec in records))
 
 
 @pytest.mark.parametrize("name", ["const", "ident"])
 def test_honest_estimate_reads_every_x_bt_from_the_class_table(name, monkeypatch):
     # The engine's commit and V2's counts take X_{b,t} as classes of the
     # scheme's table for every scheme, so neither calls consistent_seeds
-    # or consistent_mask; the scalar loop, which does, gives the same report.
+    # or consistent_mask; the scalar loop, which does, gives the same counts.
     params = _params(name, 5, {}, GRID_ORACLE)
-    want = estimate_acceptance(params, _ScalarHonestProver(params.scheme), STREAM_SESSIONS + 40, seed=13)
+    want = _scalar_verdicts(params, HonestProver(params.scheme), STREAM_SESSIONS + 40, 13)
 
     def refuse(*args):
         raise AssertionError("X_{b,t} read outside the class table")
@@ -187,8 +198,7 @@ def test_honest_estimate_reads_every_x_bt_from_the_class_table(name, monkeypatch
     for attr in ("consistent_seeds", "consistent_mask"):
         monkeypatch.setattr(params.scheme, attr, refuse)
     got = estimate_acceptance(params, HonestProver(params.scheme), STREAM_SESSIONS + 40, seed=13)
-    # As JSON, so that ident's nan unique_rate (no unique claw) compares equal.
-    assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+    _assert_report_counts(got, want)
 
 
 PROVERS = {
@@ -208,16 +218,77 @@ def test_estimate_acceptance_matches_v2_decide_tally(prover, name, ell, kwargs):
     cheater = PROVERS[prover](params.scheme)
     trials = STREAM_SESSIONS + 40
     report = estimate_acceptance(params, cheater, trials, seed=29)
-    tally = Counter()
-    for i in range(trials):
-        record = run_session(params, cheater, np.random.default_rng([29, i]))
-        tally[v2_decide(params, record)] += 1
-    assert report.by_reason == {
-        reason: tally[True, reason] + tally[False, reason] for reason in report.by_reason
-    }
-    assert report.unique_accepts == tally[True, REASON_PASS]
-    assert report.nonunique_accepts == tally[True, REASON_COIN]
-    assert report.accepts == sum(n for (ok, _), n in tally.items() if ok)
+    _assert_report_counts(report, _scalar_verdicts(params, cheater, trials, 29))
+
+
+def _scripted(sch):
+    """A scripted prover whose in-range answers vary with the challenge."""
+    low = (1 << sch.ell) - 1
+    return ScriptedProver(
+        sch,
+        y_fn=lambda t, h0, h1: h0.eval(5),
+        v0_fn=lambda t, h0, h1, y, xi: (xi & 1, xi ^ (y & low)),
+        d_fn=lambda t, h0, h1, y, xi: xi ^ (y & low),
+        eta_fn=lambda t, h0, h1, y, xi, d, v2: (xi ^ d ^ v2) & 1,
+    )
+
+
+ALL_PROVERS = {**PROVERS, "honest": HonestProver, "scripted": _scripted}
+
+
+@pytest.mark.parametrize("prover", sorted(ALL_PROVERS))
+@pytest.mark.parametrize("grid", [GRID_UNIFORM, GRID_ORACLE])
+@pytest.mark.parametrize(
+    "name,ell,kwargs", [("hm2", 6, {"a": 3}), ("const", 5, {}), ("ident", 5, {})]
+)
+def test_every_prover_block_records_equal_run_session(prover, grid, name, ell, kwargs):
+    # run_block is V1 alone: the honest prover answers a block in columns,
+    # the replayable provers through their scalar methods row by row, and
+    # either way the records equal run_session's, in two uneven blocks.
+    params = _params(name, ell, kwargs, grid)
+    player = ALL_PROVERS[prover](params.scheme)
+    blocks = [run_block(params, player, 41, 3, 30), run_block(params, player, 41, 30, 90)]
+    records = [record for block in blocks for record in block.records()]
+    assert {record.v1 for record in records} == {0, 1}
+    _assert_records_equal_run_session(params, 41, 3, records, player)
+    verdicts = [verdict for block in blocks for verdict in decide_block(params, block)]
+    assert verdicts == [v2_decide(params, record) for record in records]
+
+
+# A malformed reply of each kind a ScriptedProver can give (at ell=6), and
+# the ProtocolViolation message run_session raises for it.
+_MALFORMED = {
+    "alpha": ({"commit": lambda j, prefix: "not bytes"}, "sender message must be bytes"),
+    "y": ({"y_fn": lambda t, h0, h1: h0.k}, "y out of range"),
+    "bprime": ({"v0_fn": lambda t, h0, h1, y, xi: (2, 0)}, "b' out of range"),
+    "xprime": ({"v0_fn": lambda t, h0, h1, y, xi: (0, 1 << 6)}, "x' out of range"),
+    "d": ({"d_fn": lambda t, h0, h1, y, xi: 1 << 6}, "d out of range"),
+    "eta": ({"eta_fn": lambda t, h0, h1, y, xi, d, v2: 2}, "eta out of range"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_MALFORMED))
+@pytest.mark.parametrize("name,kwargs", [("hm2", {"a": 3}), ("const", {}), ("ident", {})])
+def test_malformed_scripted_reply_raises_as_run_session_does(fault, name, kwargs):
+    params = _params(name, 6, kwargs, GRID_ORACLE)
+    script, message = _MALFORMED[fault]
+    prover = ScriptedProver(params.scheme, **script)
+    with pytest.raises(ProtocolViolation) as scalar:
+        for i in range(40):
+            run_session(params, prover, np.random.default_rng([7, i]))
+    with pytest.raises(ProtocolViolation) as block:
+        estimate_acceptance(params, prover, 40, seed=7)
+    assert str(block.value) == str(scalar.value) == message
+
+
+@pytest.mark.parametrize("prover", sorted(PROVERS))
+def test_cheater_estimates_do_not_depend_on_workers(prover):
+    params = _params("hm2", 6, {"a": 3}, GRID_ORACLE)
+    cheater = PROVERS[prover](params.scheme)
+    one = estimate_acceptance(params, cheater, 300, seed=5, workers=1)
+    two = estimate_acceptance(params, cheater, 300, seed=5, workers=2)
+    # As JSON, so that a nan rate (no session of its kind) compares equal.
+    assert json.dumps(one.to_json_dict()) == json.dumps(two.to_json_dict())
 
 
 @pytest.mark.parametrize("ell", [12, 13])
@@ -229,7 +300,7 @@ def test_v2_counts_split_by_the_seed_budget(ell, monkeypatch):
     # not the block's 64 MB.
     assert verifier._BLOCK_BYTES >> 8 == 1 << 12
     params = _params("const", ell, {}, GRID_ORACLE)
-    block = run_block(params, 5, 0, STREAM_SESSIONS)
+    block = run_block(params, HonestProver(params.scheme), 5, 0, STREAM_SESSIONS)
     records = block.records()
     want = [v2_decide(params, record) for record in records]
     calls = Counter()
@@ -290,7 +361,7 @@ _MALFORMED_SESSIONS = 40
 def _malformed_base(name):
     """ell=6 params and honest records whose transcripts the properties replace."""
     params = _params(name, 6, {"a": 3} if name == "hm2" else {}, GRID_ORACLE)
-    return params, run_block(params, 11, 0, _MALFORMED_SESSIONS).records()
+    return params, run_block(params, HonestProver(params.scheme), 11, 0, _MALFORMED_SESSIONS).records()
 
 
 def _check_block_of_malformed_records(name, cases):

@@ -48,8 +48,11 @@ def _streams(streams, step):
 
 
 def _run(seed, lo, program):
+    """program on SessionStreams(seed, lo, ...) and on default_rng([seed, i]),
+    or default_rng([*seed, i]) for a tuple seed, step by step."""
     streams = SessionStreams(seed, lo, lo + SESSIONS)
-    rngs = [np.random.default_rng([seed, i]) for i in range(lo, lo + SESSIONS)]
+    prefix = seed if isinstance(seed, tuple) else (seed,)
+    rngs = [np.random.default_rng([*prefix, i]) for i in range(lo, lo + SESSIONS)]
     for step in program:
         assert _streams(streams, step) == _reference(rngs, step), step
 
@@ -78,6 +81,22 @@ def _steps():
 def test_streams_match_default_rng(seed, lo, program):
     # lo = 2^32 - 3 spans sessions of one and of two entropy words.
     _run(seed, lo, program)
+
+
+# Entropy words of one 32-bit word or of several.
+_WORDS = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**100))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=_WORDS,
+    i=_WORDS,
+    lo=st.sampled_from([0, 5, 2**32 - 3]),
+    program=st.lists(_steps(), min_size=1, max_size=12),
+)
+def test_tuple_seed_is_an_entropy_prefix(seed, i, lo, program):
+    # SessionStreams((seed, i), lo, hi) row j - lo is default_rng([seed, i, j]).
+    _run((seed, i), lo, program)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -187,7 +187,7 @@ def test_record_with_a_foreign_hash_family_is_rejected(family):
 def test_engine_records_round_trip_and_replay():
     sch = make_scheme("hm2", 8, a=4)
     params = ProtocolParams(scheme=sch, epsilon=0.01)
-    block = run_block(params, 23, 0, 150)
+    block = run_block(params, HonestProver(sch), 23, 0, 150)
     for record, verdict in zip(block.records(), decide_block(params, block)):
         back = SessionRecord.from_json_dict(json.loads(json.dumps(record.to_json_dict())))
         assert back == record
