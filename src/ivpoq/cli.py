@@ -92,7 +92,7 @@ def _config_flags(path: str, parser: argparse.ArgumentParser) -> list[str]:
     """A config file's key=value lines as --key=value flags."""
     try:
         with open(path) as fh:
-            lines = [line.strip() for line in fh if line.strip() and not line.startswith("#")]
+            lines = [line for line in map(str.strip, fh) if line and not line.startswith("#")]
     except OSError as exc:
         parser.error(f"bad config file: {exc}")
     return [f"--{line}" for line in lines]

@@ -74,23 +74,12 @@ def one_class_law(xs0: np.ndarray, xs1: np.ndarray, msg: bytes) -> CommitRoundLa
     return CommitRoundLaw(keys, counts, lambda key: msg, lambda key: (xs0, xs1))
 
 
-class ClassTable(NamedTuple):
-    """A table of seed classes: class k is order[starts[k]:starts[k+1]],
-    ascending.  X_{b,t} is class key ^ b for t's transcript_key.  An hm2
-    table is a view of its slab row, good until the next fill."""
-
-    order: np.ndarray
-    starts: np.ndarray
-
-    def seeds(self, key: int) -> np.ndarray:
-        """Class `key` as ascending int64 seeds."""
-        return self.order[self.starts[key] : self.starts[key + 1]].astype(np.int64)
-
-
 class ClassRows(NamedTuple):
     """Rows of sessions, each with its receiver seed's table: row i reads
     table slot[i], whose seed order is orders[slot[i]] and class starts
-    starts[slot[i]], one slab row each."""
+    starts[slot[i]], one slab row each.  Class k of a table is
+    order[starts[k]:starts[k+1]], ascending, and X_{b,t} is class key ^ b
+    for t's transcript_key.  An hm2 row is good until the next fill."""
 
     orders: np.ndarray
     starts: np.ndarray
@@ -141,11 +130,11 @@ class CommitScheme:
             raise ValueError(f"round-{j} prefix must have {want} messages, got {len(prefix)}")
 
     # the transcript encoding ----------------------------------------------
-    # transcript_key(t) is (r, key): X_{b,t} is class key ^ b of _bucket(r),
-    # a ClassTable, and key is -1 where no seed replays t; a t of the wrong
+    # transcript_key(t) is (r, key): X_{b,t} is class key ^ b of r's table
+    # in rows, and key is -1 where no seed replays t; a t of the wrong
     # length raises ValueError.  transcript(r, key) gives t back for
-    # key >= 0.  Every receiver seed reads the one _table unless a scheme
-    # overrides _bucket and rows.
+    # key >= 0.  Every receiver seed reads the one _table, an (order,
+    # starts) pair, unless a scheme overrides rows.
 
     def transcript_key(self, t: Transcript) -> tuple[int, int]:
         raise NotImplementedError
@@ -153,15 +142,16 @@ class CommitScheme:
     def transcript(self, r: int, key: int) -> Transcript:
         raise NotImplementedError
 
-    def _bucket(self, r: int) -> ClassTable:
-        """r's table, as views of its slab row."""
-        tables = self.rows(np.array([r]))
-        return ClassTable(tables.orders[tables.slot[0]], tables.starts[tables.slot[0]])
-
     def rows(self, rs: np.ndarray) -> ClassRows:
         """The tables of receiver seeds rs: the one table as a one-row slab."""
-        table = self._table
-        return ClassRows(table.order[None], table.starts[None], np.zeros(len(rs), dtype=np.intp))
+        order, starts = self._table
+        return ClassRows(order[None], starts[None], np.zeros(len(rs), dtype=np.intp))
+
+    def _class(self, r: int, key: int) -> np.ndarray:
+        """Class key of r's table as ascending int64 seeds, a slice of its slab row."""
+        tables = self.rows(np.array([r]))
+        order, starts = tables.orders[tables.slot[0]], tables.starts[tables.slot[0]]
+        return order[starts[key] : starts[key + 1]].astype(np.int64)
 
     def _check_length(self, t: Transcript) -> None:
         if len(t) != 2 * self.rounds:
@@ -179,7 +169,7 @@ class CommitScheme:
     def consistent_seeds(self, t: Transcript, b: int) -> np.ndarray:
         """X_{b,t}: the seeds replaying every alpha_j, as ascending int64."""
         r, key = self.transcript_key(t)
-        return self._bucket(r).seeds(key ^ b) if key >= 0 else np.empty(0, dtype=np.int64)
+        return self._class(r, key ^ b) if key >= 0 else np.empty(0, dtype=np.int64)
 
     def consistent_mask(self, t: Transcript, b: int) -> np.ndarray:
         """X_{b,t} as a boolean mask over {0,1}^ell."""
@@ -215,12 +205,13 @@ class CommitScheme:
             raise ValueError(f"{self.name} round {j} has a law on the full state only")
         # The prefix, padded with empty messages, names its receiver seed.
         r, _ = self.transcript_key(prefix + (b"",) * (2 * self.rounds - len(prefix)))
-        both = np.repeat(np.diff(self._bucket(r).starts[::2].astype(np.int64)), 2)
+        tables = self.rows(np.array([r]))
+        both = np.repeat(np.diff(tables.starts[tables.slot[0], ::2].astype(np.int64)), 2)
         alive = np.flatnonzero(both)
         return CommitRoundLaw(
             alive, both[alive], lambda key: self.transcript(r, key)[2 * j - 2],
             # Looked up at the split: a fill since then may have reused r's slab row.
-            lambda key: tuple(self._bucket(r).seeds(key ^ b) for b in (0, 1)),
+            lambda key: tuple(self._class(r, key ^ b) for b in (0, 1)),
         )
 
     def commit_keys(self, rows: ClassRows, streams) -> np.ndarray:
@@ -270,12 +261,11 @@ class ConstScheme(CommitScheme):
         return b"", b""
 
     @cached_property
-    def _table(self) -> ClassTable:
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
         # Classes 0 and 1 both hold every seed.
         n = 1 << self.ell
         xs = np.arange(n, dtype=np.min_scalar_type(n - 1))
-        starts = np.array([0, n, 2 * n], dtype=np.min_scalar_type(2 * n))
-        return ClassTable(np.concatenate((xs, xs)), starts)
+        return np.concatenate((xs, xs)), np.array([0, n, 2 * n], dtype=np.min_scalar_type(2 * n))
 
     def consistent_seeds(self, t, b):
         # Through the mask: perfbench's smoke run requires consistent_mask
@@ -310,11 +300,11 @@ class IdentScheme(CommitScheme):
         return self.sender_msg(1, key & 1, key >> 1, ()), b""
 
     @cached_property
-    def _table(self) -> ClassTable:
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
         # Class 2x is {x} and class 2x + 1 is empty.
         n = 1 << self.ell
         starts = ((np.arange(2 * n + 1) + 1) >> 1).astype(np.min_scalar_type(n))
-        return ClassTable(np.arange(n, dtype=np.min_scalar_type(n - 1)), starts)
+        return np.arange(n, dtype=np.min_scalar_type(n - 1)), starts
 
 
 class Hm2Scheme(CommitScheme):
@@ -517,32 +507,23 @@ def transcript_distributions(scheme: CommitScheme) -> dict[Transcript, tuple[int
     return {t: (c[0], c[1]) for t, c in counts.items()}
 
 
-def hiding_distance(scheme: CommitScheme) -> float:
-    """Exact statistical distance between the transcript laws for b=0 and b=1.
+def hiding_distance(scheme: CommitScheme, rs=None) -> float:
+    """Statistical distance between the transcript laws for b=0 and b=1,
+    averaged over receiver seeds rs (every seed when None, which is exact;
+    repeats count).
 
-    Every receiver seed's commit_leaves walk (2^ell walks), with the count
-    differences of each transcript summed over seeds before taking magnitudes.
+    Every receiver seed that sends t sees the same X_{b,t} (the rectangle
+    identity), so t's count differences add with one sign across seeds:
+    the distance is the mean over r of sum_m ||class 2m| - |class 2m+1||
+    / 2^ell on r's table, and a sample of seeds estimates it without bias.
     """
-    n = 1 << scheme.ell
-    diffs: dict[Transcript, int] = {}
-    for r in range(n):
-        for t, s0, s1 in commit_leaves(scheme, r):
-            diffs[t] = diffs.get(t, 0) + len(s0) - len(s1)
-    return sum(abs(d) for d in diffs.values()) / (2 * n * n)
-
-
-def sampled_hiding_distance(
-    scheme: CommitScheme, num_transcripts: int, rng: np.random.Generator
-) -> float:
-    """hiding_distance averaged over num_transcripts sampled receiver seeds.
-
-    The inner sum over (b, x) stays exact (one commit_leaves walk per seed).
-    It matches the exact distance when the receiver messages pin down the
-    seed (true for hm2); for other schemes it is an upper bound.
-    """
-    n = 1 << scheme.ell
-    total = 0.0
-    for _ in range(num_transcripts):
-        leaves = commit_leaves(scheme, int(rng.integers(n)))
-        total += sum(abs(len(s0) - len(s1)) for _, s0, s1 in leaves) / (2 * n)
-    return total / num_transcripts
+    rs = np.arange(1 << scheme.ell) if rs is None else np.asarray(rs, dtype=np.int64)
+    if not len(rs):
+        raise ValueError("hiding_distance needs at least one receiver seed")
+    total = 0
+    for lo in range(0, len(rs), scheme.capacity):
+        tables = scheme.rows(rs[lo : lo + scheme.capacity])
+        for slot, count in zip(*np.unique(tables.slot, return_counts=True)):
+            starts = tables.starts[slot].astype(np.int64)
+            total += int(count) * int(np.abs(2 * starts[1::2] - starts[:-1:2] - starts[2::2]).sum())
+    return total / ((1 << scheme.ell) * len(rs))

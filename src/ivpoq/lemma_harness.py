@@ -18,7 +18,6 @@ from .commitment import (
     Transcript,
     commit_leaves,
     hiding_distance,
-    sampled_hiding_distance,
     transcript_distributions,
 )
 from .hashing import enumerate_gf2_affine, sample_hash
@@ -29,7 +28,8 @@ HOLDS = "holds"
 VIOLATED = "violated"
 ESTIMATED = "estimated"
 
-# check_branch_balance computes the hiding distance exactly up to this ell.
+# check_branch_balance computes the hiding distance exactly up to this ell
+# and on min(trials, 200) sampled receiver seeds above it.
 EXACT_HIDING_ELL = 10
 
 
@@ -132,11 +132,11 @@ def find_grid_index(
     """
     if size0 < 0 or size1 < 0:
         raise ValueError("sizes must be nonnegative")
+    if size0 > 1 << ell or size1 > 1 << ell:
+        raise ValueError("sizes exceed the domain")
     eps = Fraction(epsilon)
     if not (1 - eps) * size1 < size0 < (1 + eps) * size1:
         return None
-    if size0 > 1 << ell or size1 > 1 << ell:
-        raise ValueError("sizes exceed the domain")
     # Try the size-0 brackets in ascending order; grid_bounds_ok also
     # checks the size-1 bracket.
     ks = grid_sizes(ell, epsilon)
@@ -233,19 +233,15 @@ def check_branch_balance(
             in_t += 1
     mass = in_t / trials
     lo, hi = wilson_interval(in_t, trials)
-    data = {"mass_T": mass, "ci": [lo, hi]}
-    verdict = ESTIMATED
-    if scheme.name == "hm2":
-        if scheme.ell <= EXACT_HIDING_ELL:
-            dist = hiding_distance(scheme)
-        else:
-            dist = sampled_hiding_distance(scheme, min(trials, 200), rng)
-        bound = (epsilon / (2 * (1 + epsilon))) * (1 - mass)
-        data["hiding_distance"] = dist
-        data["distinguisher_bound"] = bound
-        # allow for Monte-Carlo error on the mass side
-        slack = (epsilon / (2 * (1 + epsilon))) * (hi - lo)
-        verdict = ESTIMATED if bound <= dist + slack else VIOLATED
+    rs = None
+    if scheme.ell > EXACT_HIDING_ELL:
+        rs = [int(rng.integers(1 << scheme.ell)) for _ in range(min(trials, 200))]
+    dist = hiding_distance(scheme, rs)
+    bound = (epsilon / (2 * (1 + epsilon))) * (1 - mass)
+    data = {"mass_T": mass, "ci": [lo, hi], "hiding_distance": dist, "distinguisher_bound": bound}
+    # allow for Monte-Carlo error on the mass side
+    slack = (epsilon / (2 * (1 + epsilon))) * (hi - lo)
+    verdict = ESTIMATED if bound <= dist + slack else VIOLATED
     return LemmaReport(
         lemma="branch-balance",
         params={"scheme": scheme.params_dict(), "epsilon": epsilon, "trials": trials},

@@ -158,6 +158,19 @@ def test_config_file_flags_win(tmp_path, capsys):
     assert len(json.loads(out)["result"]["per_randomness"]["rates"]) == 2
 
 
+def test_config_file_indented_comment_and_blank_line(tmp_path, capsys):
+    # Lines are stripped before the comment test, so both files parse alike.
+    plain, indented = tmp_path / "plain.cfg", tmp_path / "indented.cfg"
+    plain.write_text("# note\nscheme=const\nell=4\n")
+    indented.write_text("  # note\n \t \nscheme=const\n\tell=4\n")
+    outs = []
+    for cfg in (plain, indented):
+        code, out = run_cli(capsys, ["run", "--seed", "1", "--config", str(cfg)])
+        assert code == 0
+        outs.append(json.loads(out))
+    assert outs[0]["config"]["ell"] == 4 and outs[0] == outs[1]
+
+
 def test_config_file_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     for command, line in (

@@ -1,17 +1,20 @@
 import hashlib
 import pickle
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from builders import interned_law
 from ivpoq import commitment
 from ivpoq.commitment import (
+    commit_leaves,
     hiding_distance,
     make_scheme,
     run_classical_commit,
-    sampled_hiding_distance,
     transcript_distributions,
 )
 from ivpoq.lemma_harness import replayed_seeds
@@ -139,6 +142,12 @@ def test_consistent_sets_hm2_match_independent_scan():
     assert 100 in sch.consistent_seeds(t, 1).tolist()
 
 
+def _row(sch, r):
+    """r's table as views of its slab row: (seed order, class starts)."""
+    tables = sch.rows(np.array([r]))
+    return tables.orders[tables.slot[0]], tables.starts[tables.slot[0]]
+
+
 @pytest.mark.parametrize("ell,a", [(5, 4), (8, 1), (9, 1), (12, 8), (17, 1)])
 def test_hm2_bucket_matches_reference_for_every_seed(ell, a):
     # out_bits 1, 7, 8, 4, 16; seed widths of 1, 1, 2, 2, 3 bytes; ell=12
@@ -147,17 +156,17 @@ def test_hm2_bucket_matches_reference_for_every_seed(ell, a):
     n = 1 << ell
     n_keys = 2 << (ell - a)
     for r in (0, n - 1, 0x5A5A5 % n):
-        table = sch._bucket(r)
+        order, starts = _row(sch, r)
         want = [hm2_alpha2_reference(ell, a, r, x, 0) for x in range(n)]
         classes = [[] for _ in range(n_keys)]
         for x, m in enumerate(want):
             classes[int.from_bytes(m[:-1], "big") << 1 | m[-1]].append(x)
-        assert len(table.starts) == n_keys + 1
+        assert len(starts) == n_keys + 1
         for key in range(n_keys):
-            got = table.seeds(key)
+            got = order[starts[key] : starts[key + 1]].astype(np.int64)
             assert got.dtype == np.int64 and got.tolist() == classes[key]
     # The cache bound counts the bytes of a real entry.
-    entry = sum(arr.nbytes for arr in table)
+    entry = order.nbytes + starts.nbytes
     assert sch._max_cached == max(4, commitment._CACHE_BYTES // entry)
 
 
@@ -249,11 +258,11 @@ def test_hm2_fill_holds_only_its_table():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        table = sch._bucket(12345)
+        order, starts = _row(sch, 12345)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    own = table.order.nbytes + table.starts.nbytes
+    own = order.nbytes + starts.nbytes
     assert held < 2 * own
 
 
@@ -272,9 +281,9 @@ def _held(sch):
 def test_hm2_slab_evicts_the_least_recently_used_table(monkeypatch):
     sch = _four_table_hm2(monkeypatch)
     for r in (1, 2, 3, 4):
-        sch._bucket(r)
-    sch._bucket(1)
-    sch._bucket(5)
+        sch.rows(np.array([r]))
+    sch.rows(np.array([1]))
+    sch.rows(np.array([5]))
     assert _held(sch) == {1, 3, 4, 5}
     # One lookup uses its tables at once: 3 and 5 stay, 4 is evicted.
     sch.rows(np.array([3, 6, 3, 5]))
@@ -303,9 +312,65 @@ def test_hm2_split_survives_a_refill_of_its_slot(monkeypatch):
         assert [xs.tolist() for xs in law.split(i)] == [xs.tolist() for xs in want.split(i)], i
 
 
+def _sampled_seeds(sch, num, rng):
+    """num receiver seeds, one rng.integers(2^ell) draw each."""
+    return [int(rng.integers(1 << sch.ell)) for _ in range(num)]
+
+
+def _walk_total(sch, rs):
+    """sum_t |sum_{r in rs} (|s0| - |s1|)| over each seed's commit_leaves:
+    the reference transcript walk, merged by transcript, for hiding_distance."""
+    diffs = {}
+    for r in rs:
+        for t, s0, s1 in commit_leaves(sch, r):
+            diffs[t] = diffs.get(t, 0) + len(s0) - len(s1)
+    return sum(abs(d) for d in diffs.values())
+
+
+@pytest.mark.parametrize(
+    "name, ell, kwargs",
+    [("hm2", 6, {"a": 3}), ("hm2", 7, {"a": 2})]
+    + [(name, ell, {}) for name in ("const", "ident") for ell in range(1, 7)],
+)
+def test_hiding_distance_equals_the_transcript_walk(name, ell, kwargs):
+    sch = make_scheme(name, ell, **kwargs)
+    n = 1 << ell
+    assert hiding_distance(sch) == float(Fraction(_walk_total(sch, range(n)), 2 * n * n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 7).flatmap(lambda ell: st.tuples(
+    st.just(ell), st.integers(1, ell - 1), st.lists(st.integers(0, (1 << ell) - 1), min_size=1, max_size=12),
+)))
+def test_sampled_hiding_distance_equals_the_walk_on_the_seeds_given(case):
+    # Repeated seeds count once per occurrence, on both sides.
+    ell, a, rs = case
+    sch = make_scheme("hm2", ell, a=a)
+    want = Fraction(_walk_total(sch, rs), (2 << ell) * len(rs))
+    assert hiding_distance(sch, rs) == float(want)
+
+
+def test_hiding_distance_over_a_four_table_slab(monkeypatch):
+    # Seeds are read in chunks of the slab's capacity, refilling its rows.
+    sch = _four_table_hm2(monkeypatch)
+    full = make_scheme("hm2", 9, a=4)
+    assert hiding_distance(sch) == hiding_distance(full)
+    rs = [3, 300, 3, 7, 11, 300, 5, 5, 9]
+    assert hiding_distance(sch, rs) == hiding_distance(full, rs)
+
+
+def test_hiding_distance_needs_a_seed():
+    for name, kwargs in (("hm2", {"a": 2}), ("const", {}), ("ident", {})):
+        with pytest.raises(ValueError):
+            hiding_distance(make_scheme(name, 4, **kwargs), [])
+
+
 def test_hiding_distance_controls():
-    assert hiding_distance(make_scheme("const", 5)) == 0.0
-    assert hiding_distance(make_scheme("ident", 5)) == 1.0
+    # const sends one transcript on both bits with every seed; ident sends
+    # each transcript on one bit only.
+    for ell in range(1, 17):
+        assert hiding_distance(make_scheme("const", ell)) == 0.0, ell
+        assert hiding_distance(make_scheme("ident", ell)) == 1.0, ell
 
 
 @pytest.mark.parametrize(
@@ -331,7 +396,7 @@ def test_hiding_distance_hm2_exact_small():
 def test_hiding_distance_hm2_mc_at_working_size():
     # ell = 12, a = 6: sampled seeds with exact inner sums; bound 2^-2
     sch = make_scheme("hm2", 12, a=6)
-    d = sampled_hiding_distance(sch, 150, np.random.default_rng(70))
+    d = hiding_distance(sch, _sampled_seeds(sch, 150, np.random.default_rng(70)))
     assert 0.0 < d <= 2 ** (-(sch.a - 2) / 2)
 
 
@@ -341,7 +406,7 @@ def test_hiding_distance_hm2_mc_at_working_size():
 def test_hiding_distance_monte_carlo_matches_per_seed_enumeration(name, kwargs):
     # the sampled branch equals a classical per-seed enumeration, float for float
     sch = make_scheme(name, 8, **kwargs)
-    mc = sampled_hiding_distance(sch, 12, np.random.default_rng(5))
+    mc = hiding_distance(sch, _sampled_seeds(sch, 12, np.random.default_rng(5)))
     rng = np.random.default_rng(5)
     n = 1 << sch.ell
     total = 0.0
@@ -360,7 +425,7 @@ def test_hiding_distance_hm2_monte_carlo_matches_exact():
     sch = make_scheme("hm2", 8, a=4)
     exact = hiding_distance(sch)
     rng = np.random.default_rng(2)
-    mc = sampled_hiding_distance(sch, 64, rng)
+    mc = hiding_distance(sch, _sampled_seeds(sch, 64, rng))
     assert abs(mc - exact) < 0.08
 
 

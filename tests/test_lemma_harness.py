@@ -5,6 +5,7 @@ import pytest
 
 from ivpoq.commitment import make_scheme
 from ivpoq.lemma_harness import (
+    ESTIMATED,
     HOLDS,
     VIOLATED,
     check_branch_balance,
@@ -60,6 +61,13 @@ def test_find_grid_index_random_pairs_satisfy_bounds():
             assert grid_bounds_ok(j, k, s0, s1, eps_frac)
 
 
+def test_find_grid_index_checks_the_domain_first():
+    # Out-of-domain sizes raise whether or not they are balanced.
+    for size0, size1 in ((10**6, 1), (40, 40)):
+        with pytest.raises(ValueError, match="exceed the domain"):
+            find_grid_index(size0, size1, 0.1, 4)
+
+
 def test_unique_claw_prob_exact_minimal_case():
     # n = 1: both sets singletons; probability is Pr[h0(x0) = h1(x1)] = 1/k
     rng = np.random.default_rng(1)
@@ -86,6 +94,12 @@ def test_branch_balance_controls():
     assert const.data["mass_T"] == 1.0
     ident = check_branch_balance(make_scheme("ident", 5), 200, 0.5, rng)
     assert ident.data["mass_T"] == 0.0
+    # Both sides of the bound, for every scheme: const hides perfectly and
+    # is always balanced; ident hides nothing and is never balanced.
+    assert const.data["hiding_distance"] == const.data["distinguisher_bound"] == 0.0
+    assert ident.data["hiding_distance"] == 1.0
+    assert ident.data["distinguisher_bound"] == 0.5 / (2 * 1.5)
+    assert const.verdict == ident.verdict == ESTIMATED
 
 
 def test_branch_balance_hm2_grows_with_hiding_parameter():
