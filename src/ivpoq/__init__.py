@@ -19,7 +19,6 @@ from .amplification import (
 from .adversaries import (
     binding_attack,
     ClassicalHonestProver,
-    estimate_conditional_acceptance,
     goldreich_levin,
     predict_claw_parity,
     PredictionOracle,

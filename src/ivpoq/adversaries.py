@@ -39,12 +39,9 @@ from .verifier import (
     ProtocolViolation,
     check_reply,
     check_v0_reply,
-    count_accepts,
-    run_challenge,
     run_commit,
     run_preamble,
     sample_hash,  # noqa: F401  (perfbench/tracing.py patches adversaries.sample_hash)
-    tally,
 )
 
 
@@ -71,9 +68,6 @@ class _ReplayableProver:
         self.r = r
 
     def new_session(self, rng: np.random.Generator):
-        return self
-
-    def session_from_prefix(self, prefix, rng: np.random.Generator):
         return self
 
     def _rng(self, tag: str, *key_parts) -> np.random.Generator:
@@ -459,18 +453,3 @@ def binding_attack(params: ProtocolParams, prover, rng: np.random.Generator) -> 
         False, "no candidate opened both bits", t, None, None, oracle.queries, tried
     )
 
-
-def estimate_conditional_acceptance(
-    params: ProtocolParams, prefix, prover, trials: int, rng: np.random.Generator
-) -> float:
-    """Monte-Carlo Pr[V2 accepts | fixed (t, h0, h1, y)] for a prover.
-
-    Fresh (v1, xi, v2, coin) per trial; the prover resumes from the
-    prefix (classical provers are stateless, the honest prover rebuilds
-    its post-y state by brute force).
-    """
-    records = (
-        run_challenge(params, prover.session_from_prefix(prefix, rng), prefix, 0, rng)
-        for _ in range(trials)
-    )
-    return count_accepts(tally(params, records)) / trials

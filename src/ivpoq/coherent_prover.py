@@ -253,16 +253,6 @@ class HonestProver:
     def new_session(self, rng: np.random.Generator) -> "HonestSession":
         return HonestSession(self.scheme, rng)
 
-    def session_from_prefix(self, prefix, rng: np.random.Generator) -> "HonestSession":
-        """Rebuild the post-y state of a session with the given prefix.
-
-        Diagnostic path for conditional-acceptance estimates: the state
-        is recomputed by brute force from (t, h0, h1, y).
-        """
-        session = HonestSession(self.scheme, rng)
-        session.state = consistent_state(self.scheme, prefix[0], prefix[1:])
-        return session
-
     def block_session(self, streams, rs: np.ndarray, tables: ClassRows):
         """verifier.run_block's replies, each row drawing as its HonestSession
         would, the work between draws once per block (the commit keys, the hash

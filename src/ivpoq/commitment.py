@@ -177,17 +177,6 @@ class CommitScheme:
         mask[CommitScheme.consistent_seeds(self, t, b)] = True
         return mask
 
-    def receiver_mask(self, t: Transcript) -> np.ndarray:
-        """Mask of receiver seeds r replaying every beta_j of t."""
-        n = 1 << self.ell
-        mask = np.ones(n, dtype=bool)
-        for r in range(n):
-            for j in range(1, self.rounds + 1):
-                if self.receiver_msg(j, r, t[: 2 * j - 1]) != t[2 * j - 1]:
-                    mask[r] = False
-                    break
-        return mask
-
     # the honest commit law ------------------------------------------------
     def alpha_partition(self, j: int, xs0: np.ndarray, xs1: np.ndarray, prefix: Transcript):
         """The exact law of the round-j message over the state (xs0, xs1).
@@ -492,19 +481,27 @@ def commit_leaves(scheme: CommitScheme, r: int):
     return walk((), xs, xs)
 
 
-def transcript_distributions(scheme: CommitScheme) -> dict[Transcript, tuple[int, int]]:
-    """Exact per-bit transcript counts over all (x, r): {t: (n_b0, n_b1)}.
+def transcript_distributions(scheme: CommitScheme) -> dict[Transcript, tuple[int, ...]]:
+    """Exact transcript counts over all (b, x, r), with the sizes of the seed
+    sets that send each t: {t: (n_0, n_1, |R_t|, |X_{0,t}|, |X_{1,t}|)}.
 
-    Pr[t | b] = counts[t][b] / 2^(2 ell).  Full enumeration; keep ell small.
+    Pr[t | b] = n_b / 2^(2 ell).  (r, x) sends t on bit b exactly when r
+    replays t's receiver messages and x its sender messages, so R_t and
+    X_{b,t} are the replayed sets.  Full enumeration; keep ell small.
     """
     n = 1 << scheme.ell
-    counts: dict[Transcript, list[int]] = {}
+    seen: dict[Transcript, tuple[list[int], set[int], tuple[set[int], set[int]]]] = {}
     for b in (0, 1):
         for r in range(n):
             for x in range(n):
                 t = run_classical_commit(scheme, b, x, r)
-                counts.setdefault(t, [0, 0])[b] += 1
-    return {t: (c[0], c[1]) for t, c in counts.items()}
+                if t not in seen:
+                    seen[t] = ([0, 0], set(), (set(), set()))
+                counts, rs, xs = seen[t]
+                counts[b] += 1
+                rs.add(r)
+                xs[b].add(x)
+    return {t: (*c, len(rs), *map(len, xs)) for t, (c, rs, xs) in seen.items()}
 
 
 def hiding_distance(scheme: CommitScheme, rs=None) -> float:

@@ -169,6 +169,8 @@ def check_unique_claw_prob(
     Verdict HOLDS when the estimate's lower 99% CI clears 0.1, ESTIMATED
     when only the point estimate does, VIOLATED otherwise.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     if n < 1:
         raise ValueError("the balance precondition needs |X0| = |X1| >= 1")
     if epsilon <= 0:
@@ -180,7 +182,6 @@ def check_unique_claw_prob(
     x0 = list(range(n))
     x1 = list(range(n, 2 * n))
     total = 0.0
-    values = []
     for _ in range(trials):
         h0 = sample_hash(ell, k, rng)
         h1 = sample_hash(ell, k, rng)
@@ -188,7 +189,6 @@ def check_unique_claw_prob(
         g1 = _unique_values(h1, x1)
         q = 2 * len(g0 & g1) / (2 * n)
         total += q
-        values.append(q)
     est = total / trials
     # per-trial values live in [0, 1], so Hoeffding applies directly
     half = hoeffding_halfwidth(trials, alpha=0.01)
@@ -224,6 +224,8 @@ def check_branch_balance(
     at least eps/(2(1+eps)) times that mass, so the mass is bounded by
     the transcript distance.  Both sides of that bound are reported.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     in_t = 0
     for _ in range(trials):
         r = int(rng.integers(1 << scheme.ell))
@@ -267,14 +269,6 @@ def coherent_transcript_law(scheme: CommitScheme) -> dict[Transcript, Fraction]:
     return law
 
 
-def replayed_seeds(scheme: CommitScheme, t: Transcript, b: int) -> list[int]:
-    """X_{b,t} by brute force: the seeds x that open_verify(t, b, x) accepts,
-    or none when no receiver seed sends t's receiver messages.  Raises
-    ValueError where open_verify or receiver_mask does."""
-    xs = [x for x in range(1 << scheme.ell) if scheme.open_verify(t, b, x)]
-    return xs if scheme.receiver_mask(t).any() else []
-
-
 def check_transcript_identity(
     scheme: CommitScheme,
     trials: int = 0,
@@ -282,16 +276,18 @@ def check_transcript_identity(
 ) -> LemmaReport:
     """Three-way check of Pr[t] = (|R_t|/2^ell) (|X0|+|X1|)/2^(ell+1).
 
-    Exact legs: (1) the coherent-run tree law, (2) the identity's right
-    side with R_t and the consistency sets brute-forced by replaying the
-    message functions, never the class tables, (3) the
-    classical law (|R_t|/2^ell)(|X_b|+...)/2 from full (b, x, r)
-    enumeration.  All three must agree as exact rationals.  With
-    trials > 0 an empirical leg samples coherent runs and checks each
-    frequency against its 99% interval.
+    Exact legs: (1) the coherent-run tree law, walked through the class
+    tables, (2) the identity's right side with R_t and X_{b,t} read off
+    the full (b, x, r) enumeration of the message functions, which never
+    reads a class table, (3) the classical law (n_0 + n_1)/2^(2 ell+1)
+    from the same enumeration.  All three must agree as exact rationals.
+    With trials > 0 an empirical leg samples coherent runs and checks
+    each frequency against its 99% interval.
     """
     if scheme.ell > 8:
         raise ValueError("identity check enumerates 2^(2 ell) pairs; keep ell small")
+    if trials > 0 and rng is None:
+        raise ValueError("the empirical leg (trials > 0) needs an rng")
     n = 1 << scheme.ell
     coherent = coherent_transcript_law(scheme)
     classical = transcript_distributions(scheme)
@@ -299,10 +295,8 @@ def check_transcript_identity(
     seen = set(coherent) | set(classical)
     for t in sorted(seen):
         p_tree = coherent.get(t, Fraction(0))
-        c0, c1 = classical.get(t, (0, 0))
+        c0, c1, r_t, size0, size1 = classical.get(t, (0,) * 5)
         p_classical = Fraction(c0 + c1, 2 * n * n)
-        r_t = int(scheme.receiver_mask(t).sum())
-        size0, size1 = (len(replayed_seeds(scheme, t, b)) for b in (0, 1))
         p_identity = Fraction(r_t, n) * Fraction(size0 + size1, 2 * n)
         if not (p_tree == p_classical == p_identity):
             mismatch = {

@@ -2,12 +2,12 @@
 
 V1 drives one protocol session: coherent commit (playing the receiver),
 hash-pair challenge, and the two-challenge measurement phase.  The
-first two are run_preamble and the last is run_challenge; sessions,
-binding attacks and conditional estimates all run the first phase
-through them, so each prover reply is validated in one place.  V2 is a
-pure function of the resulting record: V1 appends three fair coin bits
-to the transcript, so the 7/8-acceptance branch of V2 is derandomized
-and every run replays to the same verdict.
+first two are run_preamble and the last is run_challenge; sessions and
+binding attacks run the first phase through them, so each prover reply
+is validated in one place.  V2 is a pure function of the resulting
+record: V1 appends three fair coin bits to the transcript, so the
+7/8-acceptance branch of V2 is derandomized and every run replays to
+the same verdict.
 
 run_block is V1 over a block of sessions in lockstep, each on its own
 stream with run_session's draws (SessionStreams makes each draw for the
@@ -15,9 +15,9 @@ whole block at once); the prover answers each phase for the whole block
 through its block_session generator, and the block comes back as a
 SessionBlock of columns; estimate_acceptance runs every session through
 it.  decide_block is V2 over a block, in array operations on its columns,
-and tally counts the verdicts of any stream of records, each block_size
-of them made one block.  SessionRecords are built only at the edges:
-SessionBlock.records (the CLI's run and the tests) and
+and tally counts the verdicts of any stream of records (run_sequential's),
+each block_size of them made one block.  SessionRecords are built only at
+the edges: SessionBlock.records (the CLI's run and the tests) and
 SessionBlock.from_records (tally).
 
 V2's hard steps (counting consistent preimages and finding witnesses)

@@ -14,7 +14,6 @@ from ivpoq.adversaries import (
     ProverNondeterminism,
     ScriptedProver,
     binding_attack,
-    estimate_conditional_acceptance,
     goldreich_levin,
     oracle_from_prover,
     predict_claw_parity,
@@ -42,7 +41,7 @@ from ivpoq.verifier import (
     v2_decide,
 )
 
-from builders import support_state
+from builders import conditional_acceptance, honest_resume, support_state
 
 
 def find_unique_claw_prefix(scheme, params, seed=0, want_unique=True):
@@ -337,18 +336,16 @@ def test_claw_prover_conditional_on_const_unique_claw():
             break
     assert prefix is not None
 
-    class FreshRandomnessClaw:
+    count = 0
+
+    def fresh_randomness_claw(prefix, rng):
         """Fresh prover coins per session: the averaged-over-r strategy."""
+        nonlocal count
+        count += 1
+        return unbounded_claw_prover(sch, r=count.to_bytes(4, "big"))
 
-        def __init__(self):
-            self.count = 0
-
-        def session_from_prefix(self, prefix, rng):
-            self.count += 1
-            return unbounded_claw_prover(sch, r=self.count.to_bytes(4, "big"))
-
-    rate = estimate_conditional_acceptance(
-        params, prefix, FreshRandomnessClaw(), 4000, np.random.default_rng(9)
+    rate = conditional_acceptance(
+        params, prefix, fresh_randomness_claw, 4000, np.random.default_rng(9)
     )
     assert abs(rate - HONEST_UNIQUE_RATE) < 0.02
 
@@ -359,8 +356,8 @@ def test_conditional_acceptance_honest_unique_claw():
     sch = make_scheme("hm2", 7, a=3)
     params = ProtocolParams(scheme=sch, epsilon=0.05, grid_mode=GRID_ORACLE)
     prefix, _ = find_unique_claw_prefix(sch, params, seed=10)
-    rate = estimate_conditional_acceptance(
-        params, prefix, HonestProver(sch), 4000, np.random.default_rng(11)
+    rate = conditional_acceptance(
+        params, prefix, honest_resume(sch), 4000, np.random.default_rng(11)
     )
     assert abs(rate - HONEST_UNIQUE_RATE) < 0.025
 
@@ -369,8 +366,9 @@ def test_conditional_acceptance_nonunique_is_coin():
     sch = make_scheme("hm2", 7, a=3)
     params = ProtocolParams(scheme=sch, epsilon=0.05, grid_mode=GRID_ORACLE)
     prefix, _ = find_unique_claw_prefix(sch, params, seed=12, want_unique=False)
-    rate = estimate_conditional_acceptance(
-        params, prefix, ScriptedProver(sch), 4000, np.random.default_rng(13)
+    prover = ScriptedProver(sch)
+    rate = conditional_acceptance(
+        params, prefix, lambda prefix, rng: prover, 4000, np.random.default_rng(13)
     )
     assert abs(rate - 7 / 8) < 0.02
 
@@ -392,14 +390,18 @@ def test_conditional_acceptance_always_wrong_prover_is_zero():
         d_fn=lambda t, h0, h1, y, xi: 0,
         eta_fn=wrong_eta,
     )
-    rate = estimate_conditional_acceptance(params, prefix, prover, 600, np.random.default_rng(15))
+    rate = conditional_acceptance(params, prefix, lambda prefix, rng: prover, 600, np.random.default_rng(15))
     assert rate == 0.0
 
 
-@pytest.mark.parametrize(
-    "make_prover", [HonestProver, unbounded_claw_prover], ids=["honest", "unbounded-claw"]
-)
-def test_conditional_acceptance_equals_v2_decide_loop(make_prover):
+def claw_resume(sch):
+    """The unbounded-claw prover resumed on any prefix: it keeps no state."""
+    prover = unbounded_claw_prover(sch)
+    return lambda prefix, rng: prover
+
+
+@pytest.mark.parametrize("make_resume", [honest_resume, claw_resume], ids=["honest", "unbounded-claw"])
+def test_conditional_acceptance_equals_v2_decide_loop(make_resume):
     # The estimate tallies its records a block at a time; over two blocks,
     # each counted in several runs of seeds, it must equal v2_decide record
     # by record on an identically seeded stream.
@@ -408,12 +410,12 @@ def test_conditional_acceptance_equals_v2_decide_loop(make_prover):
     prefix, _ = find_unique_claw_prefix(sch, params, seed=10)
     assert STREAM_SESSIONS * len(sch.consistent_seeds(prefix[0], 0)) > verifier._BLOCK_BYTES >> 8
     trials = STREAM_SESSIONS + 40
-    rate = estimate_conditional_acceptance(
-        params, prefix, make_prover(sch), trials, np.random.default_rng(21)
+    rate = conditional_acceptance(
+        params, prefix, make_resume(sch), trials, np.random.default_rng(21)
     )
-    prover, rng, accepts = make_prover(sch), np.random.default_rng(21), 0
+    resume, rng, accepts = make_resume(sch), np.random.default_rng(21), 0
     for _ in range(trials):
-        session = prover.session_from_prefix(prefix, rng)
+        session = resume(prefix, rng)
         accepts += v2_decide(params, run_challenge(params, session, prefix, 0, rng))[0]
     assert rate == accepts / trials
 

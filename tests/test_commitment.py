@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from builders import interned_law
+from builders import interned_law, receiver_seeds, replayed_seeds
 from ivpoq import commitment
 from ivpoq.commitment import (
     commit_leaves,
@@ -17,7 +17,6 @@ from ivpoq.commitment import (
     run_classical_commit,
     transcript_distributions,
 )
-from ivpoq.lemma_harness import replayed_seeds
 
 
 def hm2_alpha2_reference(ell, a, r, x, b):
@@ -382,7 +381,7 @@ def test_hiding_distance_exact_matches_transcript_distributions(name, ell, kwarg
     # classical commit on every (b, x, r): the same float from both
     sch = make_scheme(name, ell, **kwargs)
     counts = transcript_distributions(sch)
-    want = sum(abs(c0 - c1) for c0, c1 in counts.values()) / (2 << (2 * ell))
+    want = sum(abs(c0 - c1) for c0, c1, *_ in counts.values()) / (2 << (2 * ell))
     assert hiding_distance(sch) == want
 
 
@@ -434,10 +433,24 @@ def test_transcript_distribution_factorizes():
     for name, kwargs in (("ident", {}), ("hm2", {"a": 2})):
         sch = make_scheme(name, 4, **kwargs)
         counts = transcript_distributions(sch)
-        for t, (c0, c1) in counts.items():
-            r_t = int(sch.receiver_mask(t).sum())
+        for t, (c0, c1, *_) in counts.items():
+            r_t = len(receiver_seeds(sch, t))
             assert c0 == r_t * len(sch.consistent_seeds(t, 0))
             assert c1 == r_t * len(sch.consistent_seeds(t, 1))
+
+
+@pytest.mark.parametrize(
+    "name, ell, kwargs",
+    [("hm2", 5, {"a": 2}), ("ident", 4, {}), ("const", 4, {})],
+    ids=["hm2", "ident", "const"],
+)
+def test_transcript_distributions_seed_sets_equal_the_replay(name, ell, kwargs):
+    # |R_t| and |X_{b,t}| collected while enumerating are the sizes of the
+    # sets that replaying the message functions finds, on every t.
+    sch = make_scheme(name, ell, **kwargs)
+    for t, (_, _, r_t, size0, size1) in transcript_distributions(sch).items():
+        assert r_t == len(receiver_seeds(sch, t)), t
+        assert (size0, size1) == tuple(len(replayed_seeds(sch, t, b)) for b in (0, 1)), t
 
 
 def test_scheme_registry():

@@ -3,7 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ivpoq.commitment import make_scheme
+from ivpoq import lemma_harness
+from ivpoq.commitment import Hm2Scheme, make_scheme
 from ivpoq.lemma_harness import (
     ESTIMATED,
     HOLDS,
@@ -88,6 +89,20 @@ def test_unique_claw_prob_rejects_nonpositive_epsilon():
             check_unique_claw_prob(4, eps, 10, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda trials: check_branch_balance(make_scheme("const", 4), trials, 0.5, np.random.default_rng(0)),
+        lambda trials: check_unique_claw_prob(4, 0.5, trials, np.random.default_rng(0)),
+    ],
+    ids=["branch-balance", "unique-claw"],
+)
+@pytest.mark.parametrize("trials", [0, -1])
+def test_monte_carlo_lemmas_need_a_trial(check, trials):
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        check(trials)
+
+
 def test_branch_balance_controls():
     rng = np.random.default_rng(2)
     const = check_branch_balance(make_scheme("const", 5), 200, 0.5, rng)
@@ -134,3 +149,34 @@ def test_transcript_identity_hm2_with_empirical_leg():
 def test_transcript_identity_rejects_large_ell():
     with pytest.raises(ValueError):
         check_transcript_identity(make_scheme("hm2", 12, a=6))
+
+
+def test_transcript_identity_empirical_leg_needs_an_rng(monkeypatch):
+    # Refused before either enumeration runs.
+    def enumerate_nothing(scheme):
+        raise AssertionError("enumerated before checking the arguments")
+
+    monkeypatch.setattr(lemma_harness, "coherent_transcript_law", enumerate_nothing)
+    monkeypatch.setattr(lemma_harness, "transcript_distributions", enumerate_nothing)
+    with pytest.raises(ValueError, match="rng"):
+        check_transcript_identity(make_scheme("hm2", 5, a=2), trials=10)
+
+
+class _FlippedCompress(Hm2Scheme):
+    """hm2 whose F_r flips bit 0 at (r, x) = (3, 5) in sender_msg only: the
+    class tables, filled from SHA-256 directly, keep the true F_r."""
+
+    def compress(self, r, x):
+        return super().compress(r, x) ^ ((r, x) == (3, 5))
+
+
+def test_transcript_identity_catches_a_table_that_disagrees_with_the_messages():
+    report = check_transcript_identity(_FlippedCompress(5, 2))
+    assert report.verdict == VIOLATED
+    # The tree walks the table; the classical and identity legs replay sender_msg.
+    assert report.counterexample == {
+        "t": ["", "03", "0600", ""],
+        "tree": "5/2048",
+        "classical": "1/512",
+        "identity": "1/512",
+    }

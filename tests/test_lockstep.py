@@ -25,7 +25,6 @@ from ivpoq.adversaries import ClassicalHonestProver, ScriptedProver, UnboundedCl
 from ivpoq import coherent_prover, commitment, hashing, verifier
 from ivpoq.coherent_prover import HonestProver, consistent_state
 from ivpoq.commitment import make_scheme
-from ivpoq.lemma_harness import replayed_seeds
 from ivpoq.verifier import (
     GRID_ORACLE,
     GRID_UNIFORM,
@@ -41,6 +40,8 @@ from ivpoq.verifier import (
     run_session,
     v2_decide,
 )
+
+from builders import replayed_seeds
 
 
 def _params(name, ell, kwargs, grid):

@@ -21,9 +21,6 @@ ALLOWED = {
     # The scripted test double the protocol-violation and predictor
     # tests drive the session driver and the binding attack with.
     ("adversaries", "ScriptedProver"),
-    # Pr[V2 accepts | fixed prefix]: the tests check the honest, claw and
-    # scripted provers' conditional rates through it.
-    ("adversaries", "estimate_conditional_acceptance"),
     # The one-sided Hoeffding bound exp(-2 n gap^2) of sequential
     # repetition, whose values and input checks the tests pin.
     ("amplification", "hoeffding_tail"),

@@ -13,7 +13,6 @@ from ivpoq import verifier
 from ivpoq.adversaries import (
     ScriptedProver,
     binding_attack,
-    estimate_conditional_acceptance,
     unbounded_claw_prover,
 )
 from ivpoq.coherent_prover import HONEST_UNIQUE_RATE, HonestProver
@@ -38,7 +37,7 @@ from ivpoq.verifier import (
     v2_decide,
 )
 
-from builders import identity_hash
+from builders import conditional_acceptance, identity_hash
 
 
 def test_compute_m_examples():
@@ -309,7 +308,7 @@ def test_malformed_challenge_reply_is_a_violation(caller, message, kind):
         rng = np.random.default_rng(1)
         h = sample_hash(4, 3, rng)
         with pytest.raises(ProtocolViolation):
-            estimate_conditional_acceptance(params, ((b"", b""), h, h, 0), prover, 16, rng)
+            conditional_acceptance(params, ((b"", b""), h, h, 0), lambda prefix, rng: prover, 16, rng)
     else:
         res = binding_attack(params, prover, np.random.default_rng(2))
         assert not res.success
