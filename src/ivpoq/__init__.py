@@ -56,7 +56,6 @@ from .lemma_harness import (
 from .verifier import (
     ProtocolParams,
     SessionRecord,
-    compute_m,
     count_consistent_preimages,
     estimate_acceptance,
     run_coherent_commit,

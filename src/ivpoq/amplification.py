@@ -9,6 +9,15 @@ Bernoulli(c) from Bernoulli(s) provers at that N.
 Within one macro-trial the sessions are strictly sequential by
 contract: they consume a single RNG stream in order.  Macro-trials are
 independent and may run in parallel with derived streams.
+
+run_sequential repeats Bernoulli doubles only.  Macro-trial m of the
+real protocol is
+
+    estimate_acceptance(params, prover, plan.n, (seed, m)).rate >= plan.threshold
+
+and that is exact for every prover here: none keeps state across
+sessions, so sessions run in lockstep blocks have the verdict law of
+sessions run one after another.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .verifier import ProtocolParams, count_accepts, estimate_acceptance, run_session, tally
+from .verifier import ProtocolParams, estimate_acceptance
 
 
 def required_N(c: float, s: float, lam: float) -> int:
@@ -72,29 +81,16 @@ class BernoulliProver:
             raise ValueError("p must lie in [0, 1]")
         self.p = p
 
-    def run_one(self, params, rng: np.random.Generator) -> bool:
+    def run_one(self, rng: np.random.Generator) -> bool:
         return bool(rng.random() < self.p)
 
 
 def run_sequential(
-    plan: RepetitionPlan,
-    prover,
-    params: ProtocolParams | None,
-    rng: np.random.Generator,
+    plan: RepetitionPlan, prover, rng: np.random.Generator
 ) -> tuple[bool, float]:
-    """Run N sequential sessions; accept iff the accepted fraction
-    reaches (c + s) / 2.
-
-    The prover is either a protocol prover (driven through run_session)
-    or any object with run_one(params, rng), e.g. BernoulliProver.
-    Second-phase decisions are tallied apart from the first phases, which
-    matches the deferred-decision reading of the repetition.
-    """
-    if hasattr(prover, "run_one"):
-        accepted = sum(bool(prover.run_one(params, rng)) for _ in range(plan.n))
-    else:
-        records = (run_session(params, prover, rng) for _ in range(plan.n))
-        accepted = count_accepts(tally(params, records))
+    """Run N sequential sessions of prover.run_one(rng), e.g. a
+    BernoulliProver; accept iff the accepted fraction reaches (c + s) / 2."""
+    accepted = sum(bool(prover.run_one(rng)) for _ in range(plan.n))
     fraction = accepted / plan.n
     return fraction >= plan.threshold, fraction
 
@@ -123,9 +119,9 @@ def separation_experiment(
     passes_h = passes_c = 0
     for i in range(macro_trials):
         rng = np.random.default_rng([seed, 2 * i])
-        passes_h += run_sequential(plan, honest, None, rng)[0]
+        passes_h += run_sequential(plan, honest, rng)[0]
         rng = np.random.default_rng([seed, 2 * i + 1])
-        passes_c += run_sequential(plan, cheater, None, rng)[0]
+        passes_c += run_sequential(plan, cheater, rng)[0]
     return SeparationReport(
         plan_n=plan.n,
         c=plan.c,

@@ -129,6 +129,7 @@ def _emit(args, payload: dict, csv_rows: list[dict] | None = None) -> None:
             {"config": _resolved_config(args), "result": payload},
             sort_keys=True,
             indent=2,
+            allow_nan=False,  # NaN is not JSON: a ValueError, so exit 1
         ) + "\n"
     if args.out:
         with open(args.out, "w") as fh:

@@ -126,13 +126,6 @@ class HashColumns(NamedTuple):
         return HashFn(ell, int(self.k[i]), int(self.a[i]), int(self.b[i]), int(self.p[i]))
 
 
-def hash_columns(members: list[HashFn]) -> HashColumns:
-    """The columns of a list of members."""
-    a, b, k, p = ([getattr(h, name) for h in members] for name in "abkp")
-    dtype = np.uint64 if all(q == _PRIMES[0] for q in p) else object
-    return HashColumns(np.array(a, dtype), np.array(b, dtype), np.array(k, dtype), np.array(p, object))
-
-
 def eval_segments(hashes: HashColumns, xs: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """Each member of hashes applied to its run of seeds, concatenated.
 

@@ -14,11 +14,9 @@ stream with run_session's draws (SessionStreams makes each draw for the
 whole block at once); the prover answers each phase for the whole block
 through its block_session generator, and the block comes back as a
 SessionBlock of columns; estimate_acceptance runs every session through
-it.  decide_block is V2 over a block, in array operations on its columns,
-and tally counts the verdicts of any stream of records (run_sequential's),
-each block_size of them made one block.  SessionRecords are built only at
-the edges: SessionBlock.records (the CLI's run and the tests) and
-SessionBlock.from_records (tally).
+it.  decide_block is V2 over a block, in array operations on its columns.
+A block's SessionRecords are built only by SessionBlock.records (the
+CLI's run and the tests).
 
 V2's hard steps (counting consistent preimages and finding witnesses)
 go through count_consistent_preimages, a brute-force stand-in for the
@@ -28,7 +26,6 @@ make: existence, witness search, and a second-element check.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -43,7 +40,7 @@ from . import stats
 from .bits import dot2, from_hex, parity_u32, to_hex
 from .coherent_prover import _BLOCK_BYTES, HonestSession, SupportState, _runs
 from .commitment import CommitScheme, Transcript
-from .hashing import HashColumns, HashFn, eval_segments, hash_columns, sample_hash, sample_hash_pairs
+from .hashing import HashColumns, HashFn, eval_segments, sample_hash, sample_hash_pairs
 from .streams import SessionStreams
 
 GRID_UNIFORM = "uniform"
@@ -56,11 +53,6 @@ REASON_COIN = "non-unique-coin"
 
 class ProtocolViolation(RuntimeError):
     """A prover message failed validation (wrong size, range, or type)."""
-
-
-def compute_m(ell: int, epsilon: float) -> int:
-    """Minimal m with (1+epsilon)^m >= 2^(ell+1)."""
-    return len(grid_sizes(ell, epsilon))
 
 
 @lru_cache(maxsize=256)
@@ -121,8 +113,8 @@ class ProtocolParams:
             raise ValueError("epsilon must lie in (0, 1)")
         if self.grid_mode not in (GRID_UNIFORM, GRID_ORACLE):
             raise ValueError(f"unknown grid mode {self.grid_mode!r}")
-        self.m = compute_m(self.scheme.ell, self.epsilon)
         self.ks = grid_sizes(self.scheme.ell, self.epsilon)
+        self.m = len(self.ks)
 
     @property
     def ell(self) -> int:
@@ -224,16 +216,6 @@ class SessionBlock(NamedTuple):
     scheme: CommitScheme
     hashes: HashColumns
     cols: dict
-
-    @classmethod
-    def from_records(cls, scheme: CommitScheme, records: list[SessionRecord]) -> "SessionBlock":
-        """The block of records; each transcript is parsed once, raising
-        ValueError where consistent_seeds would."""
-        cols = {name: np.array([getattr(rec, name) or 0 for rec in records], dtype=np.int64)
-                for name in _COLUMNS}
-        parsed = np.array([scheme.transcript_key(rec.t) for rec in records], dtype=np.int64)
-        cols["r"], cols["key"] = parsed.reshape(-1, 2).T
-        return cls(scheme, hash_columns([h for rec in records for h in (rec.h0, rec.h1)]), cols)
 
     def records(self) -> list[SessionRecord]:
         """Each row as the SessionRecord that run_session makes for it; a row
@@ -493,27 +475,10 @@ def _count_block(scheme: CommitScheme, block: SessionBlock, rows: np.ndarray, b:
     return np.minimum(counts, 2), witness
 
 
-def tally(params: ProtocolParams, records) -> Counter:
-    """How often each v2_decide verdict (accepted, reason) occurs over records.
-
-    records may be any iterable, a generator included; it is decided
-    block_size records at a time, each chunk made a SessionBlock for
-    decide_block.
-    """
-    verdicts, records = Counter(), iter(records)
-    while chunk := list(itertools.islice(records, block_size(params.scheme))):
-        verdicts.update(decide_block(params, SessionBlock.from_records(params.scheme, chunk)))
-    return verdicts
-
-
-def count_accepts(verdicts: Counter) -> int:
-    """The number of accepted records in a tally."""
-    return sum(n for (ok, _), n in verdicts.items() if ok)
-
-
 @dataclass
 class AcceptanceReport:
-    """Monte-Carlo acceptance estimate with its per-branch breakdown."""
+    """Monte-Carlo acceptance estimate with its per-branch breakdown; a
+    branch's rate is None (JSON null) when no session took that branch."""
 
     trials: int
     accepts: int
@@ -524,11 +489,11 @@ class AcceptanceReport:
     p_good: float
     unique_trials: int
     unique_accepts: int
-    unique_rate: float
+    unique_rate: float | None
     unique_ci: tuple[float, float]
     nonunique_trials: int
     nonunique_accepts: int
-    nonunique_rate: float
+    nonunique_rate: float | None
     nonunique_ci: tuple[float, float]
     by_reason: dict
     seed: int | tuple[int, ...]
@@ -595,10 +560,10 @@ def estimate_acceptance(
         reason: verdicts[True, reason] + verdicts[False, reason]
         for reason in (REASON_PASS, REASON_FAIL, REASON_COIN)
     }
-    accepts = count_accepts(verdicts)
     unique = reasons[REASON_PASS] + reasons[REASON_FAIL]
     unique_accepts = reasons[REASON_PASS]
     coin_accepts = verdicts[True, REASON_COIN]
+    accepts = unique_accepts + coin_accepts
     nonunique = trials - unique
     ci_lo, ci_hi = stats.wilson_interval(accepts, trials)
     return AcceptanceReport(
@@ -611,11 +576,11 @@ def estimate_acceptance(
         p_good=unique / trials,
         unique_trials=unique,
         unique_accepts=unique_accepts,
-        unique_rate=unique_accepts / unique if unique else float("nan"),
+        unique_rate=unique_accepts / unique if unique else None,
         unique_ci=stats.wilson_interval(unique_accepts, unique),
         nonunique_trials=nonunique,
         nonunique_accepts=coin_accepts,
-        nonunique_rate=coin_accepts / nonunique if nonunique else float("nan"),
+        nonunique_rate=coin_accepts / nonunique if nonunique else None,
         nonunique_ci=stats.wilson_interval(coin_accepts, nonunique),
         by_reason=reasons,
         seed=seed,

@@ -1,14 +1,15 @@
 """Small fixtures the tests share: a support state from any seed collections,
-the identity hash, the round law by interning every branch's message, the
-seed sets R_t and X_{b,t} by replaying the message functions, and the
-acceptance rate of a prover resumed on a fixed prefix."""
+the identity hash, hash columns and a session block from records, the round
+law by interning every branch's message, the seed sets R_t and X_{b,t} by
+replaying the message functions, and the acceptance rate of a prover resumed
+on a fixed prefix."""
 
 import numpy as np
 
 from ivpoq.coherent_prover import HonestSession, SupportState, consistent_state
 from ivpoq.commitment import CommitRoundLaw
-from ivpoq.hashing import HashFn
-from ivpoq.verifier import count_accepts, run_challenge, tally
+from ivpoq.hashing import HashColumns, HashFn
+from ivpoq.verifier import _COLUMNS, SessionBlock, run_challenge, v2_decide
 
 
 def support_state(ell, s0, s1) -> SupportState:
@@ -23,6 +24,24 @@ def support_state(ell, s0, s1) -> SupportState:
 def identity_hash(ell: int) -> HashFn:
     """The member x -> x of affine-mod-prime with k = 2^ell."""
     return HashFn(ell=ell, k=1 << ell, a=1, b=0, p=(1 << 61) - 1)
+
+
+def hash_columns(members) -> HashColumns:
+    """The columns of a list of HashFn members."""
+    a, b, k, p = ([getattr(h, name) for h in members] for name in "abkp")
+    dtype = np.uint64 if all(q == (1 << 61) - 1 for q in p) else object
+    return HashColumns(np.array(a, dtype), np.array(b, dtype), np.array(k, dtype), np.array(p, object))
+
+
+def from_records(scheme, records) -> SessionBlock:
+    """The block of SessionRecords (their verdicts dropped); each transcript
+    is parsed once, raising ValueError where consistent_seeds would, and one
+    that no seed replays becomes key -1."""
+    cols = {name: np.array([getattr(rec, name) or 0 for rec in records], dtype=np.int64)
+            for name in _COLUMNS}
+    parsed = np.array([scheme.transcript_key(rec.t) for rec in records], dtype=np.int64)
+    cols["r"], cols["key"] = parsed.reshape(-1, 2).T
+    return SessionBlock(scheme, hash_columns([h for rec in records for h in (rec.h0, rec.h1)]), cols)
 
 
 def interned_law(scheme, j, xs0, xs1, prefix) -> CommitRoundLaw:
@@ -83,6 +102,7 @@ def honest_resume(scheme):
 
 def conditional_acceptance(params, prefix, resume, trials, rng) -> float:
     """Monte-Carlo Pr[V2 accepts | fixed (t, h0, h1, y)]: fresh (v1, xi, v2,
-    coin) a trial, answered by the session resume(prefix, rng) returns."""
+    coin) a trial, answered by the session resume(prefix, rng) returns, and
+    decided record by record by v2_decide."""
     records = (run_challenge(params, resume(prefix, rng), prefix, 0, rng) for _ in range(trials))
-    return count_accepts(tally(params, records)) / trials
+    return sum(v2_decide(params, record)[0] for record in records) / trials

@@ -34,6 +34,7 @@ from ivpoq.verifier import (
     ProtocolViolation,
     STREAM_SESSIONS,
     count_consistent_preimages,
+    decide_block,
     estimate_acceptance,
     run_challenge,
     run_preamble,
@@ -41,7 +42,7 @@ from ivpoq.verifier import (
     v2_decide,
 )
 
-from builders import conditional_acceptance, honest_resume, support_state
+from builders import conditional_acceptance, from_records, honest_resume, support_state
 
 
 def find_unique_claw_prefix(scheme, params, seed=0, want_unique=True):
@@ -402,9 +403,9 @@ def claw_resume(sch):
 
 @pytest.mark.parametrize("make_resume", [honest_resume, claw_resume], ids=["honest", "unbounded-claw"])
 def test_conditional_acceptance_equals_v2_decide_loop(make_resume):
-    # The estimate tallies its records a block at a time; over two blocks,
-    # each counted in several runs of seeds, it must equal v2_decide record
-    # by record on an identically seeded stream.
+    # The estimate's records, decided a block at a time by decide_block over
+    # two blocks, each counted in several runs of seeds, must get v2_decide's
+    # verdicts record by record, and the estimate's rate.
     sch = make_scheme("hm2", 7, a=3)
     params = ProtocolParams(scheme=sch, epsilon=0.05, grid_mode=GRID_ORACLE)
     prefix, _ = find_unique_claw_prefix(sch, params, seed=10)
@@ -413,11 +414,15 @@ def test_conditional_acceptance_equals_v2_decide_loop(make_resume):
     rate = conditional_acceptance(
         params, prefix, make_resume(sch), trials, np.random.default_rng(21)
     )
-    resume, rng, accepts = make_resume(sch), np.random.default_rng(21), 0
-    for _ in range(trials):
-        session = resume(prefix, rng)
-        accepts += v2_decide(params, run_challenge(params, session, prefix, 0, rng))[0]
-    assert rate == accepts / trials
+    resume, rng = make_resume(sch), np.random.default_rng(21)
+    records = [run_challenge(params, resume(prefix, rng), prefix, 0, rng) for _ in range(trials)]
+    verdicts = [
+        verdict
+        for lo in range(0, trials, STREAM_SESSIONS)
+        for verdict in decide_block(params, from_records(sch, records[lo : lo + STREAM_SESSIONS]))
+    ]
+    assert verdicts == [v2_decide(params, record) for record in records]
+    assert rate == sum(ok for ok, _ in verdicts) / trials
 
 
 # the two-challenge predictor -------------------------------------------------------

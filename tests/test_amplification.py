@@ -15,7 +15,14 @@ from ivpoq.amplification import (
 )
 from ivpoq.coherent_prover import HonestProver
 from ivpoq.commitment import make_scheme
-from ivpoq.verifier import GRID_ORACLE, STREAM_SESSIONS, ProtocolParams, run_session, v2_decide
+from ivpoq.verifier import (
+    GRID_ORACLE,
+    STREAM_SESSIONS,
+    ProtocolParams,
+    estimate_acceptance,
+    run_session,
+    v2_decide,
+)
 
 
 def test_required_N_examples():
@@ -54,28 +61,36 @@ def test_run_sequential_always_and_never():
     always = BernoulliProver(1.0)
     never = BernoulliProver(0.0)
     rng = np.random.default_rng(0)
-    assert run_sequential(plan, always, None, rng) == (True, 1.0)
-    assert run_sequential(plan, never, None, rng) == (False, 0.0)
+    assert run_sequential(plan, always, rng) == (True, 1.0)
+    assert run_sequential(plan, never, rng) == (False, 0.0)
 
 
-def test_run_sequential_drives_real_protocol():
+def _macro_trial(plan, params, prover, seed, m):
+    """Macro-trial m of the real protocol, as the amplification module's
+    docstring states it: one estimate on the entropy prefix (seed, m)."""
+    fraction = estimate_acceptance(params, prover, plan.n, (seed, m)).rate
+    return fraction >= plan.threshold, fraction
+
+
+def test_macro_trial_drives_real_protocol():
     sch = make_scheme("hm2", 6, a=3)
     params = ProtocolParams(scheme=sch, epsilon=0.1, grid_mode=GRID_ORACLE)
-    plan = RepetitionPlan(c=0.95, s=0.80, n=40)
-    verdict, fraction = run_sequential(plan, HonestProver(sch), params, np.random.default_rng(1))
+    plan = RepetitionPlan(c=0.95, s=0.80, n=STREAM_SESSIONS + 40)
+    verdict, fraction = _macro_trial(plan, params, HonestProver(sch), 3, 0)
     assert 0.0 <= fraction <= 1.0
     assert verdict == (fraction >= plan.threshold)
 
 
-def test_run_sequential_equals_v2_decide_loop():
-    # The protocol path tallies its records a block at a time; its fraction
-    # must equal v2_decide's over run_session draws from one stream.
+def test_macro_trial_equals_v2_decide_loop():
+    # The macro-trial decides its sessions a block at a time; its fraction
+    # must equal v2_decide's over run_session on the streams [3, 0, i].
     sch = make_scheme("hm2", 6, a=3)
     params = ProtocolParams(scheme=sch, epsilon=0.1, grid_mode=GRID_ORACLE)
     plan = RepetitionPlan(c=0.95, s=0.80, n=STREAM_SESSIONS + 40)
-    verdict, fraction = run_sequential(plan, HonestProver(sch), params, np.random.default_rng(3))
-    rng, prover = np.random.default_rng(3), HonestProver(sch)
-    accepted = sum(v2_decide(params, run_session(params, prover, rng))[0] for _ in range(plan.n))
+    verdict, fraction = _macro_trial(plan, params, HonestProver(sch), 3, 0)
+    prover = HonestProver(sch)
+    rngs = (np.random.default_rng([3, 0, i]) for i in range(plan.n))
+    accepted = sum(v2_decide(params, run_session(params, prover, rng))[0] for rng in rngs)
     assert fraction == accepted / plan.n
     assert verdict == (fraction >= plan.threshold)
 
@@ -86,12 +101,12 @@ def test_sequential_consumes_one_stream_in_order():
     boundaries = []
 
     class Audited:
-        def run_one(self, params, rng):
+        def run_one(self, rng):
             boundaries.append(rng.bit_generator.state["state"]["state"])
             return bool(rng.random() < 0.5)
 
     rng = np.random.default_rng(7)
-    run_sequential(plan, Audited(), None, rng)
+    run_sequential(plan, Audited(), rng)
     assert len(boundaries) == 25
     assert len(set(boundaries)) == 25  # strictly advancing stream
 
@@ -103,7 +118,7 @@ def test_monotone_in_acceptance_probability():
         count = 0
         for i in range(60):
             rng = np.random.default_rng([17, int(p * 100), i])
-            count += run_sequential(plan, BernoulliProver(p), None, rng)[0]
+            count += run_sequential(plan, BernoulliProver(p), rng)[0]
         passes.append(count)
     assert passes[0] <= passes[1] <= passes[2]
     assert passes[0] < 10 and passes[2] > 50

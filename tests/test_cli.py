@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from ivpoq import amplification
 from ivpoq.cli import main
 
 
@@ -92,6 +93,18 @@ def test_amplify_separation(capsys):
     payload = json.loads(out)
     assert payload["result"]["pass_rate_honest"] >= 0.9
     assert payload["result"]["pass_rate_cheater"] <= 0.1
+
+
+def test_a_nan_in_the_payload_exits_1_without_printing(monkeypatch, capsys):
+    # NaN is not JSON; a payload that holds one is an error, not bad output.
+    class NanReport:
+        def to_json_dict(self):
+            return {"pass_rate_honest": float("nan")}
+
+    monkeypatch.setattr(amplification, "separation_experiment", lambda *args: NanReport())
+    code, out = run_cli(capsys, ["amplify", "--trials", "1"])
+    assert code == 1
+    assert out == ""
 
 
 def test_gl_subcommand(capsys):

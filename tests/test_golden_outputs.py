@@ -7,6 +7,7 @@ CHANGES.md.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -34,7 +35,7 @@ GOLDEN = {
     "completeness-ident-l6": (
         ["completeness", "--scheme", "ident", "--ell", "6", "--epsilon", "0.5",
          "--trials", "1000", "--seed", "2"],
-        "4e74eb9e26391853b9085791c4609d0f444a44e836544ca232dad722f7943385",
+        "fe2c8da6f40bfb66a359acd17a3517493de04b012c0ca80d5a6c29b110dba72a",
     ),
     "run-ident-l6": (
         ["run", "--scheme", "ident", "--ell", "6", "--epsilon", "0.5", "--seed", "2"],
@@ -48,7 +49,7 @@ GOLDEN = {
     "soundness-classical-honest-ident-l5": (
         ["soundness", "--scheme", "ident", "--ell", "5", "--epsilon", "0.5", "--trials", "400",
          "--seed", "4", "--prover", "classical-honest", "--r-grid", "4"],
-        "b8fda8d025fb47af553a3c0399c8711b63dd94b05be72930dfb55f793f03100f",
+        "b9c506c82742386ea3d352fda83c086fdc8176950aa7a4e04db17b5d7c64c6b1",
     ),
     "soundness-unbounded-claw-hm2-l6": (
         ["soundness", "--scheme", "hm2", "--ell", "6", "--a", "3", "--trials", "200",
@@ -83,3 +84,15 @@ def test_seeded_stdout_digest(name, capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not JSON (RFC 8259)")
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_seeded_stdout_is_strict_json(name, capsys):
+    # Every golden command prints JSON: no NaN or Infinity token.
+    argv, _ = GOLDEN[name]
+    assert main(argv) == 0
+    json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)

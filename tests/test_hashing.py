@@ -14,14 +14,13 @@ from ivpoq.hashing import (
     _eval_m61,
     enumerate_gf2_affine,
     eval_segments,
-    hash_columns,
     pairwise_bias_bound,
     sample_hash,
     sample_hash_pairs,
 )
 from ivpoq.streams import SessionStreams
 
-from builders import identity_hash
+from builders import hash_columns, identity_hash
 
 
 def test_identity_member_evaluates_to_input():

@@ -1,10 +1,11 @@
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import stats as sstats
 
-from ivpoq import lemma_harness
-from ivpoq.commitment import Hm2Scheme, make_scheme
+from ivpoq.commitment import Hm2Scheme, commit_leaves, make_scheme
 from ivpoq.lemma_harness import (
     ESTIMATED,
     HOLDS,
@@ -17,6 +18,7 @@ from ivpoq.lemma_harness import (
     find_grid_index,
     grid_bounds_ok,
 )
+from ivpoq.verifier import run_coherent_commit
 
 
 def test_hash_lemmas_small_families_hold():
@@ -139,27 +141,31 @@ def test_transcript_identity_controls():
     assert set(law.values()) == {Fraction(1, 32)}
 
 
-def test_transcript_identity_hm2_with_empirical_leg():
-    sch = make_scheme("hm2", 5, a=2)
-    report = check_transcript_identity(sch, trials=4000, rng=np.random.default_rng(4))
+def test_transcript_identity_hm2_holds():
+    report = check_transcript_identity(make_scheme("hm2", 5, a=2))
     assert report.verdict == HOLDS
     assert report.data["total_mass"] == "1"
+
+
+@pytest.mark.parametrize("r", [3, 17])
+def test_coherent_commit_samples_the_exact_transcript_law(r):
+    # At a fixed receiver seed, leaf (t, s0, s1) of the commit tree has
+    # probability (|s0| + |s1|) / 2^(ell+1); 4000 sampled commits must fit
+    # that law by a chi-square test.
+    sch, trials = make_scheme("hm2", 5, a=2), 4000
+    law = {t: len(s0) + len(s1) for t, s0, s1 in commit_leaves(sch, r)}
+    assert sum(law.values()) == 2 << sch.ell
+    rng = np.random.default_rng([4, r])
+    counts = Counter(run_coherent_commit(sch, r, rng)[0] for _ in range(trials))
+    assert set(counts) <= set(law)
+    leaves = sorted(law)
+    expected = [trials * law[t] / (2 << sch.ell) for t in leaves]
+    assert sstats.chisquare([counts[t] for t in leaves], expected).pvalue > 0.001
 
 
 def test_transcript_identity_rejects_large_ell():
     with pytest.raises(ValueError):
         check_transcript_identity(make_scheme("hm2", 12, a=6))
-
-
-def test_transcript_identity_empirical_leg_needs_an_rng(monkeypatch):
-    # Refused before either enumeration runs.
-    def enumerate_nothing(scheme):
-        raise AssertionError("enumerated before checking the arguments")
-
-    monkeypatch.setattr(lemma_harness, "coherent_transcript_law", enumerate_nothing)
-    monkeypatch.setattr(lemma_harness, "transcript_distributions", enumerate_nothing)
-    with pytest.raises(ValueError, match="rng"):
-        check_transcript_identity(make_scheme("hm2", 5, a=2), trials=10)
 
 
 class _FlippedCompress(Hm2Scheme):

@@ -26,7 +26,6 @@ from ivpoq.verifier import (
     REASON_FAIL,
     REASON_PASS,
     SessionRecord,
-    compute_m,
     count_consistent_preimages,
     decide_block,
     estimate_acceptance,
@@ -41,15 +40,15 @@ from builders import conditional_acceptance, identity_hash
 
 
 def test_compute_m_examples():
-    assert compute_m(10, 0.01) == 767
-    assert compute_m(1, 1.0) == 2
-    assert compute_m(7, 0.5) == 14
+    # m, the grid's length: the least m with (1+epsilon)^m >= 2^(ell+1).
+    assert len(grid_sizes(10, 0.01)) == 767
+    assert len(grid_sizes(1, 1.0)) == 2
+    assert len(grid_sizes(7, 0.5)) == 14
+    assert ProtocolParams(make_scheme("const", 7), epsilon=0.5).m == 14
 
 
 def test_compute_m_rejects_nonpositive_eps():
     for eps in (0.0, -0.5):
-        with pytest.raises(ValueError):
-            compute_m(4, eps)
         with pytest.raises(ValueError):
             grid_sizes(4, eps)
 
@@ -64,7 +63,7 @@ def test_grid_sizes_keep_the_callers_decimal_precision():
 def test_grid_sizes_monotone_and_cover_domain():
     for ell, eps in ((6, 0.5), (10, 0.01)):
         ks = grid_sizes(ell, eps)
-        assert len(ks) == compute_m(ell, eps)
+        assert len(ks) == ProtocolParams(make_scheme("const", ell), epsilon=eps).m
         assert ks[0] == 1
         assert all(ks[i] <= ks[i + 1] for i in range(len(ks) - 1))
         # last k must bracket the largest possible 2|X0| = 2^(ell+1)
