@@ -10,7 +10,6 @@ wherever its probabilities are rational.
 """
 
 from .amplification import (
-    BernoulliProver,
     RepetitionPlan,
     hoeffding_tail,
     required_N,

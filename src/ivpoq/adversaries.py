@@ -287,26 +287,16 @@ def predict_claw_parity(prefix, xi: int, prover) -> int:
 
 @dataclass
 class PredictionOracle:
-    """A xi -> bit predictor plus its declared domain length.
-
-    prepare, when given, sees each query_many batch before its queries
-    are asked one by one; it may precompute answers but asks none.
-    """
+    """A batch xi -> bit predictor plus its declared domain length: fn maps
+    an int64 array of xis to their bits."""
 
     ell: int
-    fn: Callable[[int], int]
+    fn: Callable[[np.ndarray], np.ndarray]
     queries: int = 0
-    prepare: Callable[[np.ndarray], None] | None = None
-
-    def query(self, xi: int) -> int:
-        self.queries += 1
-        return int(self.fn(int(xi))) & 1
 
     def query_many(self, xis: np.ndarray) -> np.ndarray:
-        xis = np.asarray(xis)
-        if self.prepare is not None:
-            self.prepare(xis)
-        return np.fromiter((self.query(x) for x in xis.tolist()), dtype=np.int64, count=len(xis))
+        self.queries += len(xis)
+        return np.asarray(self.fn(xis), dtype=np.int64) & 1
 
 
 def oracle_from_prover(prefix, prover, ell: int) -> PredictionOracle:
@@ -314,10 +304,13 @@ def oracle_from_prover(prefix, prover, ell: int) -> PredictionOracle:
     prepare_challenges gets each batch of xis first; every query still
     asks it for d twice and eta twice."""
     prepare_challenges = getattr(prover, "prepare_challenges", None)
-    prepare = None if prepare_challenges is None else (lambda xis: prepare_challenges(*prefix, xis))
-    return PredictionOracle(
-        ell=ell, fn=lambda xi: predict_claw_parity(prefix, xi, prover), prepare=prepare
-    )
+
+    def fn(xis):
+        if prepare_challenges is not None:
+            prepare_challenges(*prefix, xis)
+        return [predict_claw_parity(prefix, xi, prover) for xi in xis.tolist()]
+
+    return PredictionOracle(ell=ell, fn=fn)
 
 
 # Goldreich-Levin list decoding --------------------------------------------------

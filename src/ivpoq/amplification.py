@@ -10,7 +10,7 @@ Within one macro-trial the sessions are strictly sequential by
 contract: they consume a single RNG stream in order.  Macro-trials are
 independent and may run in parallel with derived streams.
 
-run_sequential repeats Bernoulli doubles only.  Macro-trial m of the
+run_sequential repeats Bernoulli(p) sessions only.  Macro-trial m of the
 real protocol is
 
     estimate_acceptance(params, prover, plan.n, (seed, m)).rate >= plan.threshold
@@ -69,29 +69,15 @@ class RepetitionPlan:
         return (self.c + self.s) / 2.0
 
 
-class BernoulliProver:
-    """Synthetic test double: each session accepts with probability p.
-
-    The real protocol's c - s at epsilon = 1/100 is too small to
-    amplify in desk time, so separation experiments run on these.
-    """
-
-    def __init__(self, p: float):
-        if not 0 <= p <= 1:
-            raise ValueError("p must lie in [0, 1]")
-        self.p = p
-
-    def run_one(self, rng: np.random.Generator) -> bool:
-        return bool(rng.random() < self.p)
-
-
 def run_sequential(
-    plan: RepetitionPlan, prover, rng: np.random.Generator
+    plan: RepetitionPlan, p: float, rng: np.random.Generator
 ) -> tuple[bool, float]:
-    """Run N sequential sessions of prover.run_one(rng), e.g. a
-    BernoulliProver; accept iff the accepted fraction reaches (c + s) / 2."""
-    accepted = sum(bool(prover.run_one(rng)) for _ in range(plan.n))
-    fraction = accepted / plan.n
+    """Run N sequential Bernoulli(p) sessions on one stream, one double
+    each; accept iff the accepted fraction reaches (c + s) / 2.  The real
+    protocol's c - s at epsilon = 1/100 is too small to amplify in desk time."""
+    if not 0 <= p <= 1:
+        raise ValueError("p must lie in [0, 1]")
+    fraction = int(np.count_nonzero(rng.random(plan.n) < p)) / plan.n
     return fraction >= plan.threshold, fraction
 
 
@@ -114,14 +100,12 @@ def separation_experiment(
     plan: RepetitionPlan, macro_trials: int, seed: int = 0
 ) -> SeparationReport:
     """Pass rates of Bernoulli(c) and Bernoulli(s) provers under the plan."""
-    honest = BernoulliProver(plan.c)
-    cheater = BernoulliProver(plan.s)
     passes_h = passes_c = 0
     for i in range(macro_trials):
         rng = np.random.default_rng([seed, 2 * i])
-        passes_h += run_sequential(plan, honest, rng)[0]
+        passes_h += run_sequential(plan, plan.c, rng)[0]
         rng = np.random.default_rng([seed, 2 * i + 1])
-        passes_c += run_sequential(plan, cheater, rng)[0]
+        passes_c += run_sequential(plan, plan.s, rng)[0]
     return SeparationReport(
         plan_n=plan.n,
         c=plan.c,

@@ -43,9 +43,9 @@ def parity_u32(vals: np.ndarray) -> np.ndarray:
     return PARITY16[v & 0xFFFF] ^ PARITY16[v >> 16]
 
 
-def check_ell(ell: int, cap: int = ELL_CAP) -> None:
-    if not 1 <= ell <= cap:
-        raise ValueError(f"ell={ell} outside supported range [1, {cap}]")
+def check_ell(ell: int) -> None:
+    if not 1 <= ell <= ELL_CAP:
+        raise ValueError(f"ell={ell} outside supported range [1, {ELL_CAP}]")
 
 
 def to_bytes(x: int, ell: int) -> bytes:

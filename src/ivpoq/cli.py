@@ -21,6 +21,7 @@ import sys
 import numpy as np
 
 from . import adversaries, amplification, lemma_harness
+from .bits import check_ell, parity_u32
 from .commitment import CommitScheme, make_scheme
 from .coherent_prover import HonestProver
 from .verifier import (
@@ -238,6 +239,7 @@ def cmd_gl(args) -> int:
     """list-decoding experiment against a synthetic noisy oracle"""
     rng = np.random.default_rng([args.seed, 2])
     ell = args.ell
+    check_ell(ell)  # before the 2^ell noise table
     hits = 0
     for _ in range(args.trials):
         planted = int(rng.integers(1 << ell))
@@ -261,12 +263,7 @@ def _noisy_parity_oracle(planted, ell, advantage, rng) -> adversaries.Prediction
     wrong = np.zeros(n, dtype=bool)
     n_wrong = round((0.5 - advantage) * n)
     wrong[rng.permutation(n)[:n_wrong]] = True
-
-    def fn(xi: int) -> int:
-        true_bit = (planted & xi).bit_count() & 1
-        return true_bit ^ int(wrong[xi])
-
-    return adversaries.PredictionOracle(ell=ell, fn=fn)
+    return adversaries.PredictionOracle(ell=ell, fn=lambda xis: parity_u32(planted & xis) ^ wrong[xis])
 
 
 # name: (handler, whose docstring is its help, the flags it reads besides

@@ -59,8 +59,6 @@ class HashFn:
     def eval(self, x: int) -> int:
         return ((self.a * x + self.b) % self.p) % self.k
 
-    __call__ = eval
-
     def eval_many(self, xs) -> np.ndarray:
         """Vectorized eval for int arrays (falls back to a scalar loop)."""
         arr = np.asarray(xs, dtype=np.int64)

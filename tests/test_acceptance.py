@@ -6,7 +6,6 @@ tolerances.  All randomness is seed-derived, so every criterion is
 reproducible byte for byte.
 """
 
-import json
 import math
 import time
 from fractions import Fraction
@@ -25,6 +24,7 @@ from ivpoq.adversaries import (
     unbounded_claw_prover,
 )
 from ivpoq.amplification import RepetitionPlan, required_N, separation_experiment
+from ivpoq.bits import parity_u32
 from ivpoq.cli import main as cli_main
 from ivpoq.coherent_prover import HONEST_UNIQUE_RATE, HonestProver
 from ivpoq.commitment import make_scheme
@@ -257,9 +257,7 @@ def test_criterion_09_goldreich_levin():
     exact = 0
     for _ in range(100):
         planted = int(rng.integers(1 << 16))
-        oracle = PredictionOracle(
-            ell=16, fn=lambda xi, p=planted: (p & xi).bit_count() & 1
-        )
+        oracle = PredictionOracle(ell=16, fn=lambda xis, p=planted: parity_u32(p & xis))
         out = goldreich_levin(oracle, 16, 0.5, 0.05, rng)
         exact += out == [planted]
     noisy_hits = 0
@@ -269,8 +267,7 @@ def test_criterion_09_goldreich_levin():
         wrong = np.zeros(n, dtype=bool)
         wrong[rng.permutation(n)[: n // 4]] = True
         oracle = PredictionOracle(
-            ell=12,
-            fn=lambda xi, p=planted, w=wrong: ((p & xi).bit_count() & 1) ^ int(w[xi]),
+            ell=12, fn=lambda xis, p=planted, w=wrong: parity_u32(p & xis) ^ w[xis]
         )
         out = goldreich_levin(oracle, 12, 0.25, 0.05, rng)
         noisy_hits += planted in out

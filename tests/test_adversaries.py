@@ -1,5 +1,4 @@
 import copy
-import math
 import tracemalloc
 
 import numpy as np
@@ -15,7 +14,6 @@ from ivpoq.adversaries import (
     ScriptedProver,
     binding_attack,
     goldreich_levin,
-    oracle_from_prover,
     predict_claw_parity,
     unbounded_claw_prover,
 )
@@ -485,6 +483,15 @@ def test_predictor_detects_nondeterminism():
         predict_claw_parity(((b"", b""), h, h, 0), 5, Flaky())
 
 
+def test_binding_attack_reraises_prover_nondeterminism():
+    sch = make_scheme("const", 5)
+    params = ProtocolParams(scheme=sch, epsilon=0.5)
+    calls = []
+    prover = ScriptedProver(sch, d_fn=lambda *query: calls.append(query) or len(calls) % 2)
+    with pytest.raises(ProverNondeterminism):
+        binding_attack(params, prover, np.random.default_rng(0))
+
+
 def test_predictor_rejects_non_replayable_prover():
     sch = make_scheme("const", 4)
     rng = np.random.default_rng(19)
@@ -501,10 +508,7 @@ def planted_oracle(ell, planted, advantage, seed):
     wrong = np.zeros(n, dtype=bool)
     wrong[rng.permutation(n)[: round((0.5 - advantage) * n)]] = True
 
-    def fn(xi):
-        return ((planted & xi).bit_count() & 1) ^ int(wrong[xi])
-
-    return PredictionOracle(ell=ell, fn=fn)
+    return PredictionOracle(ell=ell, fn=lambda xis: parity_u32(planted & xis) ^ wrong[xis])
 
 
 def test_gl_perfect_oracle_exact_recovery():
@@ -512,7 +516,7 @@ def test_gl_perfect_oracle_exact_recovery():
     for _ in range(10):
         ell = 12
         planted = int(rng.integers(1 << ell))
-        oracle = PredictionOracle(ell=ell, fn=lambda xi: (planted & xi).bit_count() & 1)
+        oracle = PredictionOracle(ell=ell, fn=lambda xis: parity_u32(planted & xis))
         out = goldreich_levin(oracle, ell, 0.5, 0.05, rng)
         assert planted in out
         # perfect linear oracle: only the planted string survives filtering
@@ -532,7 +536,7 @@ def test_gl_three_quarters_oracle():
 
 def test_gl_constant_zero_oracle_returns_zero_string():
     rng = np.random.default_rng(22)
-    oracle = PredictionOracle(ell=10, fn=lambda xi: 0)
+    oracle = PredictionOracle(ell=10, fn=np.zeros_like)
     out = goldreich_levin(oracle, 10, 0.4, 0.05, rng)
     assert 0 in out
     # every survivor agrees with the constant-0 oracle on >= 1/2 + adv/2,
@@ -541,7 +545,7 @@ def test_gl_constant_zero_oracle_returns_zero_string():
 
 
 def test_gl_parameter_validation():
-    oracle = PredictionOracle(ell=4, fn=lambda xi: 0)
+    oracle = PredictionOracle(ell=4, fn=np.zeros_like)
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
         goldreich_levin(oracle, 4, 0.0, 0.05, rng)
@@ -598,26 +602,17 @@ def test_gl_decode_equals_the_sign_matrix(ell, advantage, confidence):
     assert out == sign_matrix_gl(ell, advantage, batches)
 
 
-class _VectorLinearOracle:
-    """xi -> xi.planted, flipped on a fixed random quarter of the xis, asked
-    a batch at a time."""
-
-    def __init__(self, ell, planted, seed):
-        self.planted = planted
-        self.wrong = np.random.default_rng(seed).random(1 << ell) < 0.25
-        self.queries = 0
-
-    def query_many(self, xis):
-        xis = np.asarray(xis)
-        self.queries += len(xis)
-        return parity_u32(xis & self.planted).astype(np.int64) ^ self.wrong[xis]
+def _vector_linear_oracle(ell, planted, seed):
+    """xi -> xi.planted, flipped on a fixed random quarter of the xis."""
+    wrong = np.random.default_rng(seed).random(1 << ell) < 0.25
+    return PredictionOracle(ell=ell, fn=lambda xis: parity_u32(xis & planted) ^ wrong[xis])
 
 
 def test_gl_decodes_at_the_batch_cap_in_bounded_memory():
     # ell=12 at advantage 0.05 and confidence 0.1 asks for t = 14, the cap,
     # where a 2^t x (2^t - 1) sign matrix alone would take 2 GiB.
     ell, planted = 12, 0b101100111010
-    oracle = _VectorLinearOracle(ell, planted, seed=4)
+    oracle = _vector_linear_oracle(ell, planted, seed=4)
     tracemalloc.start()
     try:
         out = goldreich_levin(oracle, ell, 0.05, 0.1, np.random.default_rng(5))
@@ -649,9 +644,9 @@ def reference_gl_queries(ell, advantage, confidence, rng):
 def test_gl_asks_the_scalar_query_sequence(ell, advantage, confidence):
     log = []
 
-    def fn(xi):
-        log.append(xi)
-        return (xi & 5).bit_count() & 1
+    def fn(xis):
+        log.extend(xis.tolist())
+        return parity_u32(xis & 5)
 
     oracle = PredictionOracle(ell=ell, fn=fn)
     rng, ref_rng = np.random.default_rng(24), np.random.default_rng(24)
@@ -708,9 +703,10 @@ def test_binding_attack_memo_matches_fresh_prover_per_query(monkeypatch):
     memoised = [binding_attack(params, prover, np.random.default_rng([110, i])) for i in range(10)]
 
     def reference_oracle(prefix, session, ell):
-        return PredictionOracle(
-            ell=ell, fn=lambda xi: predict_claw_parity(prefix, xi, prover.new_session(None))
-        )
+        def fn(xis):
+            return [predict_claw_parity(prefix, xi, prover.new_session(None)) for xi in xis.tolist()]
+
+        return PredictionOracle(ell=ell, fn=fn)
 
     monkeypatch.setattr(adversaries, "oracle_from_prover", reference_oracle)
     reference = [binding_attack(params, prover, np.random.default_rng([110, i])) for i in range(10)]

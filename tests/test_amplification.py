@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ivpoq.adversaries import ClassicalHonestProver, ScriptedProver
+from ivpoq.adversaries import ClassicalHonestProver
 from ivpoq.amplification import (
-    BernoulliProver,
     RepetitionPlan,
     hoeffding_tail,
     per_randomness_profile,
@@ -54,15 +53,17 @@ def test_plan_defaults_and_validation():
     assert plan.threshold == pytest.approx(0.9025)
     with pytest.raises(ValueError):
         RepetitionPlan(c=0.5, s=0.6)
+    with pytest.raises(ValueError):
+        RepetitionPlan(c=0.9, s=0.1, n=0)
 
 
 def test_run_sequential_always_and_never():
     plan = RepetitionPlan(c=0.9, s=0.1, n=50)
-    always = BernoulliProver(1.0)
-    never = BernoulliProver(0.0)
     rng = np.random.default_rng(0)
-    assert run_sequential(plan, always, rng) == (True, 1.0)
-    assert run_sequential(plan, never, rng) == (False, 0.0)
+    assert run_sequential(plan, 1.0, rng) == (True, 1.0)
+    assert run_sequential(plan, 0.0, rng) == (False, 0.0)
+    with pytest.raises(ValueError):
+        run_sequential(plan, 1.5, rng)
 
 
 def _macro_trial(plan, params, prover, seed, m):
@@ -95,20 +96,14 @@ def test_macro_trial_equals_v2_decide_loop():
     assert verdict == (fraction >= plan.threshold)
 
 
-def test_sequential_consumes_one_stream_in_order():
-    # session i+1 must start consuming randomness only after session i
-    plan = RepetitionPlan(c=0.9, s=0.1, n=25)
-    boundaries = []
-
-    class Audited:
-        def run_one(self, rng):
-            boundaries.append(rng.bit_generator.state["state"]["state"])
-            return bool(rng.random() < 0.5)
-
-    rng = np.random.default_rng(7)
-    run_sequential(plan, Audited(), rng)
-    assert len(boundaries) == 25
-    assert len(set(boundaries)) == 25  # strictly advancing stream
+@pytest.mark.parametrize("p", [0.3, 0.5, 0.93])
+def test_sequential_equals_the_scalar_session_loop(p):
+    # N sessions, one double each, drawn in order from the one stream
+    plan = RepetitionPlan(c=0.9, s=0.1, n=2000)
+    rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+    accepted = sum(ref.random() < p for _ in range(plan.n))
+    assert run_sequential(plan, p, rng) == (accepted / plan.n >= plan.threshold, accepted / plan.n)
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_monotone_in_acceptance_probability():
@@ -118,7 +113,7 @@ def test_monotone_in_acceptance_probability():
         count = 0
         for i in range(60):
             rng = np.random.default_rng([17, int(p * 100), i])
-            count += run_sequential(plan, BernoulliProver(p), rng)[0]
+            count += run_sequential(plan, p, rng)[0]
         passes.append(count)
     assert passes[0] <= passes[1] <= passes[2]
     assert passes[0] < 10 and passes[2] > 50

@@ -1,10 +1,8 @@
 import json
-import subprocess
-import sys
 
 import pytest
 
-from ivpoq import amplification
+from ivpoq import amplification, cli
 from ivpoq.cli import main
 
 
@@ -117,6 +115,16 @@ def test_gl_subcommand(capsys):
     assert payload["result"]["recovered"] >= 4
 
 
+def test_gl_checks_ell_before_building_its_noise_table(monkeypatch, capsys):
+    def unreachable(*args):
+        raise AssertionError("the 2^ell noise table was built before the ell check")
+
+    monkeypatch.setattr(cli, "_noisy_parity_oracle", unreachable)
+    for ell in ("25", "0"):
+        assert main(["gl", "--ell", ell, "--trials", "1"]) == 1
+        assert "outside supported range" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["frobnicate"]) == 1
     assert main(["run", "--scheme", "bogus"]) == 1
@@ -197,6 +205,11 @@ def test_config_file_unknown_key(tmp_path, capsys):
     ):
         cfg.write_text(line + "\n")
         assert main([command, "--config", str(cfg)]) == 1, line
+
+
+def test_config_file_unreadable(tmp_path, capsys):
+    assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 1
+    assert "bad config file" in capsys.readouterr().err
 
 
 def test_out_file_written(tmp_path, capsys):

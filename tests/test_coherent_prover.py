@@ -9,7 +9,7 @@ from scipy import stats as sstats
 import dense_oracle
 from ivpoq.adversaries import binding_attack, unbounded_claw_prover
 from ivpoq import coherent_prover
-from ivpoq.commitment import make_scheme, run_classical_commit
+from ivpoq.commitment import make_scheme
 from ivpoq.coherent_prover import (
     COS_PI8,
     EmptyStateError,
@@ -187,6 +187,20 @@ def test_answer_v0_empty_state_raises():
     state = support_state(3, set(), set())
     with pytest.raises(EmptyStateError):
         answer_v0(state, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize(
+    "measure",
+    [
+        lambda state: hash_outcome_law(state, identity_hash(3), identity_hash(3)),
+        lambda state: d_outcome_law(state, 5),
+        lambda state: sample_d(state, 5, np.random.default_rng(0)),
+    ],
+    ids=["hash_outcome_law", "d_outcome_law", "sample_d"],
+)
+def test_measurements_on_the_empty_state_raise(measure):
+    with pytest.raises(EmptyStateError):
+        measure(support_state(3, set(), set()))
 
 
 # Hadamard measurement ----------------------------------------------------------

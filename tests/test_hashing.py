@@ -55,6 +55,10 @@ def test_sampling_validation():
         sample_hash(3, 0, rng)
     with pytest.raises(ValueError):
         sample_hash(99, 4, rng)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        sample_hash_pairs(3, [4, 0], SessionStreams(0, 0, 2))
+    with pytest.raises(ValueError, match="power-of-two"):
+        next(enumerate_gf2_affine(3, 6))
 
 
 def test_sampling_is_deterministic_given_rng_state():

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
-from ivpoq.commitment import Hm2Scheme, commit_leaves, make_scheme
+from ivpoq import lemma_harness
+from ivpoq.commitment import Hm2Scheme, commit_leaves, hiding_distance, make_scheme
 from ivpoq.lemma_harness import (
     ESTIMATED,
     HOLDS,
@@ -128,6 +129,29 @@ def test_branch_balance_hm2_grows_with_hiding_parameter():
         assert report.verdict != VIOLATED
     assert masses[0] <= masses[1] <= masses[2]
     assert masses[-1] >= 0.9
+
+
+@pytest.mark.parametrize("ell", [10, 11])
+def test_branch_balance_samples_receiver_seeds_above_the_exact_cap(monkeypatch, ell):
+    # Above EXACT_HIDING_ELL the hiding distance averages over at most 200
+    # sampled receiver seeds; at or below it, over every seed.
+    seen = []
+
+    def recorded(scheme, rs=None):
+        seen.append(rs)
+        return hiding_distance(scheme, rs)
+
+    monkeypatch.setattr(lemma_harness, "hiding_distance", recorded)
+    scheme, trials = make_scheme("hm2", ell, a=8), 20
+    report = check_branch_balance(scheme, trials, 0.5, np.random.default_rng(4))
+    (rs,) = seen
+    assert report.verdict != VIOLATED
+    if ell <= lemma_harness.EXACT_HIDING_ELL:
+        assert rs is None
+        return
+    assert len(rs) == min(trials, 200)
+    assert all(0 <= r < 1 << ell for r in rs)
+    assert report.data["hiding_distance"] == hiding_distance(scheme, rs)
 
 
 def test_transcript_identity_controls():

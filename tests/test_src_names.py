@@ -1,5 +1,5 @@
 """Every function and class in src/ivpoq has a caller outside the tests,
-and every name a src module imports is used there.
+and every name a src or test module imports is used there.
 
 A name defined in src/ivpoq/*.py that no other src line and no
 perfbench/*.py file mentions is API only the tests call: test through
@@ -69,9 +69,9 @@ ALLOWED_IMPORTS = {
 }
 
 
-def _unused_imports(src: Path) -> list[str]:
+def _unused_imports(folder: Path) -> list[str]:
     unused = []
-    for path in sorted(src.glob("*.py")):
+    for path in sorted(folder.glob("*.py")):
         if path.name == "__init__.py":  # its imports are the package's re-exports
             continue
         tree = ast.parse(path.read_text())
@@ -89,3 +89,7 @@ def _unused_imports(src: Path) -> list[str]:
 
 def test_every_src_import_is_used():
     assert _unused_imports(ROOT / "src" / "ivpoq") == []
+
+
+def test_every_test_import_is_used():
+    assert _unused_imports(ROOT / "tests") == []

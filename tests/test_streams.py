@@ -137,6 +137,14 @@ def test_one_bound_draws_as_the_same_bound_per_row(n, kind):
             assert (getattr(one, state) == getattr(per_row, state)).all(), (rows, state)
 
 
+def test_zero_bound_raises_like_default_rng():
+    with pytest.raises(ValueError) as want:
+        np.random.default_rng(0).integers(0)
+    with pytest.raises(ValueError) as got:
+        SessionStreams(0, 0, 4).integers(0)
+    assert str(got.value) == str(want.value)
+
+
 def test_negative_seed_raises_like_default_rng():
     with pytest.raises(ValueError) as want:
         np.random.default_rng([-1, 0])

@@ -1,6 +1,5 @@
 import decimal
 import json
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -10,11 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats as sstats
 
 from ivpoq import verifier
-from ivpoq.adversaries import (
-    ScriptedProver,
-    binding_attack,
-    unbounded_claw_prover,
-)
+from ivpoq.adversaries import ScriptedProver, binding_attack
 from ivpoq.coherent_prover import HONEST_UNIQUE_RATE, HonestProver
 from ivpoq.commitment import make_scheme, run_classical_commit
 from ivpoq.hashing import Gf2AffineHash, HashFn, sample_hash
@@ -51,6 +46,15 @@ def test_compute_m_rejects_nonpositive_eps():
     for eps in (0.0, -0.5):
         with pytest.raises(ValueError):
             grid_sizes(4, eps)
+
+
+def test_protocol_params_validation():
+    sch = make_scheme("const", 4)
+    for eps in (0.0, 1.0):
+        with pytest.raises(ValueError, match="epsilon"):
+            ProtocolParams(sch, epsilon=eps)
+    with pytest.raises(ValueError, match="unknown grid mode"):
+        ProtocolParams(sch, grid_mode="bogus")
 
 
 def test_grid_sizes_keep_the_callers_decimal_precision():
@@ -473,6 +477,12 @@ def test_law_of_total_acceptance_accounting():
     assert abs(rep.nonunique_rate - 7 / 8) < 0.03
     assert abs(rep.unique_rate - HONEST_UNIQUE_RATE) < 0.03
     assert rep.p_good > 0.05
+
+
+def test_estimate_acceptance_needs_a_trial():
+    sch = make_scheme("const", 4)
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        estimate_acceptance(ProtocolParams(sch), HonestProver(sch), 0)
 
 
 def test_estimate_acceptance_workers_merge_identically():
