@@ -30,6 +30,8 @@ import numpy as np
 
 from .verifier import ProtocolParams, estimate_acceptance
 
+_CHUNK = 1 << 17  # run_sequential's largest draw: 2^17 doubles, 1 MB
+
 
 def required_N(c: float, s: float, lam: float) -> int:
     """ceil(lambda / (c - s)^2)."""
@@ -73,11 +75,13 @@ def run_sequential(
     plan: RepetitionPlan, p: float, rng: np.random.Generator
 ) -> tuple[bool, float]:
     """Run N sequential Bernoulli(p) sessions on one stream, one double
-    each; accept iff the accepted fraction reaches (c + s) / 2.  The real
-    protocol's c - s at epsilon = 1/100 is too small to amplify in desk time."""
+    each, drawn in chunks of at most _CHUNK; accept iff the accepted
+    fraction reaches (c + s) / 2.  The real protocol's c - s at
+    epsilon = 1/100 is too small to amplify in desk time."""
     if not 0 <= p <= 1:
         raise ValueError("p must lie in [0, 1]")
-    fraction = int(np.count_nonzero(rng.random(plan.n) < p)) / plan.n
+    chunks = (rng.random(min(_CHUNK, plan.n - i)) for i in range(0, plan.n, _CHUNK))
+    fraction = sum(int(np.count_nonzero(u < p)) for u in chunks) / plan.n
     return fraction >= plan.threshold, fraction
 
 

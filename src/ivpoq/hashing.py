@@ -1,10 +1,12 @@
 """Pairwise-independent hash families {0,1}^ell -> [k].
 
 The protocol samples one family, ``affine-mod-prime`` (HashFn):
-h(x) = ((a.x + b) mod p) mod k for a fixed prime p >= max(2^ell, 2^40 * k).
-It serves every k >= 1, as the grid's k = ceil((1+eps)^j) needs, and is
-within bias 2k/p + (k/p)^2 of exact pairwise independence, which is
-negligible against desk-scale sampling error.
+h(x) = ((a.x + b) mod P) mod k for the one prime P = 2^61 - 1 and every
+k from 1 to K_MAX = 2^(ELL_CAP+1), which bounds the grid's
+k = ceil((1+eps)^j) <= 2^(ell+1).  It is within bias 2k/P + (k/P)^2 < 2^-34.99
+of exact pairwise independence, which is negligible against desk-scale
+sampling error.  A HashFn keeps its prime, so a saved member of another
+prime still evaluates.
 
 The lemma check enumerates ``gf2-affine`` (Gf2AffineHash):
 h(x) = A.x xor v over GF(2), codomain size k = 2^j.  It is exactly
@@ -20,30 +22,20 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .bits import check_ell, parity
+from .bits import ELL_CAP, check_ell, parity
 
 AFFINE_MOD_PRIME = "affine-mod-prime"
 
-# Mersenne primes large enough for every desk-scale (ell, k).
-_PRIMES = ((1 << 61) - 1, (1 << 89) - 1, (1 << 127) - 1)
-# Constants of the 2^61 - 1 fast path.
-_M61 = np.uint64(_PRIMES[0])
+# The family's prime, and the largest codomain size it serves.
+P = (1 << 61) - 1
+K_MAX = 1 << (ELL_CAP + 1)
+# Constants of the uint64 kernel.
+_M61 = np.uint64(P)
 _U24, _U37, _U61 = np.uint64(24), np.uint64(37), np.uint64(61)
 _LOW24 = np.uint64((1 << 24) - 1)
 _LOW37 = np.uint64((1 << 37) - 1)
 # Up to this many seeds, eval_many computes with Python ints.
 _SCALAR_MAX = 32
-
-
-# Prime p serves the k <= p >> 40 (p >= 2^40 k); each exceeds 2^ell at ell <= 24.
-_K_CUTOFFS = [p >> 40 for p in _PRIMES]
-
-
-def _prime_index(ell: int, ks):
-    """The index in _PRIMES of the least prime p >= max(2^ell, 2^40 k), elementwise."""
-    if np.max(ks) > _K_CUTOFFS[-1]:
-        raise ValueError(f"no configured prime covers ell={ell}, k={np.max(ks)}")
-    return np.searchsorted(_K_CUTOFFS[:-1], ks)
 
 
 @dataclass(frozen=True)
@@ -64,7 +56,7 @@ class HashFn:
         arr = np.asarray(xs, dtype=np.int64)
         if arr.size == 0:
             return arr.copy()
-        if self.p == _PRIMES[0] and arr.size > _SCALAR_MAX:
+        if self.p == P and arr.size > _SCALAR_MAX:
             return _eval_m61(arr, np.uint64(self.a), np.uint64(self.b), np.uint64(self.k))
         return _eval_ints(self.a, self.b, self.p, self.k, arr)
 
@@ -105,101 +97,53 @@ def _eval_ints(a: int, b: int, p: int, k: int, xs: np.ndarray) -> np.ndarray:
 
 
 class HashColumns(NamedTuple):
-    """Members as columns: member i is x -> ((a[i] x + b[i]) mod p[i]) mod k[i].
-
-    p is an object array.  a, b and k are uint64 when every p is 2^61 - 1
-    and object arrays of Python ints otherwise, so eval_segments can tell
-    the kernel's case by a's dtype.
-    """
+    """Members as uint64 columns: member i is x -> ((a[i] x + b[i]) mod P) mod k[i]."""
 
     a: np.ndarray
     b: np.ndarray
     k: np.ndarray
-    p: np.ndarray
 
     def take(self, rows) -> "HashColumns":
         return HashColumns(*(col[rows] for col in self))
 
     def member(self, ell: int, i: int) -> HashFn:
-        return HashFn(ell, int(self.k[i]), int(self.a[i]), int(self.b[i]), int(self.p[i]))
+        return HashFn(ell, int(self.k[i]), int(self.a[i]), int(self.b[i]), P)
 
 
 def eval_segments(hashes: HashColumns, xs: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """Each member of hashes applied to its run of seeds, concatenated.
+    """Each member of hashes applied to its run of seeds, concatenated:
+    member i evaluates the lens[i] int64 seeds of xs after the runs of the
+    members before it, in one kernel call with per-seed (a, b, k)."""
+    return _eval_m61(xs, *(np.repeat(col, lens) for col in hashes))
 
-    Member i evaluates the lens[i] int64 seeds of xs after the runs of the
-    members before it.  uint64 columns make one kernel call with per-seed
-    (a, b, k); Python-int columns go member by member.
-    """
-    if hashes.a.dtype == np.uint64:
-        return _eval_m61(xs, *(np.repeat(col, lens) for col in hashes[:3]))
-    runs = np.split(xs, np.cumsum(lens)[:-1])
-    return np.concatenate([
-        _eval_ints(a, b, p, k, run) for a, b, k, p, run in zip(*hashes, runs)
-    ])
+
+def _check_ks(ell: int, ks) -> None:
+    """Raise ValueError unless ell is in range and 1 <= k <= K_MAX for every k of ks."""
+    check_ell(ell)
+    if np.min(ks) < 1:
+        raise ValueError("k must be >= 1")
+    if np.max(ks) > K_MAX:
+        raise ValueError(f"k must be <= K_MAX = {K_MAX}, got {np.max(ks)}")
 
 
 def sample_hash(ell: int, k: int, rng: np.random.Generator) -> HashFn:
-    """Draw a member uniformly: a, then b, each below the prime for (ell, k)."""
-    check_ell(ell)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    p = _PRIMES[_prime_index(ell, k)]
-    a = _uniform_below(p, rng)
-    b = _uniform_below(p, rng)
-    return HashFn(ell, k, a, b, p)
-
-
-def _uniform_below(p: int, rng: np.random.Generator) -> int:
-    """Uniform int in [0, p) for p beyond the 64-bit draw range."""
-    if p <= 1 << 63:
-        return int(rng.integers(p))
-    nbits = p.bit_length()
-    nbytes = (nbits + 7) // 8
-    mask = (1 << nbits) - 1
-    while True:
-        v = int.from_bytes(rng.bytes(nbytes), "big") & mask
-        if v < p:
-            return v
+    """Draw a member uniformly: a, then b, each below P."""
+    _check_ks(ell, k)
+    a, b = int(rng.integers(P)), int(rng.integers(P))
+    return HashFn(ell, k, a, b, P)
 
 
 def sample_hash_pairs(ell: int, ks, streams) -> HashColumns:
     """Two members with codomain ks[i] for each row i of a SessionStreams,
     drawn as sample_hash(ell, ks[i], rng) twice on that row's stream.
 
-    Returns the columns of [h0 of row 0, h1 of row 0, h0 of row 1, ...].
-    Each row's four draws (a0, b0, a1, b1) come in sample_hash's order;
-    rows that share a prime draw together.
+    Returns the columns of [h0 of row 0, h1 of row 0, h0 of row 1, ...];
+    every row draws a0, b0, a1, b1 in sample_hash's order.
     """
-    check_ell(ell)
-    ks = np.asarray(ks)  # object where a k exceeds int64
-    if ks.min() < 1:
-        raise ValueError("k must be >= 1")
-    at = _prime_index(ell, ks)
-    coeffs = np.zeros((4, len(ks)), dtype=np.uint64 if not at.any() else object)
-    for i in np.flatnonzero(np.bincount(at)).tolist():
-        rows = np.flatnonzero(at == i)
-        for col in coeffs:
-            col[rows] = _uniform_below_rows(_PRIMES[i], streams, rows)
-    cols = coeffs[0::2].T.ravel(), coeffs[1::2].T.ravel(), np.repeat(ks, 2).astype(coeffs.dtype)
-    return HashColumns(*cols, np.repeat(np.array(_PRIMES, dtype=object)[at], 2))
-
-
-def _uniform_below_rows(p: int, streams, rows: np.ndarray):
-    """_uniform_below(p, rng) on each of streams' rows: int64 for p <= 2^63,
-    Python ints above."""
-    if p <= 1 << 63:
-        return streams.integers(p, rows)
-    nbits = p.bit_length()
-    mask = (1 << nbits) - 1
-    out, pending = [0] * len(rows), list(range(len(rows)))
-    while pending:
-        blobs = streams.bytes((nbits + 7) // 8, rows[pending])
-        vals = [int.from_bytes(blob, "big") & mask for blob in blobs]
-        for q, v in zip(pending, vals):
-            out[q] = v
-        pending = [q for q, v in zip(pending, vals) if v >= p]
-    return out
+    ks = np.asarray(ks)
+    _check_ks(ell, ks)
+    coeffs = np.array([streams.integers(P) for _ in range(4)], dtype=np.uint64)  # a0, b0, a1, b1
+    return HashColumns(coeffs[0::2].T.ravel(), coeffs[1::2].T.ravel(), np.repeat(ks.astype(np.uint64), 2))
 
 
 def pairwise_bias_bound(h: HashFn) -> float:

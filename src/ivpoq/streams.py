@@ -15,8 +15,7 @@ so each session sees exactly the values its own Generator would give:
   n = 1, Lemire's method on next32 up to 2^32 (at 2^32 a plain next32,
   as numpy draws it) and 128-bit Lemire on next64 above; one bound for
   all rows drawn runs only its regime;
-* random() as (next64 >> 11) * 2^-53;
-* bytes(m) as ceil(m/4) next32 words, little-endian.
+* random() as (next64 >> 11) * 2^-53.
 
 The first SessionStreams of a process checks a short probe against
 default_rng and raises RuntimeError on any difference, so a numpy whose
@@ -243,23 +242,15 @@ class SessionStreams:
         """Generator.random() for each row."""
         return (self._next64(self._rows(rows)) >> _S11).astype(np.float64) * _TWO_M53
 
-    def bytes(self, length: int, rows=None) -> list[bytes]:
-        """Generator.bytes(length) for each row."""
-        rows = self._rows(rows)
-        words = np.empty((len(rows), (length - 1) // 4 + 1), dtype="<u4")
-        for w in range(words.shape[1]):
-            words[:, w] = self._next32(rows)
-        return [row.tobytes()[:length] for row in words]
-
 
 # A fixed draw program whose outputs the streams must reproduce for
-# sessions 0..2 of a two-word seed: every integers path, random() and
-# bytes, with the next32 buffer left full and empty in turn.
+# sessions 0..2 of a two-word seed: every integers path and random(),
+# with the next32 buffer left full and empty in turn.
 _PROBE_SEED = (7 << 40) | 12345
 _PROBE = (
     ("integers", 3), ("integers", 1 << 32), ("integers", 3 * 2**30 + 5), ("random",),
-    ("integers", (1 << 61) - 1), ("bytes", 12), ("integers", 2**63), ("integers", 1),
-    ("integers", 2**32 + 1), ("bytes", 5), ("integers", 2**32 - 1),
+    ("integers", (1 << 61) - 1), ("integers", 5), ("integers", 2**63), ("integers", 1),
+    ("integers", 2**32 + 1), ("integers", 1 << 32), ("integers", 2**32 - 1),
 )
 
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from ivpoq.coherent_prover import HonestSession, SupportState, consistent_state
 from ivpoq.commitment import CommitRoundLaw
-from ivpoq.hashing import HashColumns, HashFn
+from ivpoq.hashing import P, HashColumns, HashFn
 from ivpoq.verifier import _COLUMNS, SessionBlock, run_challenge, v2_decide
 
 
@@ -23,14 +23,13 @@ def support_state(ell, s0, s1) -> SupportState:
 
 def identity_hash(ell: int) -> HashFn:
     """The member x -> x of affine-mod-prime with k = 2^ell."""
-    return HashFn(ell=ell, k=1 << ell, a=1, b=0, p=(1 << 61) - 1)
+    return HashFn(ell=ell, k=1 << ell, a=1, b=0, p=P)
 
 
 def hash_columns(members) -> HashColumns:
-    """The columns of a list of HashFn members."""
-    a, b, k, p = ([getattr(h, name) for h in members] for name in "abkp")
-    dtype = np.uint64 if all(q == (1 << 61) - 1 for q in p) else object
-    return HashColumns(np.array(a, dtype), np.array(b, dtype), np.array(k, dtype), np.array(p, object))
+    """The uint64 columns (a, b, k) of a list of HashFn members mod P."""
+    assert all(h.p == P for h in members)
+    return HashColumns(*(np.array([getattr(h, name) for h in members], np.uint64) for name in "abk"))
 
 
 def from_records(scheme, records) -> SessionBlock:

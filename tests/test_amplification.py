@@ -106,6 +106,25 @@ def test_sequential_equals_the_scalar_session_loop(p):
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
+def test_sequential_draws_in_bounded_chunks():
+    # N comes from the user's flags; no single draw may ask numpy for more
+    # than 2^17 doubles, and the chunks are the stream's doubles in order.
+    class Recorder:
+        def __init__(self, rng):
+            self.rng, self.sizes = rng, []
+
+        def random(self, size):
+            self.sizes.append(size)
+            return self.rng.random(size)
+
+    plan = RepetitionPlan(c=0.9, s=0.1, n=3 * 2**17 + 5)
+    rng, ref = Recorder(np.random.default_rng(8)), np.random.default_rng(8)
+    accepted = sum(ref.random() < 0.5 for _ in range(plan.n))
+    assert run_sequential(plan, 0.5, rng) == (accepted / plan.n >= plan.threshold, accepted / plan.n)
+    assert max(rng.sizes) <= 2**17 and sum(rng.sizes) == plan.n
+    assert rng.rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_monotone_in_acceptance_probability():
     plan = RepetitionPlan(c=0.8, s=0.6, n=150)
     passes = []

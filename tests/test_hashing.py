@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from ivpoq.hashing import (
     AFFINE_MOD_PRIME,
+    K_MAX,
+    P,
     Gf2AffineHash,
     HashFn,
-    _PRIMES,
     _eval_m61,
     enumerate_gf2_affine,
     eval_segments,
@@ -19,6 +20,7 @@ from ivpoq.hashing import (
     sample_hash_pairs,
 )
 from ivpoq.streams import SessionStreams
+from ivpoq.verifier import grid_sizes
 
 from builders import hash_columns, identity_hash
 
@@ -133,14 +135,21 @@ def test_pairwise_bias_bound():
     assert pairwise_bias_bound(h1) <= 3 / h1.p
 
 
-def test_large_k_switches_prime():
+def test_k_max_member_bias_is_about_2_to_the_minus_35():
     rng = np.random.default_rng(4)
-    h = sample_hash(24, 1 << 24, rng)
-    assert h.p >= (1 << 40) * h.k
+    h = sample_hash(24, K_MAX, rng)
+    assert pairwise_bias_bound(h) < 2.0 ** -34.99
     assert 0 <= h.eval(12345) < h.k
 
 
-_M61 = _PRIMES[0]
+@pytest.mark.parametrize("eps", [0.01, 0.1, 0.5, 0.99])
+def test_one_prime_serves_every_grid(eps):
+    # Every grid size at ell <= ELL_CAP is at most 2^(ell+1) <= K_MAX.
+    for ell in range(1, 25):
+        assert max(grid_sizes(ell, eps)) <= min(1 << (ell + 1), K_MAX), (ell, eps)
+
+
+_M61 = P
 _X24 = st.one_of(st.just(0), st.integers((1 << 24) - 64, (1 << 24) - 1), st.integers(0, (1 << 24) - 1))
 
 
@@ -187,7 +196,6 @@ def test_eval_many_m61_at_its_bounds(a, b, k):
 @given(
     st.lists(
         st.tuples(
-            st.sampled_from(_PRIMES[:2]),
             st.integers(0, _M61 - 1),
             st.integers(0, _M61 - 1),
             st.integers(1, (1 << 21) - 1),
@@ -198,11 +206,8 @@ def test_eval_many_m61_at_its_bounds(a, b, k):
     )
 )
 def test_eval_segments_equals_member_by_member(members):
-    # One kernel call with per-seed (a, b, k) when every p is 2^61 - 1,
-    # member by member otherwise; empty runs included.
-    hashes = [
-        HashFn(ell=24, k=k, a=a, b=b, p=p) for p, a, b, k, _ in members
-    ]
+    # One kernel call with per-seed (a, b, k); empty runs included.
+    hashes = [HashFn(ell=24, k=k, a=a, b=b, p=P) for a, b, k, _ in members]
     runs = [np.array(xs, dtype=np.int64) for *_, xs in members]
     lens = np.array([len(run) for run in runs], dtype=np.int64)
     want = [y for h, run in zip(hashes, runs) for y in h.eval_many(run).tolist()]
@@ -226,15 +231,15 @@ def test_from_json_rejects_other_families(family):
 
 @pytest.mark.parametrize("ell", [3, 6])
 def test_sample_hash_pairs_equal_sample_hash(ell):
-    # k < 2^21 draws mod 2^61 - 1 (Lemire on next64), k >= 2^21 mod 2^89 - 1
-    # and k >= 2^49 mod 2^127 - 1 (bytes); the rows mix all three primes.
-    ks = [1, 7, (1 << 21) - 1, 1 << 21, (1 << 21) + 1, 1 << 48, 1 << 86]
+    # Every k draws mod P with Lemire on next64; the rows mix k on both
+    # sides of the old 2^21 cut-off up to K_MAX.
+    ks = [1, 7, (1 << 21) - 1, 1 << 21, (1 << 21) + 1, K_MAX]
     seed, lo, hi = 2**33 + 5, 11, 11 + 3 * len(ks)
     row_ks = [ks[i % len(ks)] for i in range(hi - lo)]
     streams = SessionStreams(seed, lo, hi)
     pairs = sample_hash_pairs(ell, row_ks, streams)
     after = streams.integers(1 << 32).tolist()
-    assert set(pairs.p) == set(_PRIMES)
+    assert all(col.dtype == np.uint64 for col in pairs)
     for i, k in zip(range(lo, hi), row_ks):
         rng = np.random.default_rng([seed, i])
         want = [sample_hash(ell, k, rng) for _ in range(2)]
@@ -243,27 +248,19 @@ def test_sample_hash_pairs_equal_sample_hash(ell):
         assert after[i - lo] == int(rng.integers(1 << 32))
 
 
-# k around each prime's cut-off p >> 40, and anywhere up to the last one.
-_KS = st.one_of(
-    st.integers(1, 1 << 22),
-    *(st.integers((p >> 40) - 3, (p >> 40) + 3) for p in _PRIMES[:-1]),
-    st.integers(1, _PRIMES[-1] >> 40),
-)
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.integers(1, 24), _KS)
-def test_prime_is_the_least_one_covering_ell_and_k(ell, k):
-    # The rule p >= max(2^ell, 2^40 k), as a scan over the primes.
-    want = next(p for p in _PRIMES if p >= max(1 << ell, (1 << 40) * k))
-    assert sample_hash(ell, k, np.random.default_rng(0)).p == want
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 24), st.one_of(st.integers(1, 1 << 22), st.integers(K_MAX - 3, K_MAX), st.integers(1, K_MAX)))
+def test_every_k_up_to_k_max_samples_the_one_prime(ell, k):
+    assert sample_hash(ell, k, np.random.default_rng(0)).p == P
     pairs = sample_hash_pairs(ell, [k, 1], SessionStreams(3, 0, 2))
-    assert pairs.p.tolist() == [want, want, _PRIMES[0], _PRIMES[0]]
+    assert [pairs.member(ell, i).p for i in range(4)] == [P] * 4
+    assert pairs.k.tolist() == [k, k, 1, 1]
 
 
-@pytest.mark.parametrize("ks", [[1 << 87], [3, (1 << 87) + 5]])
+@pytest.mark.parametrize("ks", [[K_MAX + 1], [3, K_MAX + 1], [1 << 87]])
 def test_k_beyond_the_last_prime_raises(ks):
-    with pytest.raises(ValueError, match="no configured prime"):
+    # P is the one prime, and K_MAX the largest k it serves.
+    with pytest.raises(ValueError, match="K_MAX"):
         sample_hash(6, ks[-1], np.random.default_rng(0))
-    with pytest.raises(ValueError, match="no configured prime"):
+    with pytest.raises(ValueError, match="K_MAX"):
         sample_hash_pairs(6, ks, SessionStreams(3, 0, len(ks)))

@@ -1,5 +1,7 @@
+import dataclasses
 import decimal
 import json
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -129,6 +131,28 @@ def test_record_json_roundtrip_replays_verdict():
         verdict = v2_decide(params, record)
         back = SessionRecord.from_json_dict(json.loads(json.dumps(record.to_json_dict())))
         assert v2_decide(params, back) == verdict
+
+
+def test_saved_record_of_another_prime_decides_by_brute_force():
+    # The sampler draws mod 2^61 - 1 only, but a saved record keeps its
+    # members' prime: records whose h0 and h1 are 2^89 - 1 members must
+    # decide as preimage counts by HashFn.eval do.  const's X_{b,t} is
+    # all 64 seeds, above eval_many's Python-int cut-off.
+    sch = make_scheme("const", 6)
+    params = ProtocolParams(scheme=sch, epsilon=0.1)
+    p89, draw = (1 << 89) - 1, random.Random(6)
+    reasons = set()
+    for seed in range(60):
+        record = run_session(params, HonestProver(sch), np.random.default_rng(seed))
+        h0, h1 = (HashFn(6, record.k, draw.randrange(p89), draw.randrange(p89), p89) for _ in range(2))
+        record = dataclasses.replace(record, h0=h0, h1=h1)
+        hits = [[x for x in range(64) if h.eval(x) == record.y] for h in (h0, h1)]
+        c0, c1 = (min(len(xs), 2) for xs in hits)
+        x0, x1 = (xs[0] if xs else None for xs in hits)
+        want = verifier._verdict(record, c0, x0, c1, x1)
+        assert v2_decide(params, record) == want, seed
+        reasons.add(want[1])
+    assert REASON_COIN in reasons and reasons & {REASON_PASS, REASON_FAIL}
 
 
 @st.composite
