@@ -31,6 +31,7 @@ from .coherent_prover import (
     answer_v0,
     measure_hash,
     measure_rotated,
+    run_coherent_commit,
     sample_d,
 )
 from .commitment import (
@@ -57,7 +58,6 @@ from .verifier import (
     SessionRecord,
     count_consistent_preimages,
     estimate_acceptance,
-    run_coherent_commit,
     run_session,
     v2_decide,
 )

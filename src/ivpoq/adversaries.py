@@ -155,10 +155,10 @@ class UnboundedClawProver(_ReplayableProver):
         return law.alpha(cp.sample_index(law.counts, rng))
 
     def hash_response(self, t, h0, h1):
-        state = cp.consistent_state(self.scheme, t)
-        ys, counts, _, _ = cp.hash_outcome_law(state, h0, h1)
         rng = self._rng("y", _prefix_key(t, h0, h1, 0))
-        return int(ys[cp.sample_index(counts, rng)])
+        y, state = cp.measure_hash(cp.consistent_state(self.scheme, t), h0, h1, rng)
+        self._memo = ((t, h0, h1, y), (state, _prefix_key(t, h0, h1, y), {}))
+        return y
 
     def v0_response(self, t, h0, h1, y, xi):
         state, key, _ = self._post_hash(t, h0, h1, y)
@@ -287,10 +287,8 @@ def predict_claw_parity(prefix, xi: int, prover) -> int:
 
 @dataclass
 class PredictionOracle:
-    """A batch xi -> bit predictor plus its declared domain length: fn maps
-    an int64 array of xis to their bits."""
+    """A batch xi -> bit predictor: fn maps an int64 array of xis to their bits."""
 
-    ell: int
     fn: Callable[[np.ndarray], np.ndarray]
     queries: int = 0
 
@@ -299,7 +297,7 @@ class PredictionOracle:
         return np.asarray(self.fn(xis), dtype=np.int64) & 1
 
 
-def oracle_from_prover(prefix, prover, ell: int) -> PredictionOracle:
+def oracle_from_prover(prefix, prover) -> PredictionOracle:
     """The two-challenge predictor on one prefix.  A prover with
     prepare_challenges gets each batch of xis first; every query still
     asks it for d twice and eta twice."""
@@ -310,7 +308,7 @@ def oracle_from_prover(prefix, prover, ell: int) -> PredictionOracle:
             prepare_challenges(*prefix, xis)
         return [predict_claw_parity(prefix, xi, prover) for xi in xis.tolist()]
 
-    return PredictionOracle(ell=ell, fn=fn)
+    return PredictionOracle(fn=fn)
 
 
 # Goldreich-Levin list decoding --------------------------------------------------
@@ -424,7 +422,7 @@ def binding_attack(params: ProtocolParams, prover, rng: np.random.Generator) -> 
         xi = int(rng.integers(1 << ell))
         bprime, xprime = check_v0_reply(session.v0_response(t, h0, h1, y, xi), ell)
 
-        oracle = oracle_from_prover(prefix, session, ell)
+        oracle = oracle_from_prover(prefix, session)
         z_list = goldreich_levin(oracle, ell, _GL_ADVANTAGE, _GL_CONFIDENCE, rng)
     except ProverNondeterminism:
         raise

@@ -138,6 +138,8 @@ def per_randomness_profile(
     point i's sessions are one estimate_acceptance on the entropy prefix
     (seed, i): session j draws on default_rng([seed, i, j]).
     """
+    if n_r < 1:
+        raise ValueError("n_r must be >= 1")
     provers = map(prover_factory, (b"r-grid" + i.to_bytes(4, "big") for i in range(n_r)))
     rates = [estimate_acceptance(params, p, trials, (seed, i)).rate for i, p in enumerate(provers)]
     above = sum(rate >= threshold for rate in rates)

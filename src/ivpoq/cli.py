@@ -263,7 +263,7 @@ def _noisy_parity_oracle(planted, ell, advantage, rng) -> adversaries.Prediction
     wrong = np.zeros(n, dtype=bool)
     n_wrong = round((0.5 - advantage) * n)
     wrong[rng.permutation(n)[:n_wrong]] = True
-    return adversaries.PredictionOracle(ell=ell, fn=lambda xis: parity_u32(planted & xis) ^ wrong[xis])
+    return adversaries.PredictionOracle(fn=lambda xis: parity_u32(planted & xis) ^ wrong[xis])
 
 
 # name: (handler, whose docstring is its help, the flags it reads besides

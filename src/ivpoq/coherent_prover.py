@@ -24,6 +24,7 @@ import numpy as np
 from .bits import check_ell, dot2, parity_u32, wht
 from .commitment import ClassRows, CommitRoundLaw, CommitScheme, Transcript
 from .hashing import HashColumns, HashFn, eval_segments
+from .verifier import run_commit
 
 COS_PI8 = np.cos(np.pi / 8)
 SIN_PI8 = np.sin(np.pi / 8)
@@ -31,9 +32,7 @@ SIN_PI8 = np.sin(np.pi / 8)
 # 1/2 * 1 + 1/2 * cos^2(pi/8).
 HONEST_UNIQUE_RATE = 0.5 + 0.5 * COS_PI8**2
 
-# Bytes of the largest arrays of a batched step.  The honest block's hash step
-# and V2's counts take _BLOCK_BYTES >> 8 seeds at a time, and their kernel
-# makes about a dozen int64 arrays of that length; hadamard_draws takes
+# Bytes of the largest arrays of a batched step: hadamard_draws takes
 # _BLOCK_BYTES >> (ell + 6) measurements at a time, each with about four
 # arrays of 2 x 2^ell int64 (amplitudes, the transform's buffer, weights).
 _BLOCK_BYTES = 1 << 20
@@ -100,6 +99,19 @@ def consistent_state(scheme: CommitScheme, t: Transcript, hash_step=None) -> Sup
         h0, h1, y = hash_step
         s0, s1 = s0[h0.eval_many(s0) == y], s1[h1.eval_many(s1) == y]
     return SupportState(scheme.ell, s0, s1)
+
+
+def run_coherent_commit(
+    scheme: CommitScheme, receiver_randomness: int, rng: np.random.Generator
+) -> tuple[Transcript, SupportState]:
+    """Coherent commit phase: each alpha_j is measured, never chosen.
+
+    At round j the observed message has Pr[alpha] proportional to the
+    number of (b, x) branches consistent with it; the support sets are
+    filtered to the matching seeds and the receiver replies g_j(r, ...).
+    """
+    session = HonestSession(scheme, rng)
+    return run_commit(scheme, session, receiver_randomness), session.state
 
 
 # hash measurement ------------------------------------------------------------
@@ -307,17 +319,6 @@ class HonestSession:
 
 # the honest prover on a block of sessions -------------------------------------
 
-def _runs(sizes: np.ndarray, budget: int):
-    """Consecutive ranges [a, b) of sessions whose sizes sum to at most
-    budget, or of one session where a single size exceeds it."""
-    ends = np.cumsum(sizes)
-    a = 0
-    while a < len(sizes):
-        b = int(np.searchsorted(ends, ends[a] - sizes[a] + budget, side="right"))
-        yield a, max(a + 1, b)
-        a = max(a + 1, b)
-
-
 def _hash_step(streams, tables: ClassRows, firsts, lens, hashes: HashColumns):
     """Every session's y and the support seeds that survive it.
 
@@ -325,21 +326,19 @@ def _hash_step(streams, tables: ClassRows, firsts, lens, hashes: HashColumns):
     seeds at firsts[2i + b] of the tables, hashed by member 2i + b.  y is
     the u-th smallest hash value of session i's seeds for its draw u,
     which is sample_index over np.unique's counts.  The kernel runs on
-    runs of sessions of at most _BLOCK_BYTES >> 8 seeds.  Returns (ys,
-    seeds, segments) of the survivors, in segment order.
+    tables.runs of whole sessions.  Returns (ys, seeds, segments) of the
+    survivors, in segment order.
     """
     sizes = lens[0::2] + lens[1::2]
     us = streams.integers(sizes)
     shift = int(hashes.k.max()).bit_length()
     ys, kept_xs, kept_seg = [], [], []
-    for a, b in _runs(sizes, _BLOCK_BYTES >> 8):
-        xs = tables.seeds(firsts[2 * a : 2 * b], lens[2 * a : 2 * b])
-        hv = eval_segments(hashes.take(slice(2 * a, 2 * b)), xs, lens[2 * a : 2 * b])
-        seg = np.repeat(np.arange(2 * a, 2 * b), lens[2 * a : 2 * b])
+    for a, b, xs, seg in tables.runs(firsts, lens, 2):
+        hv = eval_segments(hashes.take(slice(a, b)), xs, lens[a:b])
         ranked = np.sort(((seg >> 1) << shift) | hv)
-        part = sizes[a:b]
-        y = ranked[np.cumsum(part) - part + us[a:b]] & ((1 << shift) - 1)
-        kept = hv == y[(seg >> 1) - a]
+        part = sizes[a // 2 : b // 2]
+        y = ranked[np.cumsum(part) - part + us[a // 2 : b // 2]] & ((1 << shift) - 1)
+        kept = hv == y[(seg - a) >> 1]
         ys.append(y)
         kept_xs.append(xs[kept])
         kept_seg.append(seg[kept])

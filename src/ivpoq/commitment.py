@@ -42,6 +42,9 @@ _CACHE_BYTES = 1 << 28
 _FILL_BLOCK = 1 << 10
 # The one-byte strings, each a seed's last byte in an F_r fill.
 _LAST_BYTES = [bytes([v]) for v in range(256)]
+# Seeds per run of ClassRows.runs: the honest hash step and V2's counts hash
+# a run at a time, in a kernel of about a dozen int64 arrays of that length.
+_RUN_SEEDS = 1 << 12
 
 
 class CommitRoundLaw(NamedTuple):
@@ -98,6 +101,20 @@ class ClassRows(NamedTuple):
         ends = np.cumsum(lens)
         at = np.repeat(offsets - ends + lens, lens) + np.arange(ends[-1])
         return self.orders.reshape(-1)[at].astype(np.int64)
+
+    def runs(self, offsets: np.ndarray, lens: np.ndarray, group: int = 1):
+        """Yield (a, b, xs, seg) for runs of classes a..b-1, consecutive whole
+        groups of group classes whose seeds sum to at most _RUN_SEEDS, or one
+        group that exceeds it alone: xs is the run's seeds and seg each
+        seed's class index."""
+        sizes = lens.reshape(-1, group).sum(axis=1)
+        ends = np.cumsum(sizes)
+        a = 0
+        while a < len(sizes):
+            b = max(a + 1, int(np.searchsorted(ends, ends[a] - sizes[a] + _RUN_SEEDS, side="right")))
+            lo, hi = group * a, group * b
+            yield lo, hi, self.seeds(offsets[lo:hi], lens[lo:hi]), np.repeat(np.arange(lo, hi), lens[lo:hi])
+            a = b
 
 
 class CommitScheme:
@@ -517,6 +534,8 @@ def hiding_distance(scheme: CommitScheme, rs=None) -> float:
     rs = np.arange(1 << scheme.ell) if rs is None else np.asarray(rs, dtype=np.int64)
     if not len(rs):
         raise ValueError("hiding_distance needs at least one receiver seed")
+    if rs.min() < 0 or rs.max() >= 1 << scheme.ell:
+        raise ValueError(f"receiver seeds must lie in [0, 2^{scheme.ell})")
     total = 0
     for lo in range(0, len(rs), scheme.capacity):
         tables = scheme.rows(rs[lo : lo + scheme.capacity])

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .coherent_prover import run_coherent_commit
 from .commitment import (
     CommitScheme,
     Transcript,
@@ -22,7 +23,7 @@ from .commitment import (
 )
 from .hashing import enumerate_gf2_affine, sample_hash
 from .stats import hoeffding_halfwidth, wilson_interval
-from .verifier import grid_brackets, grid_sizes, run_coherent_commit
+from .verifier import grid_brackets, grid_sizes
 
 HOLDS = "holds"
 VIOLATED = "violated"

@@ -38,7 +38,6 @@ import numpy as np
 
 from . import stats
 from .bits import dot2, from_hex, parity_u32, to_hex
-from .coherent_prover import _BLOCK_BYTES, HonestSession, SupportState, _runs
 from .commitment import CommitScheme, Transcript
 from .hashing import HashColumns, HashFn, eval_segments, sample_hash, sample_hash_pairs
 from .streams import SessionStreams
@@ -262,19 +261,6 @@ def run_commit(scheme: CommitScheme, session, r: int) -> Transcript:
     return tuple(msgs)
 
 
-def run_coherent_commit(
-    scheme: CommitScheme, receiver_randomness: int, rng: np.random.Generator
-) -> tuple[Transcript, SupportState]:
-    """Coherent commit phase: each alpha_j is measured, never chosen.
-
-    At round j the observed message has Pr[alpha] proportional to the
-    number of (b, x) branches consistent with it; the support sets are
-    filtered to the matching seeds and the receiver replies g_j(r, ...).
-    """
-    session = HonestSession(scheme, rng)
-    return run_commit(scheme, session, receiver_randomness), session.state
-
-
 def run_preamble(params: ProtocolParams, session, rng: np.random.Generator) -> tuple[tuple, int]:
     """Commit rounds, grid choice and hash pair; returns ((t, h0, h1, y), j).
 
@@ -457,17 +443,12 @@ def decide_block(params: ProtocolParams, block: SessionBlock) -> list[tuple[bool
 def _count_block(scheme: CommitScheme, block: SessionBlock, rows: np.ndarray, b: int):
     """count_consistent_preimages(scheme, t, h_b, y, b) on the block's rows,
     as (counts capped at 2, least witnesses, 0 where there is none).  X_{b,t}
-    is class key ^ b of r's table, hashed in runs of at most
-    _BLOCK_BYTES >> 8 seeds, as in the honest prover's hash step."""
+    is class key ^ b of r's table, hashed one tables.runs run at a time."""
     counts, witness = np.zeros((2, len(rows)), dtype=np.int64)
-    if not len(rows):
-        return counts, witness
     tables = scheme.rows(block.cols["r"][rows])
     firsts, lens = tables.classes(block.cols["key"][rows] ^ b)
     hashes, ys = block.hashes.take(2 * rows + b), block.cols["y"][rows]
-    for a, c in _runs(lens, _BLOCK_BYTES >> 8):
-        xs = tables.seeds(firsts[a:c], lens[a:c])
-        sid = np.repeat(np.arange(a, c), lens[a:c])
+    for a, c, xs, sid in tables.runs(firsts, lens):
         hits = eval_segments(hashes.take(slice(a, c)), xs, lens[a:c]) == ys[sid]
         counts[a:c] = n = np.bincount(sid[hits] - a, minlength=c - a)
         # Each set is ascending, so a row's first hit is its least witness.

@@ -257,7 +257,7 @@ def test_criterion_09_goldreich_levin():
     exact = 0
     for _ in range(100):
         planted = int(rng.integers(1 << 16))
-        oracle = PredictionOracle(ell=16, fn=lambda xis, p=planted: parity_u32(p & xis))
+        oracle = PredictionOracle(fn=lambda xis, p=planted: parity_u32(p & xis))
         out = goldreich_levin(oracle, 16, 0.5, 0.05, rng)
         exact += out == [planted]
     noisy_hits = 0
@@ -266,9 +266,7 @@ def test_criterion_09_goldreich_levin():
         n = 1 << 12
         wrong = np.zeros(n, dtype=bool)
         wrong[rng.permutation(n)[: n // 4]] = True
-        oracle = PredictionOracle(
-            ell=12, fn=lambda xis, p=planted, w=wrong: parity_u32(p & xis) ^ w[xis]
-        )
+        oracle = PredictionOracle(fn=lambda xis, p=planted, w=wrong: parity_u32(p & xis) ^ w[xis])
         out = goldreich_levin(oracle, 12, 0.25, 0.05, rng)
         noisy_hits += planted in out
     elapsed = time.time() - t0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
-from ivpoq import adversaries, coherent_prover, verifier
+from ivpoq import adversaries, coherent_prover, commitment
 from ivpoq.bits import parity_u32
 from ivpoq.adversaries import (
     ClassicalHonestProver,
@@ -164,6 +164,23 @@ def test_claw_prover_replay_is_deterministic():
     assert prover.d_response(t, h0, h1, y, 14) is not None  # distinct query, any value
 
 
+def test_claw_attack_measures_its_state_once(monkeypatch):
+    # hash_response keeps the state its own y measurement leaves, so the
+    # attack's v0 answer and GL queries rebuild nothing.
+    sch = make_scheme("const", 5)
+    params = ProtocolParams(scheme=sch, epsilon=0.5)
+    calls = []
+
+    def counted(*args, _real=coherent_prover.consistent_state):
+        calls.append(args)
+        return _real(*args)
+
+    monkeypatch.setattr(coherent_prover, "consistent_state", counted)
+    res = binding_attack(params, unbounded_claw_prover(sch), np.random.default_rng([77, 0]))
+    assert res.gl_queries > 0
+    assert len(calls) == 1, len(calls)
+
+
 def claw_answers(prover, prefix, xis=range(8)):
     t, h0, h1, y = prefix
     out = []
@@ -288,7 +305,7 @@ def test_prepare_challenges_memory_stays_within_the_block_budget():
     finally:
         tracemalloc.stop()
     assert len(memo_of(session, prefix)) == 3 * 601
-    assert peak < 3 * verifier._BLOCK_BYTES, peak
+    assert peak < 3 * coherent_prover._BLOCK_BYTES, peak
 
 
 def test_claw_prover_unreachable_prefix_is_a_violation():
@@ -407,7 +424,7 @@ def test_conditional_acceptance_equals_v2_decide_loop(make_resume):
     sch = make_scheme("hm2", 7, a=3)
     params = ProtocolParams(scheme=sch, epsilon=0.05, grid_mode=GRID_ORACLE)
     prefix, _ = find_unique_claw_prefix(sch, params, seed=10)
-    assert STREAM_SESSIONS * len(sch.consistent_seeds(prefix[0], 0)) > verifier._BLOCK_BYTES >> 8
+    assert STREAM_SESSIONS * len(sch.consistent_seeds(prefix[0], 0)) > commitment._RUN_SEEDS
     trials = STREAM_SESSIONS + 40
     rate = conditional_acceptance(
         params, prefix, make_resume(sch), trials, np.random.default_rng(21)
@@ -508,7 +525,7 @@ def planted_oracle(ell, planted, advantage, seed):
     wrong = np.zeros(n, dtype=bool)
     wrong[rng.permutation(n)[: round((0.5 - advantage) * n)]] = True
 
-    return PredictionOracle(ell=ell, fn=lambda xis: parity_u32(planted & xis) ^ wrong[xis])
+    return PredictionOracle(fn=lambda xis: parity_u32(planted & xis) ^ wrong[xis])
 
 
 def test_gl_perfect_oracle_exact_recovery():
@@ -516,7 +533,7 @@ def test_gl_perfect_oracle_exact_recovery():
     for _ in range(10):
         ell = 12
         planted = int(rng.integers(1 << ell))
-        oracle = PredictionOracle(ell=ell, fn=lambda xis: parity_u32(planted & xis))
+        oracle = PredictionOracle(fn=lambda xis: parity_u32(planted & xis))
         out = goldreich_levin(oracle, ell, 0.5, 0.05, rng)
         assert planted in out
         # perfect linear oracle: only the planted string survives filtering
@@ -536,7 +553,7 @@ def test_gl_three_quarters_oracle():
 
 def test_gl_constant_zero_oracle_returns_zero_string():
     rng = np.random.default_rng(22)
-    oracle = PredictionOracle(ell=10, fn=np.zeros_like)
+    oracle = PredictionOracle(fn=np.zeros_like)
     out = goldreich_levin(oracle, 10, 0.4, 0.05, rng)
     assert 0 in out
     # every survivor agrees with the constant-0 oracle on >= 1/2 + adv/2,
@@ -545,7 +562,7 @@ def test_gl_constant_zero_oracle_returns_zero_string():
 
 
 def test_gl_parameter_validation():
-    oracle = PredictionOracle(ell=4, fn=np.zeros_like)
+    oracle = PredictionOracle(fn=np.zeros_like)
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
         goldreich_levin(oracle, 4, 0.0, 0.05, rng)
@@ -605,7 +622,7 @@ def test_gl_decode_equals_the_sign_matrix(ell, advantage, confidence):
 def _vector_linear_oracle(ell, planted, seed):
     """xi -> xi.planted, flipped on a fixed random quarter of the xis."""
     wrong = np.random.default_rng(seed).random(1 << ell) < 0.25
-    return PredictionOracle(ell=ell, fn=lambda xis: parity_u32(xis & planted) ^ wrong[xis])
+    return PredictionOracle(fn=lambda xis: parity_u32(xis & planted) ^ wrong[xis])
 
 
 def test_gl_decodes_at_the_batch_cap_in_bounded_memory():
@@ -648,7 +665,7 @@ def test_gl_asks_the_scalar_query_sequence(ell, advantage, confidence):
         log.extend(xis.tolist())
         return parity_u32(xis & 5)
 
-    oracle = PredictionOracle(ell=ell, fn=fn)
+    oracle = PredictionOracle(fn=fn)
     rng, ref_rng = np.random.default_rng(24), np.random.default_rng(24)
     goldreich_levin(oracle, ell, advantage, confidence, rng)
     assert log == reference_gl_queries(ell, advantage, confidence, ref_rng)
@@ -702,11 +719,11 @@ def test_binding_attack_memo_matches_fresh_prover_per_query(monkeypatch):
     prover = unbounded_claw_prover(sch)
     memoised = [binding_attack(params, prover, np.random.default_rng([110, i])) for i in range(10)]
 
-    def reference_oracle(prefix, session, ell):
+    def reference_oracle(prefix, session):
         def fn(xis):
             return [predict_claw_parity(prefix, xi, prover.new_session(None)) for xi in xis.tolist()]
 
-        return PredictionOracle(ell=ell, fn=fn)
+        return PredictionOracle(fn=fn)
 
     monkeypatch.setattr(adversaries, "oracle_from_prover", reference_oracle)
     reference = [binding_attack(params, prover, np.random.default_rng([110, i])) for i in range(10)]

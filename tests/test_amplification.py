@@ -145,6 +145,14 @@ def test_separation_small_plan():
     assert rep.pass_rate_cheater <= 0.05
 
 
+def test_per_randomness_profile_needs_a_grid_point():
+    sch = make_scheme("hm2", 6, a=3)
+    params = ProtocolParams(scheme=sch, epsilon=0.1)
+    for n_r in (0, -1):
+        with pytest.raises(ValueError, match="n_r must be >= 1"):
+            per_randomness_profile(params, lambda r: ClassicalHonestProver(sch, 0, 1), n_r, 10, 0.9)
+
+
 def test_per_randomness_profile_shapes():
     sch = make_scheme("hm2", 6, a=3)
     params = ProtocolParams(scheme=sch, epsilon=0.1, grid_mode=GRID_ORACLE)

@@ -24,12 +24,13 @@ from ivpoq.coherent_prover import (
     hash_outcome_law,
     measure_hash,
     measure_rotated,
+    run_coherent_commit,
     sample_d,
     sample_index,
 )
 from ivpoq.hashing import HashFn, sample_hash
 from ivpoq.lemma_harness import coherent_transcript_law
-from ivpoq.verifier import ProtocolParams, run_coherent_commit, run_session
+from ivpoq.verifier import ProtocolParams, run_session
 
 from builders import identity_hash, support_state
 

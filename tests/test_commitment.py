@@ -364,6 +364,50 @@ def test_hiding_distance_needs_a_seed():
             hiding_distance(make_scheme(name, 4, **kwargs), [])
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([1, 2]),
+    # Lengths at the budget's edges make runs that fill it exactly.
+    st.lists(
+        st.one_of(st.integers(0, 40), st.integers(0, 9000), st.sampled_from([1, 2048, 4095, 4096, 4097])),
+        max_size=24,
+    ),
+    st.integers(0, 2**32 - 1),
+)
+def test_class_runs_are_the_greedy_runs_of_whole_groups(group, lens, seed):
+    # Classes of any length, zero and over the budget included, placed in
+    # one row in a random order over a random seed order.
+    budget = commitment._RUN_SEEDS
+    lens = np.array(lens[: len(lens) // group * group], dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    place = rng.permutation(len(lens))
+    firsts = np.zeros(len(lens), dtype=np.int64)
+    firsts[place] = np.cumsum(lens[place]) - lens[place]
+    orders = rng.permutation(int(lens.sum())).astype(np.uint32)[None]
+    flat = orders[0].tolist()
+    runs = list(commitment.ClassRows(orders, None, None).runs(firsts, lens, group))
+    # The runs tile the groups in order.
+    edges = [0] + [b for _, b, *_ in runs]
+    assert [a for a, *_ in runs] == edges[:-1] and edges[-1] == len(lens)
+    for a, b, xs, seg in runs:
+        assert a % group == 0 and b % group == 0 and b > a
+        seeds = int(lens[a:b].sum())
+        # Over the budget only as one group, and no next group would fit.
+        assert seeds <= budget or b - a == group
+        assert b == len(lens) or seeds + int(lens[b : b + group].sum()) > budget
+        assert xs.dtype == np.int64
+        assert xs.tolist() == [x for i in range(a, b) for x in flat[firsts[i] : firsts[i] + lens[i]]]
+        assert seg.tolist() == np.repeat(np.arange(a, b), lens[a:b]).tolist()
+
+
+@pytest.mark.parametrize("name,kwargs", [("hm2", {"a": 3}), ("const", {}), ("ident", {})])
+def test_hiding_distance_rejects_seeds_outside_the_domain(name, kwargs):
+    sch = make_scheme(name, 6, **kwargs)
+    for bad in (-1, 1 << 6):
+        with pytest.raises(ValueError, match="receiver seeds"):
+            hiding_distance(sch, [0, bad])
+
+
 def test_hiding_distance_controls():
     # const sends one transcript on both bits with every seed; ident sends
     # each transcript on one bit only.

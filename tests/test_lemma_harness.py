@@ -19,7 +19,7 @@ from ivpoq.lemma_harness import (
     find_grid_index,
     grid_bounds_ok,
 )
-from ivpoq.verifier import run_coherent_commit
+from ivpoq.coherent_prover import run_coherent_commit
 
 
 def test_hash_lemmas_small_families_hold():

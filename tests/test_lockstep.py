@@ -325,7 +325,7 @@ def test_v2_counts_split_by_the_seed_budget(ell, monkeypatch):
     # it, so V2 counts every record in a run of its own.  It builds each
     # run's sets in turn, so it holds one record's seeds (64 KB at ell=13),
     # not the block's 64 MB.
-    assert verifier._BLOCK_BYTES >> 8 == 1 << 12
+    assert commitment._RUN_SEEDS == 1 << 12
     params = _params("const", ell, {}, GRID_ORACLE)
     block = run_block(params, HonestProver(params.scheme), 5, 0, STREAM_SESSIONS)
     records = block.records()

@@ -87,6 +87,27 @@ def _unused_imports(folder: Path) -> list[str]:
     return unused
 
 
+# Modules below the provers, and the modules above them that they import nothing from.
+_BELOW = ("verifier", "commitment", "hashing", "streams", "bits", "stats")
+_ABOVE = {"coherent_prover", "adversaries", "lemma_harness", "amplification", "cli"}
+
+
+def test_the_verifier_imports_no_prover():
+    found = []
+    for stem in _BELOW:
+        for node in ast.walk(ast.parse((ROOT / "src" / "ivpoq" / f"{stem}.py").read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                # "from . import cli" and "from ivpoq import cli" name the module as an alias.
+                package = node.module in (None, "ivpoq")
+                names = [node.module or ""] + [alias.name for alias in node.names if package]
+            else:
+                continue
+            found += [f"{stem} imports {name}" for name in names if name.split(".")[-1] in _ABOVE]
+    assert found == []
+
+
 def test_every_src_import_is_used():
     assert _unused_imports(ROOT / "src" / "ivpoq") == []
 
