@@ -21,7 +21,6 @@ from .adversaries import (
     goldreich_levin,
     predict_claw_parity,
     PredictionOracle,
-    ScriptedProver,
     unbounded_claw_prover,
 )
 from .coherent_prover import (

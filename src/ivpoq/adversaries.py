@@ -30,10 +30,10 @@ from typing import Callable
 import numpy as np
 
 from . import coherent_prover as cp
-from .bits import check_ell, dot2, parity_u32, rng_from_key, wht
+from .bits import check_ell, parity_u32, rng_from_key, wht
 from .coherent_prover import _BLOCK_BYTES
-from .commitment import CommitScheme, Transcript
-from .hashing import HashFn
+from .commitment import CommitScheme, Transcript, run_classical_commit
+from .hashing import HashFn, eval_segments
 from .verifier import (
     ProtocolParams,
     ProtocolViolation,
@@ -42,6 +42,7 @@ from .verifier import (
     run_commit,
     run_preamble,
     sample_hash,  # noqa: F401  (perfbench/tracing.py patches adversaries.sample_hash)
+    v0_pair,
 )
 
 
@@ -60,70 +61,58 @@ def _prefix_key(t: Transcript, h0: HashFn, h1: HashFn, y: int) -> bytes:
 
 
 class _ReplayableProver:
-    """Base for classical provers: deterministic given (r, query)."""
+    """Base for classical provers asked row by row, each deterministic given
+    (r, query): a subclass gives new_session(rng) and the five row methods."""
 
     replayable = True
 
-    def __init__(self, r: bytes):
-        self.r = r
-
-    def new_session(self, rng: np.random.Generator):
-        return self
-
-    def _rng(self, tag: str, *key_parts) -> np.random.Generator:
-        return rng_from_key(self.r, tag, *key_parts)
-
     def block_session(self, streams, rs: np.ndarray, tables):
-        """verifier.run_block's replies, each row's session asked and checked
-        as run_session does; exact, as a replayable prover draws no stream."""
+        """verifier.run_block's replies as lists, each row's session asked as
+        run_session asks it; run_block checks each list before a later query
+        reads it.  Exact, as a replayable prover draws no stream."""
         scheme, ell = self.scheme, self.scheme.ell
         sessions = [self.new_session(None) for _ in range(len(rs))]
         ts = [run_commit(scheme, session, r) for session, r in zip(sessions, rs.tolist())]
-        hashes = yield np.array([scheme.transcript_key(t)[1] for t in ts], dtype=np.int64)
+        hashes = yield [scheme.transcript_key(t)[1] for t in ts]
         # Each row's query grows a phase at a time: (t, h0, h1), then y, xi and d.
         queries = [(t, hashes.member(ell, 2 * i), hashes.member(ell, 2 * i + 1)) for i, t in enumerate(ts)]
-        queries = [(*q, check_reply(s.hash_response(*q), q[1].k, "y")) for s, q in zip(sessions, queries)]
-        v1s, xis = yield np.array([q[3] for q in queries], dtype=np.int64)
+        queries = [(*q, s.hash_response(*q)) for s, q in zip(sessions, queries)]
+        v1s, xis = yield [q[3] for q in queries]
         asked = [(s, (*q, xi), v1) for s, q, xi, v1 in zip(sessions, queries, xis.tolist(), v1s.tolist())]
-        v0 = [check_v0_reply(s.v0_response(*q), ell) for s, q, v1 in asked if v1 == 0]
-        asked = [(s, (*q, check_reply(s.d_response(*q), 1 << ell, "d"))) for s, q, v1 in asked if v1]
-        ds = np.array([q[-1] for _, q in asked], dtype=np.int64)
-        v2s = yield np.array(v0, dtype=np.int64).reshape(-1, 2).T, ds
-        etas = [check_reply(s.eta_response(*q, v2), 2, "eta") for (s, q), v2 in zip(asked, v2s.tolist())]
-        yield np.array(etas, dtype=np.int64)
+        v0 = [v0_pair(s.v0_response(*q)) for s, q, v1 in asked if v1 == 0]
+        asked = [(s, (*q, s.d_response(*q))) for s, q, v1 in asked if v1]
+        v2s = yield ([b for b, _ in v0], [x for _, x in v0]), [q[-1] for _, q in asked]
+        yield [s.eta_response(*q, v2) for (s, q), v2 in zip(asked, v2s.tolist())]
 
 
-class ClassicalHonestProver(_ReplayableProver):
+class ClassicalHonestProver:
     """Baseline classical strategy with a fixed committed bit and seed.
 
     Commits classically to (b, x), reports y = h_b(x), answers the
     preimage test with (b, x) and the measurement test with d = 0 and
     eta = xi.x, i.e. it plays the first decision clause assuming its
     own seed sits in the x0 slot.  One fixed choice among many; a
-    measured baseline, not a claimed optimum.
+    measured baseline, not a claimed optimum.  It answers in columns.
     """
 
     def __init__(self, scheme: CommitScheme, b: int, x: int):
-        super().__init__(b"classical-honest" + bytes([b]) + int(x).to_bytes(8, "big"))
+        if b not in (0, 1) or not 0 <= x < 1 << scheme.ell:
+            raise ValueError(f"need b in {{0, 1}} and x in [0, 2^{scheme.ell}), got b={b}, x={x}")
         self.scheme = scheme
         self.b = b
         self.x = x
 
-    def commit_message(self, j, prefix):
-        return self.scheme.sender_msg(j, self.b, self.x, prefix)
-
-    def hash_response(self, t, h0, h1):
-        h = h0 if self.b == 0 else h1
-        return h.eval(self.x)
-
-    def v0_response(self, t, h0, h1, y, xi):
-        return self.b, self.x
-
-    def d_response(self, t, h0, h1, y, xi):
-        return 0
-
-    def eta_response(self, t, h0, h1, y, xi, d, v2):
-        return dot2(xi, self.x)
+    def block_session(self, streams, rs: np.ndarray, tables):
+        """verifier.run_block's replies, the commit key once per distinct r."""
+        scheme, b, x = self.scheme, self.b, self.x
+        distinct, at = np.unique(rs, return_inverse=True)
+        keys = [scheme.transcript_key(run_classical_commit(scheme, b, x, r))[1] for r in distinct.tolist()]
+        hashes = yield np.array(keys, dtype=np.int64)[at]
+        ones = np.ones(len(rs), dtype=np.int64)
+        v1s, xis = yield eval_segments(hashes.take(slice(b, None, 2)), x * ones, ones)
+        v0_rows, v1_rows = np.flatnonzero(v1s == 0), np.flatnonzero(v1s)
+        yield (np.full(len(v0_rows), b), np.full(len(v0_rows), x)), np.zeros(len(v1_rows), dtype=np.int64)
+        yield parity_u32(xis[v1_rows] & x)
 
 
 class UnboundedClawProver(_ReplayableProver):
@@ -137,7 +126,7 @@ class UnboundedClawProver(_ReplayableProver):
 
     def __init__(self, scheme: CommitScheme, r: bytes = b""):
         check_ell(scheme.ell)
-        super().__init__(b"unbounded-claw" + r)
+        self.r = b"unbounded-claw" + r
         self.scheme = scheme
         self._memo = None
 
@@ -146,6 +135,9 @@ class UnboundedClawProver(_ReplayableProver):
         session = copy.copy(self)
         session._memo = None
         return session
+
+    def _rng(self, tag: str, *key_parts) -> np.random.Generator:
+        return rng_from_key(self.r, tag, *key_parts)
 
     # exact honest-law sampling, PRF-randomized per query ------------------
     def commit_message(self, j, prefix):
@@ -222,47 +214,6 @@ class UnboundedClawProver(_ReplayableProver):
 
 
 unbounded_claw_prover = UnboundedClawProver  # the name perfbench imports
-
-
-class ScriptedProver(_ReplayableProver):
-    """Test double whose responses come from fixed callables.
-
-    Any callable may return None to model an aborting prover; the
-    session driver surfaces that as a protocol violation, which the
-    binding attack reports as failure.
-    """
-
-    def __init__(
-        self,
-        scheme: CommitScheme,
-        commit: Callable | None = None,
-        y_fn: Callable | None = None,
-        v0_fn: Callable | None = None,
-        d_fn: Callable | None = None,
-        eta_fn: Callable | None = None,
-    ):
-        super().__init__(b"scripted")
-        self.scheme = scheme
-        self._commit = commit or (lambda j, prefix: scheme.sender_msg(j, 0, 0, prefix))
-        self._y = y_fn or (lambda t, h0, h1: 0)
-        self._v0 = v0_fn or (lambda t, h0, h1, y, xi: (0, 0))
-        self._d = d_fn or (lambda t, h0, h1, y, xi: 0)
-        self._eta = eta_fn or (lambda t, h0, h1, y, xi, d, v2: 0)
-
-    def commit_message(self, j, prefix):
-        return self._commit(j, prefix)
-
-    def hash_response(self, t, h0, h1):
-        return self._y(t, h0, h1)
-
-    def v0_response(self, t, h0, h1, y, xi):
-        return self._v0(t, h0, h1, y, xi)
-
-    def d_response(self, t, h0, h1, y, xi):
-        return self._d(t, h0, h1, y, xi)
-
-    def eta_response(self, t, h0, h1, y, xi, d, v2):
-        return self._eta(t, h0, h1, y, xi, d, v2)
 
 
 # the two-challenge predictor ---------------------------------------------------

@@ -104,6 +104,8 @@ def separation_experiment(
     plan: RepetitionPlan, macro_trials: int, seed: int = 0
 ) -> SeparationReport:
     """Pass rates of Bernoulli(c) and Bernoulli(s) provers under the plan."""
+    if macro_trials < 1:
+        raise ValueError("macro_trials must be >= 1")
     passes_h = passes_c = 0
     for i in range(macro_trials):
         rng = np.random.default_rng([seed, 2 * i])

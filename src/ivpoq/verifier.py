@@ -12,11 +12,11 @@ the same verdict.
 run_block is V1 over a block of sessions in lockstep, each on its own
 stream with run_session's draws (SessionStreams makes each draw for the
 whole block at once); the prover answers each phase for the whole block
-through its block_session generator, and the block comes back as a
-SessionBlock of columns; estimate_acceptance runs every session through
-it.  decide_block is V2 over a block, in array operations on its columns.
-A block's SessionRecords are built only by SessionBlock.records (the
-CLI's run and the tests).
+through its block_session generator, V1 checks each reply column, and the
+block comes back as a SessionBlock of columns; estimate_acceptance runs
+every session through it.  decide_block is V2 over a block, in array
+operations on its columns.  A block's SessionRecords are built only by
+SessionBlock.records (the CLI's run and the tests).
 
 V2's hard steps (counting consistent preimages and finding witnesses)
 go through count_consistent_preimages, a brute-force stand-in for the
@@ -240,13 +240,34 @@ def check_reply(value, bound: int, what: str) -> int:
     return int(value)
 
 
-def check_v0_reply(reply, ell: int) -> tuple[int, int]:
-    """Validate a preimage-test reply (b', x') and return it as ints."""
+def v0_pair(reply) -> tuple:
+    """A preimage-test reply as its pair (b', x'), unchecked; a non-pair is a violation."""
     try:
         bprime, xprime = reply
     except (TypeError, ValueError):
         raise ProtocolViolation("malformed measurement response") from None
+    return bprime, xprime
+
+
+def check_v0_reply(reply, ell: int) -> tuple[int, int]:
+    """Validate a preimage-test reply (b', x') and return it as ints."""
+    bprime, xprime = v0_pair(reply)
     return check_reply(bprime, 2, "b'"), check_reply(xprime, 1 << ell, "x'")
+
+
+def check_column(column, n: int, bound, what: str, low: int = 0) -> np.ndarray:
+    """n prover replies, a list or an array, as int64 if each is an integer
+    (bools count, as in check_reply) in [low, bound), bound one value or one
+    per row; anything else is a violation."""
+    try:
+        column = np.asarray(column)  # raises ValueError on a ragged list
+        if column.shape == (n,) and (column.dtype.kind in "biu" or n == 0):
+            column = column.astype(np.int64)  # an unsigned reply >= 2^63 wraps below 0
+            if ((low <= column) & (column < bound)).all():
+                return column
+    except ValueError:
+        pass
+    raise ProtocolViolation(f"{what} out of range")
 
 
 def run_commit(scheme: CommitScheme, session, r: int) -> Transcript:
@@ -389,14 +410,15 @@ def run_block(params: ProtocolParams, prover, seed, lo: int, hi: int) -> Session
     generator block_session(streams, rs, tables) yields the commit keys (-1
     where no seed replays the transcript); sent the HashColumns, y; sent
     (v1s, xis), ((b', x') of the v1=0 rows, d of the v1=1 rows); sent their
-    v2, their eta.  The oracle grid reads |X_{0,t}| as class key's length.
+    v2, their eta; check_column checks each reply column before the next
+    draw.  The oracle grid reads |X_{0,t}| as class key's length.
     """
     ell, scheme, n = params.ell, params.scheme, hi - lo
     streams = SessionStreams(seed, lo, hi)
     rs = streams.integers(1 << ell)
     tables = scheme.rows(rs)
     replies = prover.block_session(streams, rs, tables)
-    keys = next(replies)
+    keys = check_column(next(replies), n, tables.starts.shape[1] - 1, "commit key", low=-1)
     js = np.full(n, -1, dtype=np.int64)
     if params.grid_mode == GRID_ORACLE:
         first, stop = _grid_ends(ell, params.epsilon, tables.classes(keys)[1])
@@ -404,16 +426,18 @@ def run_block(params: ProtocolParams, prover, seed, lo: int, hi: int) -> Session
     unset = np.flatnonzero(js < 0)
     js[unset] = streams.integers(params.m, unset)
     hashes = sample_hash_pairs(ell, np.array(params.ks)[js], streams)
-    ys = replies.send(hashes)
+    ys = check_column(replies.send(hashes), n, hashes.k[::2].astype(np.int64), "y")
     v1s, xis = streams.integers(2), streams.integers(1 << ell)
     v0_rows, v1_rows = np.flatnonzero(v1s == 0), np.flatnonzero(v1s)
-    (bprimes, xprimes), ds = replies.send((v1s, xis))
-    v2s = streams.integers(2, v1_rows)
-    etas = replies.send(v2s)
+    v0, ds = v0_pair(replies.send((v1s, xis)))
+    bprimes, xprimes = v0_pair(v0)
     cols = {name: np.zeros(n, dtype=np.int64) for name in _COLUMNS}
+    cols["bprime"][v0_rows] = check_column(bprimes, len(v0_rows), 2, "b'")
+    cols["xprime"][v0_rows] = check_column(xprimes, len(v0_rows), 1 << ell, "x'")
+    cols["d"][v1_rows] = check_column(ds, len(v1_rows), 1 << ell, "d")
+    cols["v2"][v1_rows] = v2s = streams.integers(2, v1_rows)
+    cols["eta"][v1_rows] = check_column(replies.send(v2s), len(v1_rows), 2, "eta")
     cols.update(r=rs, key=keys, j=js, y=ys, v1=v1s, xi=xis, v2coin=streams.integers(8))
-    cols["bprime"][v0_rows], cols["xprime"][v0_rows] = bprimes, xprimes
-    cols["d"][v1_rows], cols["v2"][v1_rows], cols["eta"][v1_rows] = ds, v2s, etas
     return SessionBlock(scheme, hashes, cols)
 
 

@@ -1,13 +1,18 @@
 """Small fixtures the tests share: a support state from any seed collections,
 the identity hash, hash columns and a session block from records, the round
 law by interning every branch's message, the seed sets R_t and X_{b,t} by
-replaying the message functions, and the acceptance rate of a prover resumed
-on a fixed prefix."""
+replaying the message functions, the acceptance rate of a prover resumed
+on a fixed prefix, and a row prover scripted by callables, the classical
+baseline's row form among them."""
+
+from typing import Callable
 
 import numpy as np
 
+from ivpoq.adversaries import _ReplayableProver
+from ivpoq.bits import dot2
 from ivpoq.coherent_prover import HonestSession, SupportState, consistent_state
-from ivpoq.commitment import CommitRoundLaw
+from ivpoq.commitment import CommitRoundLaw, CommitScheme
 from ivpoq.hashing import P, HashColumns, HashFn
 from ivpoq.verifier import _COLUMNS, SessionBlock, run_challenge, v2_decide
 
@@ -105,3 +110,60 @@ def conditional_acceptance(params, prefix, resume, trials, rng) -> float:
     decided record by record by v2_decide."""
     records = (run_challenge(params, resume(prefix, rng), prefix, 0, rng) for _ in range(trials))
     return sum(v2_decide(params, record)[0] for record in records) / trials
+
+
+class ScriptedProver(_ReplayableProver):
+    """Test double whose responses come from fixed callables.
+
+    Any callable may return None to model an aborting prover; the
+    session driver surfaces that as a protocol violation, which the
+    binding attack reports as failure.
+    """
+
+    def __init__(
+        self,
+        scheme: CommitScheme,
+        commit: Callable | None = None,
+        y_fn: Callable | None = None,
+        v0_fn: Callable | None = None,
+        d_fn: Callable | None = None,
+        eta_fn: Callable | None = None,
+    ):
+        self.scheme = scheme
+        self._commit = commit or (lambda j, prefix: scheme.sender_msg(j, 0, 0, prefix))
+        self._y = y_fn or (lambda t, h0, h1: 0)
+        self._v0 = v0_fn or (lambda t, h0, h1, y, xi: (0, 0))
+        self._d = d_fn or (lambda t, h0, h1, y, xi: 0)
+        self._eta = eta_fn or (lambda t, h0, h1, y, xi, d, v2: 0)
+
+    def new_session(self, rng):
+        return self
+
+    def commit_message(self, j, prefix):
+        return self._commit(j, prefix)
+
+    def hash_response(self, t, h0, h1):
+        return self._y(t, h0, h1)
+
+    def v0_response(self, t, h0, h1, y, xi):
+        return self._v0(t, h0, h1, y, xi)
+
+    def d_response(self, t, h0, h1, y, xi):
+        return self._d(t, h0, h1, y, xi)
+
+    def eta_response(self, t, h0, h1, y, xi, d, v2):
+        return self._eta(t, h0, h1, y, xi, d, v2)
+
+
+def classical_rows(scheme, b: int, x: int) -> ScriptedProver:
+    """ClassicalHonestProver(scheme, b, x) as row answers, the reference its
+    columns must equal: commit to (b, x), y = h_b(x), then (b, x), d = 0 and
+    eta = xi.x."""
+    return ScriptedProver(
+        scheme,
+        commit=lambda j, prefix: scheme.sender_msg(j, b, x, prefix),
+        y_fn=lambda t, h0, h1: (h1 if b else h0).eval(x),
+        v0_fn=lambda t, h0, h1, y, xi: (b, x),
+        d_fn=lambda t, h0, h1, y, xi: 0,
+        eta_fn=lambda t, h0, h1, y, xi, d, v2: dot2(xi, x),
+    )

@@ -11,7 +11,6 @@ from ivpoq.adversaries import (
     ClassicalHonestProver,
     PredictionOracle,
     ProverNondeterminism,
-    ScriptedProver,
     binding_attack,
     goldreich_levin,
     predict_claw_parity,
@@ -34,13 +33,14 @@ from ivpoq.verifier import (
     count_consistent_preimages,
     decide_block,
     estimate_acceptance,
+    run_block,
     run_challenge,
     run_preamble,
     run_session,
     v2_decide,
 )
 
-from builders import conditional_acceptance, from_records, honest_resume, support_state
+from builders import ScriptedProver, conditional_acceptance, from_records, honest_resume, support_state
 
 
 def find_unique_claw_prefix(scheme, params, seed=0, want_unique=True):
@@ -62,13 +62,21 @@ def test_classical_honest_always_passes_v0_on_unique_claws():
     params = ProtocolParams(scheme=sch, epsilon=0.01, grid_mode=GRID_ORACLE)
     prover = ClassicalHonestProver(sch, 0, 123)
     hits = 0
-    for i in range(600):
-        rec = run_session(params, prover, np.random.default_rng([31, i]))
+    for rec in run_block(params, prover, 31, 0, 600).records():
         ok, reason = v2_decide(params, rec)
         if reason != "non-unique-coin" and rec.v1 == 0:
             assert ok
             hits += 1
     assert hits > 5
+
+
+def test_classical_honest_needs_a_bit_and_a_seed_in_range():
+    # Member 2i + b is row i's h_b only for b in {0, 1}, and a seed lies in [0, 2^ell).
+    sch = make_scheme("hm2", 6, a=3)
+    for b, x in ((2, 0), (-1, 0), (0, -1), (1, 1 << 6)):
+        with pytest.raises(ValueError):
+            ClassicalHonestProver(sch, b, x)
+    ClassicalHonestProver(sch, 1, (1 << 6) - 1)
 
 
 def test_classical_honest_rate_equal_on_hm2_and_ident():

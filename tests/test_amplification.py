@@ -145,6 +145,13 @@ def test_separation_small_plan():
     assert rep.pass_rate_cheater <= 0.05
 
 
+def test_separation_experiment_needs_a_macro_trial():
+    plan = RepetitionPlan(c=0.9, s=0.6, lam=20)
+    for macro_trials in (0, -1):
+        with pytest.raises(ValueError, match="macro_trials must be >= 1"):
+            separation_experiment(plan, macro_trials)
+
+
 def test_per_randomness_profile_needs_a_grid_point():
     sch = make_scheme("hm2", 6, a=3)
     params = ProtocolParams(scheme=sch, epsilon=0.1)

@@ -6,8 +6,9 @@ columns; every record built from the columns must equal run_session's on
 that stream, field for field, and decide_block must give v2_decide's
 verdict.  The honest cases cover hm2 on both grids at three lengths,
 const and ident, and their seeds reach both challenge branches and,
-where the scheme allows it, both ways of drawing d; every other prover
-answers through its scalar methods, row by row.
+where the scheme allows it, both ways of drawing d; the classical baseline
+also answers in columns, checked against its row form, and every other
+prover answers through its scalar methods, row by row.
 """
 
 import dataclasses
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ivpoq.adversaries import ClassicalHonestProver, ScriptedProver, UnboundedClawProver
+from ivpoq.adversaries import ClassicalHonestProver, UnboundedClawProver
 from ivpoq import coherent_prover, commitment, hashing, verifier
 from ivpoq.coherent_prover import HonestProver, consistent_state
 from ivpoq.commitment import make_scheme
@@ -40,7 +41,7 @@ from ivpoq.verifier import (
     v2_decide,
 )
 
-from builders import from_records, replayed_seeds
+from builders import ScriptedProver, classical_rows, from_records, replayed_seeds
 
 
 def _params(name, ell, kwargs, grid):
@@ -204,6 +205,9 @@ PROVERS = {
     "classical-honest": lambda sch: ClassicalHonestProver(sch, 0, 21),
     "unbounded-claw": lambda sch: UnboundedClawProver(sch, b"\x03"),
 }
+# The prover run_session asks in each one's place: the classical baseline
+# answers only in columns, so its reference is its row form.
+ROWS = {"classical-honest": lambda sch: classical_rows(sch, 0, 21)}
 
 
 @pytest.mark.parametrize("prover", sorted(PROVERS))
@@ -217,7 +221,8 @@ def test_estimate_acceptance_matches_v2_decide_tally(prover, name, ell, kwargs):
     cheater = PROVERS[prover](params.scheme)
     trials = STREAM_SESSIONS + 40
     report = estimate_acceptance(params, cheater, trials, seed=29)
-    _assert_report_counts(report, _scalar_verdicts(params, cheater, trials, 29))
+    reference = ROWS[prover](params.scheme) if prover in ROWS else cheater
+    _assert_report_counts(report, _scalar_verdicts(params, reference, trials, 29))
 
 
 def _scripted(sch):
@@ -241,15 +246,17 @@ ALL_PROVERS = {**PROVERS, "honest": HonestProver, "scripted": _scripted}
     "name,ell,kwargs", [("hm2", 6, {"a": 3}), ("const", 5, {}), ("ident", 5, {})]
 )
 def test_every_prover_block_records_equal_run_session(prover, grid, name, ell, kwargs):
-    # run_block is V1 alone: the honest prover answers a block in columns,
-    # the replayable provers through their scalar methods row by row, and
-    # either way the records equal run_session's, in two uneven blocks.
+    # run_block is V1 alone: the honest and classical provers answer a block
+    # in columns, the replayable provers through their scalar methods row by
+    # row, and either way the records equal run_session's (on the classical
+    # prover's row form), in two uneven blocks.
     params = _params(name, ell, kwargs, grid)
     player = ALL_PROVERS[prover](params.scheme)
     blocks = [run_block(params, player, 41, 3, 30), run_block(params, player, 41, 30, 90)]
     records = [record for block in blocks for record in block.records()]
     assert {record.v1 for record in records} == {0, 1}
-    _assert_records_equal_run_session(params, 41, 3, records, player)
+    reference = ROWS[prover](params.scheme) if prover in ROWS else player
+    _assert_records_equal_run_session(params, 41, 3, records, reference)
     verdicts = [verdict for block in blocks for verdict in decide_block(params, block)]
     assert verdicts == [v2_decide(params, record) for record in records]
 
@@ -306,6 +313,53 @@ def test_malformed_scripted_reply_raises_as_run_session_does(fault, name, kwargs
     with pytest.raises(ProtocolViolation) as block:
         estimate_acceptance(params, prover, 40, seed=7)
     assert str(block.value) == str(scalar.value) == message
+
+
+class CorruptColumn:
+    """HonestProver's block replies with one phase's reply replaced by
+    fault(reply, sent), sent being what run_block sent for it: phase 0 is
+    the commit keys, 1 y (sent the HashColumns), 2 ((b', x'), d) and 3 eta."""
+
+    def __init__(self, scheme, phase, fault):
+        self.scheme, self.phase, self.fault = scheme, phase, fault
+
+    def block_session(self, streams, rs, tables):
+        honest, sent = HonestProver(self.scheme).block_session(streams, rs, tables), None
+        for phase in range(4):
+            reply = honest.send(sent)
+            sent = yield self.fault(reply, sent) if phase == self.phase else reply
+
+
+# A malformed reply column of each phase (at ell=6), and the ProtocolViolation
+# message run_block raises for it.
+_BAD_COLUMNS = {
+    "key-high": (0, lambda keys, _: keys + 10**6, "commit key out of range"),
+    "key-low": (0, lambda keys, _: np.full_like(keys, -2), "commit key out of range"),
+    "y-is-k": (1, lambda ys, hashes: hashes.k[::2].astype(np.int64), "y out of range"),
+    "y-short": (1, lambda ys, _: ys[:-1], "y out of range"),
+    "y-float": (1, lambda ys, _: ys.astype(np.float64), "y out of range"),
+    "bprime": (2, lambda r, _: ((np.full(len(r[0][0]), 2), r[0][1]), r[1]), "b' out of range"),
+    "xprime": (2, lambda r, _: ((r[0][0], np.full(len(r[0][1]), 1 << 6)), r[1]), "x' out of range"),
+    "d": (2, lambda r, _: (r[0], np.full(len(r[1]), 1 << 6)), "d out of range"),
+    "v0-not-a-pair": (2, lambda r, _: (None, r[1]), "malformed measurement response"),
+    "eta": (3, lambda etas, _: np.full(len(etas), 2), "eta out of range"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_BAD_COLUMNS))
+@pytest.mark.parametrize("name,kwargs", [("hm2", {"a": 3}), ("const", {}), ("ident", {})])
+def test_run_block_checks_every_reply_column(fault, name, kwargs):
+    # V1 checks each column a block prover sends, the honest engine's too.
+    params = _params(name, 6, kwargs, GRID_ORACLE)
+    phase, corrupt, message = _BAD_COLUMNS[fault]
+    prover = CorruptColumn(params.scheme, phase, corrupt)
+    with pytest.raises(ProtocolViolation) as block:
+        run_block(params, prover, 7, 0, 40)
+    with pytest.raises(ProtocolViolation) as estimate:
+        estimate_acceptance(params, prover, 40, seed=7)
+    assert str(block.value) == str(estimate.value) == message
+    # Unchanged, the honest columns pass the checks.
+    run_block(params, CorruptColumn(params.scheme, phase, lambda reply, _: reply), 7, 0, 40)
 
 
 @pytest.mark.parametrize("prover", sorted(PROVERS))

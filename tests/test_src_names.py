@@ -18,9 +18,6 @@ ALLOWED = {
     # The exact law of d (and the residual amplitudes) that the tests
     # check sample_d and the dense statevector reference against.
     ("coherent_prover", "d_outcome_law"),
-    # The scripted test double the protocol-violation and predictor
-    # tests drive the session driver and the binding attack with.
-    ("adversaries", "ScriptedProver"),
     # The one-sided Hoeffding bound exp(-2 n gap^2) of sequential
     # repetition, whose values and input checks the tests pin.
     ("amplification", "hoeffding_tail"),
@@ -106,6 +103,27 @@ def test_the_verifier_imports_no_prover():
                 continue
             found += [f"{stem} imports {name}" for name in names if name.split(".")[-1] in _ABOVE]
     assert found == []
+
+
+def _defs_and_imports(path: Path) -> tuple[set, set]:
+    """The def and class names of a module, and the names it imports."""
+    defs, imports = set(), set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defs.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            imports |= {alias.asname or alias.name for alias in node.names}
+    return defs, imports
+
+
+def test_every_allowlist_entry_is_live():
+    # An entry whose name is gone would let a new name of that spelling pass unseen.
+    src = ROOT / "src" / "ivpoq"
+    stale = [f"ALLOWED {stem}.{name}" for stem, name in sorted(ALLOWED)
+             if name not in _defs_and_imports(src / f"{stem}.py")[0]]
+    stale += [f"ALLOWED_IMPORTS {stem}.{name}" for stem, name in sorted(ALLOWED_IMPORTS)
+              if name not in _defs_and_imports(src / f"{stem}.py")[1]]
+    assert stale == []
 
 
 def test_every_src_import_is_used():

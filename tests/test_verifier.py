@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy import stats as sstats
 
 from ivpoq import verifier
-from ivpoq.adversaries import ScriptedProver, binding_attack
+from ivpoq.adversaries import binding_attack
 from ivpoq.coherent_prover import HONEST_UNIQUE_RATE, HonestProver
 from ivpoq.commitment import make_scheme, run_classical_commit
 from ivpoq.hashing import Gf2AffineHash, HashFn, sample_hash
@@ -33,7 +33,7 @@ from ivpoq.verifier import (
     v2_decide,
 )
 
-from builders import conditional_acceptance, identity_hash
+from builders import ScriptedProver, conditional_acceptance, identity_hash
 
 
 def test_compute_m_examples():
