@@ -103,6 +103,8 @@ def _make_scheme(args) -> CommitScheme:
     kwargs = {}
     if args.scheme == "hm2":
         kwargs["a"] = args.a if args.a is not None else min(8, max(1, args.ell // 2))
+    elif args.a is not None:
+        raise ValueError("--a applies to --scheme hm2 only")
     return make_scheme(args.scheme, args.ell, **kwargs)
 
 

@@ -233,9 +233,10 @@ class SessionBlock(NamedTuple):
         return out
 
 
-def check_reply(value, bound: int, what: str) -> int:
-    """A prover's integer reply in [0, bound); anything else is a violation."""
-    if not isinstance(value, (int, np.integer)) or not 0 <= int(value) < bound:
+def check_reply(value, bound: int, what: str, low: int = 0) -> int:
+    """A prover's integer reply (a Python int or bool, or a numpy integer or
+    bool scalar) in [low, bound); anything else is a violation."""
+    if not isinstance(value, (int, np.integer, np.bool_)) or not low <= int(value) < bound:
         raise ProtocolViolation(f"{what} out of range")
     return int(value)
 
@@ -256,17 +257,16 @@ def check_v0_reply(reply, ell: int) -> tuple[int, int]:
 
 
 def check_column(column, n: int, bound, what: str, low: int = 0) -> np.ndarray:
-    """n prover replies, a list or an array, as int64 if each is an integer
-    (bools count, as in check_reply) in [low, bound), bound one value or one
-    per row; anything else is a violation."""
-    try:
-        column = np.asarray(column)  # raises ValueError on a ragged list
-        if column.shape == (n,) and (column.dtype.kind in "biu" or n == 0):
-            column = column.astype(np.int64)  # an unsigned reply >= 2^63 wraps below 0
-            if ((low <= column) & (column < bound)).all():
-                return column
-    except ValueError:
-        pass
+    """n prover replies in [low, bound) as int64, bound one value or one per
+    row: a list or tuple reply by reply as check_reply checks one, an array
+    by its integer or bool dtype; anything else is a violation."""
+    if isinstance(column, (list, tuple)) and len(column) == n:
+        bounds = np.broadcast_to(bound, n).tolist()
+        return np.array([check_reply(v, b, what, low) for v, b in zip(column, bounds)], np.int64)
+    if isinstance(column, np.ndarray) and column.shape == (n,) and (column.dtype.kind in "biu" or n == 0):
+        column = column.astype(np.int64)  # an unsigned reply >= 2^63 wraps below 0
+        if ((low <= column) & (column < bound)).all():
+            return column
     raise ProtocolViolation(f"{what} out of range")
 
 

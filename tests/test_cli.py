@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -132,6 +136,26 @@ def test_usage_error_exit_code(capsys):
     assert main(["amplify", "--scheme", "hm2"]) == 1
     assert main(["run", "--workers", "2"]) == 1
     assert main(["lemmas", "--epsilon", "0"]) == 1
+
+
+@pytest.mark.parametrize("command", ["run", "completeness", "soundness", "reduce", "lemmas"])
+@pytest.mark.parametrize("scheme", ["const", "ident"])
+def test_a_is_a_usage_error_off_hm2(command, scheme, capsys):
+    # Only hm2 has a hiding parameter; --a with another scheme is refused, not ignored.
+    # It fails before any session runs, so the default trials cost nothing.
+    assert main([command, "--scheme", scheme, "--ell", "5", "--a", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: --a applies to --scheme hm2 only" in captured.err
+
+
+def test_python_dash_m_ivpoq_prints_what_main_prints(capsys):
+    argv = ["run", "--scheme", "hm2", "--ell", "6", "--a", "3", "--seed", "1"]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    module = subprocess.run([sys.executable, "-m", "ivpoq", *argv], capture_output=True, text=True, env=env)
+    assert (module.returncode, module.stdout) == run_cli(capsys, argv)
+    usage = subprocess.run([sys.executable, "-m", "ivpoq", "frobnicate"], capture_output=True, env=env)
+    assert usage.returncode == 1
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ prover answers through its scalar methods, row by row.
 """
 
 import dataclasses
+import itertools
 import json
 import tracemalloc
 from collections import Counter
@@ -313,6 +314,64 @@ def test_malformed_scripted_reply_raises_as_run_session_does(fault, name, kwargs
     with pytest.raises(ProtocolViolation) as block:
         estimate_acceptance(params, prover, 40, seed=7)
     assert str(block.value) == str(scalar.value) == message
+
+
+# Replies that do not change from call to call, by kind; each maps the
+# field's bound to the reply.
+_FIXED_REPLIES = {
+    "numpy-bool": lambda bound: np.False_,
+    "0-d-array": lambda bound: np.array(0),
+    "float": lambda bound: 0.0,
+    "none": lambda bound: None,
+    "str": lambda bound: "0",
+    "2^64": lambda bound: 2**64,
+    "bound": lambda bound: bound,
+}
+_REPLY_KINDS = ("uint64-int64", *_FIXED_REPLIES)
+# An integer reply is a Python int or bool, or a numpy integer or bool scalar.
+_INTEGER_KINDS = ("uint64-int64", "numpy-bool")
+
+
+def _replies(kind):
+    """A reply source of kind: called with the field's bound, it gives the next reply."""
+    if kind == "uint64-int64":  # np.asarray would read a list of both as float64
+        mixed = itertools.cycle([np.uint64(0), np.int64(0)])
+        return lambda bound: next(mixed)
+    return _FIXED_REPLIES[kind]
+
+
+# Each checked reply of a ScriptedProver at ell=6, as (its script from a reply
+# source, its name in the ProtocolViolation message).
+_REPLY_FIELDS = {
+    "y": (lambda reply: {"y_fn": lambda t, h0, h1: reply(h0.k)}, "y"),
+    "bprime": (lambda reply: {"v0_fn": lambda t, h0, h1, y, xi: (reply(2), 0)}, "b'"),
+    "xprime": (lambda reply: {"v0_fn": lambda t, h0, h1, y, xi: (0, reply(1 << 6))}, "x'"),
+    "d": (lambda reply: {"d_fn": lambda t, h0, h1, y, xi: reply(1 << 6)}, "d"),
+    "eta": (lambda reply: {"eta_fn": lambda t, h0, h1, y, xi, d, v2: reply(2)}, "eta"),
+}
+
+
+@pytest.mark.parametrize("kind", _REPLY_KINDS)
+@pytest.mark.parametrize("field", sorted(_REPLY_FIELDS))
+@pytest.mark.parametrize("name,kwargs", [("hm2", {"a": 3}), ("const", {}), ("ident", {})])
+def test_run_session_and_run_block_take_the_same_integer_replies(kind, field, name, kwargs):
+    # run_session checks one reply at a time, run_block a column of them:
+    # both accept a reply of each integer kind and refuse every other alike.
+    params = _params(name, 6, kwargs, GRID_ORACLE)
+    script, what = _REPLY_FIELDS[field]
+
+    def outcome(drive):
+        try:
+            return drive(ScriptedProver(params.scheme, **script(_replies(kind))))
+        except ProtocolViolation as exc:
+            return str(exc)
+
+    scalar = outcome(lambda prover: _scalar_verdicts(params, prover, 40, 7))
+    block = outcome(lambda prover: estimate_acceptance(params, prover, 40, seed=7))
+    if kind in _INTEGER_KINDS:
+        _assert_report_counts(block, scalar)
+    else:
+        assert block == scalar == f"{what} out of range"
 
 
 class CorruptColumn:

@@ -4,12 +4,19 @@ and every name a src or test module imports is used there.
 A name defined in src/ivpoq/*.py that no other src line and no
 perfbench/*.py file mentions is API only the tests call: test through
 the API that stays, or move the fixture into a tests/ helper.  A
-re-export in ivpoq/__init__.py is not a caller.
+re-export in ivpoq/__init__.py is not a caller, and the package
+re-exports only what perfbench imports from it.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
+import types
 from pathlib import Path
+
+import ivpoq
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -132,3 +139,30 @@ def test_every_src_import_is_used():
 
 def test_every_test_import_is_used():
     assert _unused_imports(ROOT / "tests") == []
+
+
+def _package_imports(folder: Path) -> set[str]:
+    """The names folder/*.py import with "from ivpoq import ...", submodules left out."""
+    names = set()
+    for path in sorted(folder.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "ivpoq" and node.level == 0:
+                names |= {alias.name for alias in node.names}
+    return {name for name in names if not (ROOT / "src" / "ivpoq" / f"{name}.py").exists()}
+
+
+def test_the_package_exports_only_what_perfbench_imports():
+    # Every other name has one import path, its module's.
+    wanted = sorted(_package_imports(ROOT / "perfbench"))
+    assert sorted(ivpoq.__all__) == wanted
+    public = [name for name, value in vars(ivpoq).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)]
+    assert sorted(public) == wanted
+
+
+def test_importing_the_package_loads_no_harness_or_cli():
+    code = "import sys, ivpoq; print(sorted(m for m in sys.modules if m.startswith('ivpoq.')))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    loaded = set(ast.literal_eval(out.stdout))
+    assert loaded.isdisjoint({"ivpoq.lemma_harness", "ivpoq.amplification", "ivpoq.cli"}), loaded
