@@ -9,11 +9,14 @@ same d both times.
 
 The soundness pipeline is
 
-    predict_claw_parity   -- query (v1=1, xi) once for d, then eta for
-                             v2=0 and v2=1 with the same d; XOR the etas
-                             with 1.  Whenever both replies would pass
-                             the decider on a unique-claw prefix, the
-                             output equals xi.(x0 xor x1).
+    predict_claw_parity   -- query (v1=1, xi) for d, replay it, then eta
+                             for v2=0 and v2=1 with the same d; XOR the
+                             etas with 1.  Whenever both replies would
+                             pass the decider on a unique-claw prefix,
+                             the output equals xi.(x0 xor x1).
+    predict_claw_parities -- the same for a batch of xis, asked of a
+                             prover with d_responses as two d columns
+                             and two eta columns, each checked.
     goldreich_levin       -- list-decode the inner-product predicate
                              from any such noisy predictor.
     binding_attack        -- assemble a transcript plus decommitments
@@ -37,6 +40,7 @@ from .hashing import HashFn, eval_segments
 from .verifier import (
     ProtocolParams,
     ProtocolViolation,
+    check_column,
     check_reply,
     check_v0_reply,
     run_commit,
@@ -172,14 +176,29 @@ class UnboundedClawProver(_ReplayableProver):
             eta = memo["eta", xi, d, v2] = self._eta(qubit, key, xi, d, v2)
         return eta
 
+    def d_responses(self, t, h0, h1, y, xis):
+        """d_response of every xi in xis as a column, each distinct xi asked once."""
+        self.prepare_challenges(t, h0, h1, y, xis)
+        distinct, at = np.unique(xis, return_inverse=True)
+        return np.array([self.d_response(t, h0, h1, y, xi) for xi in distinct.tolist()], np.int64)[at]
+
+    def eta_responses(self, t, h0, h1, y, xis, ds, v2):
+        """eta_response of every (xi, d) row for one v2, each distinct pair asked once."""
+        ell = self.scheme.ell
+        distinct, at = np.unique((xis << ell) | ds, return_inverse=True)
+        etas = [self.eta_response(t, h0, h1, y, q >> ell, q & ((1 << ell) - 1), v2) for q in distinct.tolist()]
+        return np.array(etas, np.int64)[at]
+
     def prepare_challenges(self, t, h0, h1, y, xis):
-        """Draw the d and both eta answers of every xi not yet answered.
+        """Draw the d and both eta answers of every xi not yet answered, for
+        d_responses and eta_responses to read.
 
         The answers are the ones d_response and eta_response would give,
         from the same per-query coins: each xi's u is sample_d's one draw
         on its "d" coins, and hadamard_draws measures a chunk of xis at a
         time, each chunk's arrays within _BLOCK_BYTES.  A state of at most
-        two seeds is left to sample_d's rejection path.
+        two seeds is left to sample_d's rejection path, which d_responses
+        reaches through d_response.
         """
         state, key, memo = self._post_hash(t, h0, h1, y)
         if state.size <= 2:
@@ -236,6 +255,20 @@ def predict_claw_parity(prefix, xi: int, prover) -> int:
     return eta_10 ^ eta_11 ^ 1
 
 
+def predict_claw_parities(prefix, xis: np.ndarray, prover) -> np.ndarray:
+    """predict_claw_parity of every xi, asked in columns: the d column twice,
+    then the eta column for v2 = 0 and for v2 = 1, each column checked."""
+    if not getattr(prover, "replayable", False):
+        raise ProtocolViolation("predictor needs a replayable prover")
+    t, h0, h1, y = prefix
+    n, bound = len(xis), 1 << h0.ell
+    ds = check_column(prover.d_responses(t, h0, h1, y, xis), n, bound, "d")
+    if not np.array_equal(check_column(prover.d_responses(t, h0, h1, y, xis), n, bound, "d"), ds):
+        raise ProverNondeterminism("d changed across replays of one prefix")
+    eta0, eta1 = (check_column(prover.eta_responses(t, h0, h1, y, xis, ds, v2), n, 2, "eta") for v2 in (0, 1))
+    return eta0 ^ eta1 ^ 1
+
+
 @dataclass
 class PredictionOracle:
     """A batch xi -> bit predictor: fn maps an int64 array of xis to their bits."""
@@ -249,17 +282,12 @@ class PredictionOracle:
 
 
 def oracle_from_prover(prefix, prover) -> PredictionOracle:
-    """The two-challenge predictor on one prefix.  A prover with
-    prepare_challenges gets each batch of xis first; every query still
-    asks it for d twice and eta twice."""
-    prepare_challenges = getattr(prover, "prepare_challenges", None)
-
-    def fn(xis):
-        if prepare_challenges is not None:
-            prepare_challenges(*prefix, xis)
-        return [predict_claw_parity(prefix, xi, prover) for xi in xis.tolist()]
-
-    return PredictionOracle(fn=fn)
+    """The two-challenge predictor on one prefix: a prover with d_responses
+    is asked each batch of xis in columns, any other one xi at a time.
+    Either way every query asks it for d twice and eta twice."""
+    if hasattr(prover, "d_responses"):
+        return PredictionOracle(fn=lambda xis: predict_claw_parities(prefix, xis, prover))
+    return PredictionOracle(fn=lambda xis: [predict_claw_parity(prefix, xi, prover) for xi in xis.tolist()])
 
 
 # Goldreich-Levin list decoding --------------------------------------------------

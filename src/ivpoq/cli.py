@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import adversaries, amplification, lemma_harness
+from . import adversaries
 from .bits import check_ell, parity_u32
 from .commitment import CommitScheme, make_scheme
 from .coherent_prover import HonestProver
@@ -163,6 +163,7 @@ def cmd_completeness(args) -> int:
 
 def cmd_soundness(args) -> int:
     """estimate a cheating prover's acceptance rate and per-randomness profile"""
+    from . import amplification
     params = _make_params(args)
     if args.prover == "classical-honest":
         factory = lambda r: adversaries.ClassicalHonestProver(
@@ -187,6 +188,7 @@ def cmd_soundness(args) -> int:
 
 def cmd_lemmas(args) -> int:
     """run the lemma harness"""
+    from . import lemma_harness
     if not 0 < args.epsilon < 1:  # ProtocolParams checks it for the other commands
         raise ValueError("epsilon must lie in (0, 1)")
     rng = np.random.default_rng([args.seed, 1])
@@ -231,6 +233,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_amplify(args) -> int:
     """sequential-repetition separation experiment"""
+    from . import amplification
     plan = amplification.RepetitionPlan(c=args.c, s=args.s, lam=args.lam)
     report = amplification.separation_experiment(plan, args.trials, args.seed)
     _emit(args, report.to_json_dict(), [report.to_json_dict()])

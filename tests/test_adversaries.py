@@ -13,6 +13,7 @@ from ivpoq.adversaries import (
     ProverNondeterminism,
     binding_attack,
     goldreich_levin,
+    predict_claw_parities,
     predict_claw_parity,
     unbounded_claw_prover,
 )
@@ -525,6 +526,123 @@ def test_predictor_rejects_non_replayable_prover():
         predict_claw_parity(((b"", b""), h, h, 0), 1, HonestProver(sch))
 
 
+class ColumnScript(ScriptedProver):
+    """A scripted prover asked in columns: d_col(xis) and eta_col(xis, ds, v2)
+    give a batch's reply columns."""
+
+    def __init__(self, scheme, d_col=None, eta_col=None):
+        super().__init__(scheme)
+        self.d_col = d_col or (lambda xis: np.zeros(len(xis), dtype=np.int64))
+        self.eta_col = eta_col or (lambda xis, ds, v2: np.zeros(len(xis), dtype=np.int64))
+        self.asked = []
+
+    def d_responses(self, t, h0, h1, y, xis):
+        self.asked.append(("d", None, xis.copy()))
+        return self.d_col(xis)
+
+    def eta_responses(self, t, h0, h1, y, xis, ds, v2):
+        self.asked.append(("eta", v2, xis.copy()))
+        return self.eta_col(xis, ds, v2)
+
+
+@pytest.mark.parametrize("big", [True, False], ids=["wht", "rejection"])
+@pytest.mark.parametrize("name,ell,skw,pkw", CLAW_CONFIGS)
+def test_column_predictor_equals_the_one_query_predictor(name, ell, skw, pkw, big):
+    sch = make_scheme(name, ell, **skw)
+    params = ProtocolParams(scheme=sch, epsilon=0.5, **pkw)
+    prover, prefixes = claw_prefixes(sch, params, big=big, count=1 + big)
+    rng = np.random.default_rng(133)
+    for prefix in prefixes:
+        # every xi, shuffled, with repeats; then a batch of old and new xis
+        every = np.concatenate((rng.permutation(1 << ell), rng.integers(1 << ell, size=50)))
+        batches = [every[:40], every]
+        session = prover.new_session(None)
+        got = [predict_claw_parities(prefix, xis, session).tolist() for xis in batches]
+        fresh = {xi: predict_claw_parity(prefix, xi, prover.new_session(None)) for xi in range(1 << ell)}
+        assert got == [[fresh[xi] for xi in xis.tolist()] for xis in batches]
+
+
+def test_column_predictor_asks_each_batch_in_full_columns():
+    sch = make_scheme("const", 5)
+    params = ProtocolParams(scheme=sch, epsilon=0.5)
+    prover = ColumnScript(sch)
+    res = binding_attack(params, prover, np.random.default_rng([7, 0]))
+    # GL's three batches: unit vectors, XOR combinations, test xis
+    batches = [prover.asked[i : i + 4] for i in range(0, len(prover.asked), 4)]
+    assert len(batches) == 3 and len(prover.asked) == 12
+    for batch in batches:
+        assert [(what, v2) for what, v2, _ in batch] == [("d", None), ("d", None), ("eta", 0), ("eta", 1)]
+        assert all(np.array_equal(xis, batch[0][2]) for _, _, xis in batch)
+    assert sum(len(xis) for what, _, xis in prover.asked if what == "d") == 2 * res.gl_queries == 2 * 840
+
+
+def test_column_predictor_detects_nondeterminism():
+    sch = make_scheme("const", 5)
+    params = ProtocolParams(scheme=sch, epsilon=0.5)
+
+    def make():
+        calls = []
+
+        def d_col(xis):
+            calls.append(xis)
+            col = np.zeros(len(xis), dtype=np.int64)
+            col[len(xis) // 2] = len(calls) % 2 == 0  # the replay differs in one row
+            return col
+
+        return ColumnScript(sch, d_col=d_col)
+
+    h = sample_hash(5, 3, np.random.default_rng(18))
+    with pytest.raises(ProverNondeterminism, match="d changed across replays"):
+        predict_claw_parities(((b"", b""), h, h, 0), np.arange(7), make())
+    with pytest.raises(ProverNondeterminism):
+        binding_attack(params, make(), np.random.default_rng(0))
+
+
+def _with_row(column, row, value):
+    """column with one row replaced: a list if value is None, else an int64 array."""
+    out = column.tolist() if value is None else column.astype(np.int64)
+    out[row] = value
+    return out
+
+
+_BAD_PREDICTOR_COLUMNS = {
+    "short d": ({"d_col": lambda xis: np.zeros(len(xis) - 1, dtype=np.int64)}, "d"),
+    "float d": ({"d_col": lambda xis: np.zeros(len(xis))}, "d"),
+    "d = 2^ell": ({"d_col": lambda xis: _with_row(np.zeros(len(xis)), -1, 1 << 5)}, "d"),
+    "None in a d list": ({"d_col": lambda xis: _with_row(np.zeros(len(xis)), -1, None)}, "d"),
+    "short eta": ({"eta_col": lambda xis, ds, v2: np.zeros(len(xis) - v2, dtype=np.int64)}, "eta"),
+    "float eta": ({"eta_col": lambda xis, ds, v2: np.zeros(len(xis))}, "eta"),
+    "eta = 2": ({"eta_col": lambda xis, ds, v2: _with_row(np.zeros(len(xis)), 0, 2 * v2)}, "eta"),
+    "None in an eta list": ({"eta_col": lambda xis, ds, v2: _with_row(np.zeros(len(xis)), 0, None)}, "eta"),
+}
+
+
+@pytest.mark.parametrize("kind", list(_BAD_PREDICTOR_COLUMNS))
+def test_column_predictor_refuses_malformed_columns(kind):
+    sch = make_scheme("const", 5)
+    params = ProtocolParams(scheme=sch, epsilon=0.5)
+    cols, what = _BAD_PREDICTOR_COLUMNS[kind]
+    h = sample_hash(5, 3, np.random.default_rng(18))
+    with pytest.raises(ProtocolViolation, match=f"^{what} out of range$") as raised:
+        predict_claw_parities(((b"", b""), h, h, 0), np.arange(7), ColumnScript(sch, **cols))
+    assert type(raised.value) is ProtocolViolation
+    res = binding_attack(params, ColumnScript(sch, **cols), np.random.default_rng(0))
+    assert not res.success and res.failure_reason == f"{what} out of range"
+
+
+def test_column_predictor_rejects_non_replayable_prover():
+    sch = make_scheme("const", 5)
+    params = ProtocolParams(scheme=sch, epsilon=0.5)
+    prover = ColumnScript(sch)
+    prover.replayable = False
+    h = sample_hash(5, 3, np.random.default_rng(19))
+    with pytest.raises(ProtocolViolation, match="replayable"):
+        predict_claw_parities(((b"", b""), h, h, 0), np.arange(4), prover)
+    res = binding_attack(params, prover, np.random.default_rng(0))
+    assert not res.success and res.failure_reason == "predictor needs a replayable prover"
+    assert prover.asked == []
+
+
 # Goldreich-Levin ---------------------------------------------------------------------
 
 def planted_oracle(ell, planted, advantage, seed):
@@ -686,15 +804,16 @@ def test_binding_attack_asks_the_scalar_query_sequence(monkeypatch):
     params = ProtocolParams(scheme=sch, epsilon=0.5)
     log, gl_rngs = [], []
 
-    def recorded(prefix, xi, prover, _real=adversaries.predict_claw_parity):
-        log.append(xi)
-        return _real(prefix, xi, prover)
+    # the claw prover answers in columns, so the predictor sees each batch whole
+    def recorded(prefix, xis, prover, _real=adversaries.predict_claw_parities):
+        log.extend(xis.tolist())
+        return _real(prefix, xis, prover)
 
     def gl(oracle, ell, advantage, confidence, rng, _real=adversaries.goldreich_levin):
         gl_rngs.append((ell, advantage, confidence, copy.deepcopy(rng)))
         return _real(oracle, ell, advantage, confidence, rng)
 
-    monkeypatch.setattr(adversaries, "predict_claw_parity", recorded)
+    monkeypatch.setattr(adversaries, "predict_claw_parities", recorded)
     monkeypatch.setattr(adversaries, "goldreich_levin", gl)
     res = binding_attack(params, unbounded_claw_prover(sch), np.random.default_rng([7, 0]))
     (call,) = gl_rngs

@@ -160,9 +160,21 @@ def test_the_package_exports_only_what_perfbench_imports():
     assert sorted(public) == wanted
 
 
-def test_importing_the_package_loads_no_harness_or_cli():
-    code = "import sys, ivpoq; print(sorted(m for m in sys.modules if m.startswith('ivpoq.')))"
+def _loaded_by(module: str) -> set[str]:
+    """The ivpoq submodules a fresh interpreter holds after importing module."""
+    code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.startswith('ivpoq.')))"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    loaded = set(ast.literal_eval(out.stdout))
+    return set(ast.literal_eval(out.stdout))
+
+
+def test_importing_the_package_loads_no_harness_or_cli():
+    loaded = _loaded_by("ivpoq")
     assert loaded.isdisjoint({"ivpoq.lemma_harness", "ivpoq.amplification", "ivpoq.cli"}), loaded
+
+
+def test_importing_the_cli_loads_no_harness_or_amplification():
+    # run, completeness, reduce and gl need neither; the commands that do import them
+    loaded = _loaded_by("ivpoq.cli")
+    assert "ivpoq.cli" in loaded
+    assert loaded.isdisjoint({"ivpoq.lemma_harness", "ivpoq.amplification"}), loaded
