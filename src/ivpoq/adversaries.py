@@ -33,10 +33,11 @@ from typing import Callable
 import numpy as np
 
 from . import coherent_prover as cp
-from .bits import check_ell, parity_u32, rng_from_key, wht
+from .bits import check_ell, key_hash, parity_u32, rng_from_key, wht
 from .coherent_prover import _BLOCK_BYTES
 from .commitment import CommitScheme, Transcript, run_classical_commit
 from .hashing import HashFn, eval_segments
+from .streams import SessionStreams
 from .verifier import (
     ProtocolParams,
     ProtocolViolation,
@@ -194,25 +195,38 @@ class UnboundedClawProver(_ReplayableProver):
         d_responses and eta_responses to read.
 
         The answers are the ones d_response and eta_response would give,
-        from the same per-query coins: each xi's u is sample_d's one draw
-        on its "d" coins, and hadamard_draws measures a chunk of xis at a
-        time, each chunk's arrays within _BLOCK_BYTES.  A state of at most
-        two seeds is left to sample_d's rejection path, which d_responses
-        reaches through d_response.
+        from the same per-query coins, drawn as the honest engine draws a
+        block: a chunk of xis is a block of copies of the state, its
+        _BLOCK_BYTES-bounded transforms as in hadamard_draws.  Copy w's
+        d is drawn by the engine's _d_by_rejection (at most two seeds) or
+        _d_by_wht on the keyed row of xi_w's "d" coins, then each v2's
+        eta as random() >= eta0_probs on the keyed row of its "eta"
+        coins: two SessionStreams seedings a chunk, each row the stream
+        _rng would build for that key.
         """
         state, key, memo = self._post_hash(t, h0, h1, y)
-        if state.size <= 2:
-            return
         new = [xi for xi in dict.fromkeys(np.asarray(xis).tolist()) if ("d", xi) not in memo]
+        draw_d = cp._d_by_rejection if state.size <= 2 else cp._d_by_wht
         step = max(1, _BLOCK_BYTES >> (state.ell + 6))
         for lo in range(0, len(new), step):
             chunk = new[lo : lo + step]
-            us = [self._rng("d", key, xi).integers(state.size << state.ell) for xi in chunk]
-            drawn = cp.hadamard_draws(state.ell, *state.segments(len(chunk)), chunk, us)
-            for xi, (d, a0, a1) in zip(chunk, drawn.T.tolist()):
-                memo["d", xi] = d, (a0, a1)
-                for v2 in (0, 1):
-                    memo["eta", xi, d, v2] = self._eta((a0, a1), key, xi, d, v2)
+            copies = len(chunk)
+            offsets = np.concatenate(([0], np.tile((len(state.s0), len(state.s1)), copies).cumsum()))
+            d_coins = self._keyed("d", key, [(xi,) for xi in chunk])
+            xs, seg = state.segments(copies)
+            drawn = draw_d(state.ell, d_coins, np.arange(copies), offsets, xs, seg, np.array(chunk))
+            ds, a0, a1 = drawn.tolist()
+            # The eta rows: every xi's (xi, d, 0), then every xi's (xi, d, 1).
+            queries = [(xi, d, v2) for v2 in (0, 1) for xi, d in zip(chunk, ds)]
+            p0 = cp.eta0_probs(np.tile(drawn[1], 2), np.tile(drawn[2], 2), np.repeat((0, 1), copies))
+            etas = (self._keyed("eta", key, queries).random() >= p0).astype(np.int64)
+            memo.update((("eta", *q), eta) for q, eta in zip(queries, etas.tolist()))
+            memo.update((("d", xi), (d, qubit)) for xi, d, qubit in zip(chunk, ds, zip(a0, a1)))
+
+    def _keyed(self, tag: str, key: bytes, tails) -> SessionStreams:
+        """Row w is the stream _rng(tag, key, *tails[w]) would build, all seeded at once."""
+        head = key_hash(self.r, tag, key)
+        return SessionStreams.from_digests([key_hash(*tail, base=head).digest() for tail in tails])
 
     def _eta(self, qubit, key, xi, d, v2):
         return cp.measure_rotated(qubit, v2, self._rng("eta", key, xi, d, v2))

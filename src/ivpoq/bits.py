@@ -85,13 +85,12 @@ def wht(vec: np.ndarray) -> np.ndarray:
     return src
 
 
-def rng_from_key(*parts: bytes | int | str) -> np.random.Generator:
-    """Deterministic RNG derived from a tuple of values via SHA-256.
-
-    Used by replayable classical provers: the same key always yields the
-    same stream, independent streams for distinct keys.
-    """
-    h = hashlib.sha256()
+def key_hash(*parts: bytes | int | str, base=None):
+    """The SHA-256 state of a key: each part's length, then its bytes, an
+    int as 16 signed big-endian bytes and a str as UTF-8.  Given base, the
+    state of a key prefix, a copy of it is extended, so keys that share
+    the prefix hash it once."""
+    h = hashlib.sha256() if base is None else base.copy()
     for p in parts:
         if isinstance(p, int):
             p = p.to_bytes(16, "big", signed=True)
@@ -99,5 +98,15 @@ def rng_from_key(*parts: bytes | int | str) -> np.random.Generator:
             p = p.encode()
         h.update(len(p).to_bytes(4, "big"))
         h.update(p)
-    seed = int.from_bytes(h.digest(), "big")
-    return np.random.default_rng(seed)
+    return h
+
+
+def rng_from_key(*parts: bytes | int | str) -> np.random.Generator:
+    """Deterministic RNG derived from a tuple of values via SHA-256:
+    default_rng of key_hash's digest read as a big-endian int, which is
+    the row streams.SessionStreams.from_digests seeds from that digest.
+
+    Used by replayable classical provers: the same key always yields the
+    same stream, independent streams for distinct keys.
+    """
+    return np.random.default_rng(int.from_bytes(key_hash(*parts).digest(), "big"))

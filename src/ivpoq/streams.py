@@ -17,6 +17,13 @@ so each session sees exactly the values its own Generator would give:
   all rows drawn runs only its regime;
 * random() as (next64 >> 11) * 2^-53.
 
+Keyed rows seed one row per SHA-256 digest d as default_rng(int.from_bytes(d,
+"big")) does, which is bits.rng_from_key's generator for the key hashed to
+d; its entropy is the int's little-endian words, seven or fewer when the
+top ones are zero.  Every seeding runs SeedSequence's mix as (4, rows)
+matrix operations, so one seeding of a batch of keys costs about as much
+as ten default_rng calls, whatever the batch size.
+
 The first SessionStreams of a process checks a short probe against
 default_rng and raises RuntimeError on any difference, so a numpy whose
 Generator algorithms changed cannot make the block engine diverge from
@@ -72,38 +79,56 @@ def _hash_steps(init: int, mult: int):
         init = nxt
 
 
-def _pool(entropy: np.ndarray) -> list[np.ndarray]:
-    """SeedSequence's mix_entropy on rows of entropy words, one column per session."""
-    steps = _hash_steps(_INIT_A, _MULT_A)
+@cache
+def _step_columns(init: int, mult: int, count: int) -> np.ndarray:
+    """The first count hash steps from init as a (2, count, 1) array of
+    xor and multiplier columns, built on first use for each count."""
+    steps = _hash_steps(init, mult)
+    columns = np.array([next(steps) for _ in range(count)], dtype=_U32).T[..., None]
+    columns.setflags(write=False)
+    return columns
 
-    def hashmix(value):
-        xor, mul = next(steps)
-        value = (value ^ xor) * mul
-        return value ^ (value >> _S16)
 
-    def mix(x, y):
-        out = _MIX_L * x - _MIX_R * y
-        return out ^ (out >> _S16)
+def _hashmix(value, xor, mul):
+    value = (value ^ xor) * mul
+    return value ^ (value >> _S16)
 
-    zeros = np.zeros(entropy.shape[1], dtype=_U32)
-    pool = [hashmix(entropy[i] if i < len(entropy) else zeros) for i in range(_POOL)]
+
+def _mix(x, y):
+    out = _MIX_L * x - _MIX_R * y
+    return out ^ (out >> _S16)
+
+
+def _pool(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix_entropy on rows of entropy words, one column per
+    session, as a (4, sessions) array.
+
+    Hash steps that read no pool word written since run as one operation:
+    the four initial steps, the three of each pool source and the four of
+    every extra word; only the mixes into the pool run in order.
+    """
+    xor, mul = _step_columns(_INIT_A, _MULT_A, _POOL * max(_POOL, len(entropy)))
+    first = np.zeros((_POOL, entropy.shape[1]), dtype=_U32)
+    first[: len(entropy)] = entropy[:_POOL]
+    pool = _hashmix(first, xor[:_POOL], mul[:_POOL])
+    at = _POOL
     for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(_POOL, len(entropy)):
-        for dst in range(_POOL):
-            pool[dst] = mix(pool[dst], hashmix(entropy[src]))
+        dst = [i for i in range(_POOL) if i != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], xor[at : at + 3], mul[at : at + 3]))
+        at += 3
+    # Each extra word is hashed for every pool word in turn: (extra words, 4, sessions).
+    extra = _hashmix(entropy[_POOL:, None], *(c[at:].reshape(-1, _POOL, 1) for c in (xor, mul)))
+    for hashed in extra:
+        pool = _mix(pool, hashed)
     return pool
 
 
-def _pcg_seeds(pool: list[np.ndarray]) -> list[np.ndarray]:
-    """generate_state(4, uint64): eight 32-bit words, paired little-endian."""
-    words = []
-    for i, (xor, mul) in zip(range(8), _hash_steps(_INIT_B, _MULT_B)):
-        value = (pool[i % _POOL] ^ xor) * mul
-        words.append((value ^ (value >> _S16)).astype(_U64))
-    return [words[2 * k] | (words[2 * k + 1] << _S32) for k in range(4)]
+def _pcg_seeds(pool: np.ndarray) -> np.ndarray:
+    """generate_state(4, uint64): eight 32-bit words, paired little-endian,
+    as (seed high, seed low, increment high, increment low) rows."""
+    xor, mul = _step_columns(_INIT_B, _MULT_B, 8)
+    words = _hashmix(pool[np.arange(8) % _POOL], xor, mul).astype(_U64)
+    return words[0::2] | (words[1::2] << _S32)
 
 
 def _mulhi(x, y0, y1):
@@ -123,7 +148,8 @@ def _step(hi, lo, inc_hi, inc_lo):
 
 class SessionStreams:
     """The Generators default_rng([seed, i]) for lo <= i < hi, drawn row-wise;
-    a tuple seed is an entropy prefix, default_rng([*seed, i]).
+    a tuple seed is an entropy prefix, default_rng([*seed, i]).  Keyed rows,
+    from_digests, are default_rng(int.from_bytes(digest, "big")) instead.
 
     Row r is session lo + r.  Each draw method takes rows, an int array
     of distinct rows (all rows when None), and advances only those
@@ -134,11 +160,47 @@ class SessionStreams:
         _check_numpy()
         self._init(seed, lo, hi)
 
+    @classmethod
+    def from_digests(cls, digests: list[bytes]) -> "SessionStreams":
+        """Keyed rows: row w is default_rng(int.from_bytes(digests[w], "big"))
+        for 32-byte digests, all rows seeded together."""
+        _check_numpy()
+        streams = cls.__new__(cls)
+        streams._init_keyed(digests)
+        return streams
+
     def _init(self, seed: int | tuple[int, ...], lo: int, hi: int) -> None:
         prefix = seed if isinstance(seed, tuple) else (seed,)
         head = np.array([w for part in prefix for w in _words(part)], dtype=_U32)[:, None]
         _words(lo)
-        count = hi - lo
+        # Entropy [*prefix, i]: the prefix's words, then i's; sessions are grouped
+        # by the number of words of i (one below 2^32).
+        if hi <= 1 << 32:
+            groups = [(np.arange(hi - lo), np.arange(lo, hi, dtype=_U32)[None, :])]
+        else:
+            by_width: dict[int, list[int]] = {}
+            for row in range(hi - lo):
+                by_width.setdefault(len(_words(lo + row)), []).append(row)
+            groups = [
+                (np.array(rows), np.array([_words(lo + row) for row in rows], dtype=_U32).T)
+                for rows in by_width.values()
+            ]
+        groups = [(rows, np.concatenate([np.repeat(head, len(rows), axis=1), tail])) for rows, tail in groups]
+        self._seed(hi - lo, groups)
+
+    def _init_keyed(self, digests: list[bytes]) -> None:
+        # A digest read as a big-endian int has, as entropy, its 32-bit words from
+        # the lowest up to the highest nonzero one (one word for zero); rows are
+        # grouped by that count, which is 8 unless the top word is zero.
+        big_endian = np.frombuffer(b"".join(digests), dtype=">u4").reshape(len(digests), 8)
+        words = big_endian[:, ::-1].astype(_U32)
+        widths = np.maximum(((words != 0) * np.arange(1, 9)).max(axis=1), 1)
+        groups = [np.flatnonzero(widths == width) for width in set(widths.tolist())]
+        self._seed(len(digests), [(rows, words[rows, : widths[rows[0]]].T) for rows in groups])
+
+    def _seed(self, count: int, groups) -> None:
+        """count rows, each group's rows seeded as default_rng seeds from the
+        group's entropy words, a (words, rows) array."""
         self._hi = np.empty(count, dtype=_U64)
         self._lo = np.empty(count, dtype=_U64)
         self._inc_hi = np.empty(count, dtype=_U64)
@@ -146,27 +208,13 @@ class SessionStreams:
         # The buffered upper half of a 64-bit output, or -1 when empty.
         self._buf = np.full(count, -1, dtype=np.int64)
         self._all = np.arange(count)
-        # Entropy [*prefix, i]: the prefix's words, then i's; sessions are grouped
-        # by the number of words of i (one below 2^32).
-        if hi <= 1 << 32:
-            groups = [(self._all, np.arange(lo, hi, dtype=_U32)[None, :])]
-        else:
-            by_width: dict[int, list[int]] = {}
-            for row in range(count):
-                by_width.setdefault(len(_words(lo + row)), []).append(row)
-            groups = [
-                (np.array(rows), np.array([_words(lo + row) for row in rows], dtype=_U32).T)
-                for rows in by_width.values()
-            ]
-        for rows, tail in groups:
-            entropy = np.concatenate([np.repeat(head, len(rows), axis=1), tail])
+        for rows, entropy in groups:
             seed_hi, seed_lo, inc_hi, inc_lo = _pcg_seeds(_pool(entropy))
-            # pcg64_srandom_r: inc = 2 initseq + 1; step from 0; add the seed; step.
+            # pcg64_srandom_r: inc = 2 initseq + 1; one step from 0, which lands
+            # on inc; add the seed; step.
             inc_hi, inc_lo = (inc_hi << _U64(1)) | (inc_lo >> _S63), (inc_lo << _U64(1)) | _U64(1)
-            zero = np.zeros(len(rows), dtype=_U64)
-            s_hi, s_lo = _step(zero, zero, inc_hi, inc_lo)
-            s_lo = s_lo + seed_lo
-            s_hi = s_hi + seed_hi + (s_lo < seed_lo)
+            s_lo = inc_lo + seed_lo
+            s_hi = inc_hi + seed_hi + (s_lo < seed_lo)
             self._hi[rows], self._lo[rows] = _step(s_hi, s_lo, inc_hi, inc_lo)
             self._inc_hi[rows], self._inc_lo[rows] = inc_hi, inc_lo
 
@@ -244,9 +292,11 @@ class SessionStreams:
 
 
 # A fixed draw program whose outputs the streams must reproduce for
-# sessions 0..2 of a two-word seed: every integers path and random(),
-# with the next32 buffer left full and empty in turn.
+# sessions 0..2 of a two-word seed and for a keyed row of seven entropy
+# words (a digest whose top word is zero): every integers path and
+# random(), with the next32 buffer left full and empty in turn.
 _PROBE_SEED = (7 << 40) | 12345
+_PROBE_DIGEST = bytes(4) + bytes(range(7, 35))
 _PROBE = (
     ("integers", 3), ("integers", 1 << 32), ("integers", 3 * 2**30 + 5), ("random",),
     ("integers", (1 << 61) - 1), ("integers", 5), ("integers", 2**63), ("integers", 1),
@@ -257,12 +307,14 @@ _PROBE = (
 @cache
 def _check_numpy() -> None:
     """Raise RuntimeError unless SessionStreams reproduces default_rng here."""
-    streams = SessionStreams.__new__(SessionStreams)
+    streams, keyed = SessionStreams.__new__(SessionStreams), SessionStreams.__new__(SessionStreams)
     streams._init(_PROBE_SEED, 0, 3)
-    for i in range(3):
-        rng = np.random.default_rng([_PROBE_SEED, i])
+    keyed._init_keyed([_PROBE_DIGEST])
+    rows = [(streams, i, np.random.default_rng([_PROBE_SEED, i])) for i in range(3)]
+    rows.append((keyed, 0, np.random.default_rng(int.from_bytes(_PROBE_DIGEST, "big"))))
+    for mine, row, rng in rows:
         for name, *args in _PROBE:
-            want, got = getattr(rng, name)(*args), getattr(streams, name)(*args, [i])[0]
+            want, got = getattr(rng, name)(*args), getattr(mine, name)(*args, [row])[0]
             if got != want:
                 raise RuntimeError(
                     f"ivpoq.streams does not reproduce numpy {np.__version__}'s "

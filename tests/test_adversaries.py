@@ -272,12 +272,15 @@ def test_prepare_challenges_fills_the_scalar_answers(name, ell, skw, pkw):
 
 @pytest.mark.parametrize("name,ell,skw,pkw", CLAW_CONFIGS)
 def test_prepare_challenges_leaves_small_states_to_rejection(name, ell, skw, pkw):
+    # At most two seeds, d is drawn by rejection, as sample_d draws it, on keyed rows.
     sch = make_scheme(name, ell, **skw)
     params = ProtocolParams(scheme=sch, epsilon=0.5, **pkw)
     prover, (prefix,) = claw_prefixes(sch, params, big=False, count=1)
     session = prover.new_session(None)
     session.prepare_challenges(*prefix, np.arange(1 << ell))
-    assert memo_of(session, prefix) == {}
+    want = scalar_memo(prover, prefix, range(1 << ell))
+    assert memo_of(session, prefix) == want
+    assert len(want) == 3 << ell
 
 
 def test_prepare_challenges_chunks_at_the_block_budget(monkeypatch):
@@ -315,6 +318,43 @@ def test_prepare_challenges_memory_stays_within_the_block_budget():
         tracemalloc.stop()
     assert len(memo_of(session, prefix)) == 3 * 601
     assert peak < 3 * coherent_prover._BLOCK_BYTES, peak
+
+
+def test_prepare_challenges_draws_d_in_the_64_bit_regime():
+    # |S| 2^ell > 2^32, so each xi's u = integers(|S| 2^ell) takes numpy's
+    # 128-bit Lemire draw on next64 on its keyed "d" row.
+    ell = 16
+    sch = make_scheme("const", ell)
+    params = ProtocolParams(scheme=sch, epsilon=0.5)
+    prover = unbounded_claw_prover(sch)
+    for i in range(40):
+        prefix, _ = run_preamble(params, prover.new_session(None), np.random.default_rng([130, i]))
+        if consistent_state(sch, prefix[0], prefix[1:]).size << ell > 1 << 32:
+            break
+    else:
+        pytest.fail("no suitable prefix found")
+    xis = [3, 40000, 3, (1 << ell) - 1, 0]
+    session = prover.new_session(None)
+    session.prepare_challenges(*prefix, np.array(xis))
+    want = scalar_memo(prover, prefix, dict.fromkeys(xis))
+    assert memo_of(session, prefix) == want
+    assert len(want) == 3 * 4
+
+
+def test_claw_attack_draws_three_scalar_coins(monkeypatch):
+    # Commit, y and v0 are one query each; every d and eta coin is a keyed row.
+    sch = make_scheme("const", 5)
+    params = ProtocolParams(scheme=sch, epsilon=0.5)
+    tags = []
+
+    def counted(*parts, _real=adversaries.rng_from_key):
+        tags.append(parts[1])
+        return _real(*parts)
+
+    monkeypatch.setattr(adversaries, "rng_from_key", counted)
+    res = binding_attack(params, unbounded_claw_prover(sch), np.random.default_rng([77, 0]))
+    assert res.gl_queries == 840
+    assert tags == ["commit", "y", "v0"]
 
 
 def test_claw_prover_unreachable_prefix_is_a_violation():

@@ -94,6 +94,64 @@ def test_tuple_seed_is_an_entropy_prefix(seed, i, lo, program):
     _run((seed, i), lo, program)
 
 
+# Every integers regime and random(), on every row, then on row subsets.
+_EVERY_PATH = [("integers", [n] * SESSIONS, list(range(SESSIONS))) for n in BOUNDS] + [
+    ("random", None, list(range(SESSIONS))),
+    ("integers", [2**32, 5], [1, 4]),
+    ("integers", [2**61 - 1, 3, 2**32 + 1], [0, 2, 5]),
+]
+
+
+def _run_keyed(digests, program):
+    """program on SessionStreams.from_digests(digests) and on
+    default_rng(int.from_bytes(d, "big")) for each digest d, step by step."""
+    streams = SessionStreams.from_digests(digests)
+    rngs = [np.random.default_rng(int.from_bytes(d, "big")) for d in digests]
+    for step in _EVERY_PATH + program:
+        assert _streams(streams, step) == _reference(rngs, step), step
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    digests=st.lists(st.binary(min_size=32, max_size=32), min_size=SESSIONS, max_size=SESSIONS),
+    program=st.lists(_steps(), max_size=12),
+)
+def test_keyed_rows_match_default_rng_of_the_digest(digests, program):
+    _run_keyed(digests, program)
+
+
+@pytest.mark.parametrize("zeros", [4, 8, 32])
+def test_keyed_rows_with_fewer_entropy_words(zeros):
+    # Leading zero bytes drop the digest's top words: 4 leave 7 words, 8
+    # leave 6 and the zero digest is one word.  Rows of two widths mix.
+    short = [bytes(zeros) + bytes(range(i, i + 32 - zeros)) for i in range(SESSIONS // 2)]
+    full = [bytes(range(100 + i, 132 + i)) for i in range(SESSIONS - len(short))]
+    _run_keyed([d for pair in zip(short, full) for d in pair], [])
+
+
+def _pcg_state(streams, row):
+    """The (state, inc) of one row as the ints numpy's PCG64 reports."""
+    return (
+        int(streams._hi[row]) << 64 | int(streams._lo[row]),
+        int(streams._inc_hi[row]) << 64 | int(streams._inc_lo[row]),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(words=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=20))
+def test_pool_is_seed_sequence_mix(words):
+    # The matrix-form mix equals SeedSequence's pool, and so does every
+    # constructor seeded from the same entropy words.
+    want = np.random.SeedSequence(words).pool
+    assert streams_mod._pool(np.array(words, dtype=np.uint32)[:, None])[:, 0].tolist() == want.tolist()
+    state = np.random.default_rng(words).bit_generator.state["state"]
+    want = (state["state"], state["inc"])
+    assert _pcg_state(SessionStreams(tuple(words[:-1]), words[-1], words[-1] + 1), 0) == want
+    if len(words) <= 8 and (len(words) == 1 or words[-1]):
+        digest = sum(w << 32 * i for i, w in enumerate(words)).to_bytes(32, "big")
+        assert _pcg_state(SessionStreams.from_digests([digest]), 0) == want
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_full_word_bound_reads_the_next32_buffer(seed):
     # n = 2^32 is one plain next32, from the buffer when it is full.
@@ -154,6 +212,19 @@ def test_negative_seed_raises_like_default_rng():
 def test_probe_mismatch_names_the_numpy_version(monkeypatch):
     # A different LCG multiplier stands in for a numpy whose PCG64 changed.
     monkeypatch.setattr(streams_mod, "_MUL_LO", streams_mod._MUL_LO ^ np.uint64(2))
+    with pytest.raises(RuntimeError, match=f"numpy {np.__version__}"):
+        streams_mod._check_numpy.__wrapped__()
+
+
+def test_probe_checks_a_keyed_row(monkeypatch):
+    # Keyed rows seeded from the digest's words in the wrong order stand in
+    # for a numpy whose SeedSequence reads an int differently.
+    real = SessionStreams._init_keyed
+
+    def reversed_words(self, digests):
+        real(self, [d[::-1] for d in digests])
+
+    monkeypatch.setattr(SessionStreams, "_init_keyed", reversed_words)
     with pytest.raises(RuntimeError, match=f"numpy {np.__version__}"):
         streams_mod._check_numpy.__wrapped__()
 
