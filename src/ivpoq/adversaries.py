@@ -174,7 +174,7 @@ class UnboundedClawProver(_ReplayableProver):
         if eta is None:
             drawn = memo.get(("d", xi))
             qubit = drawn[1] if drawn and drawn[0] == d else cp.residual_for_d(state, xi, d)
-            eta = memo["eta", xi, d, v2] = self._eta(qubit, key, xi, d, v2)
+            eta = memo["eta", xi, d, v2] = cp.measure_rotated(qubit, v2, self._rng("eta", key, xi, d, v2))
         return eta
 
     def d_responses(self, t, h0, h1, y, xis):
@@ -227,9 +227,6 @@ class UnboundedClawProver(_ReplayableProver):
         """Row w is the stream _rng(tag, key, *tails[w]) would build, all seeded at once."""
         head = key_hash(self.r, tag, key)
         return SessionStreams.from_digests([key_hash(*tail, base=head).digest() for tail in tails])
-
-    def _eta(self, qubit, key, xi, d, v2):
-        return cp.measure_rotated(qubit, v2, self._rng("eta", key, xi, d, v2))
 
     # state reconstruction --------------------------------------------------
     def _post_hash(self, t, h0, h1, y):

@@ -27,11 +27,6 @@ def _parity16() -> np.ndarray:
 PARITY16 = _parity16()
 
 
-def parity(v: int) -> int:
-    """GF(2) parity of an int's bits."""
-    return v.bit_count() & 1
-
-
 def dot2(a: int, b: int) -> int:
     """GF(2) inner product of two bit vectors."""
     return (a & b).bit_count() & 1

@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bits import check_ell, parity_u32, to_bytes
+from .bits import check_ell, dot2, parity_u32, to_bytes
 
 Transcript = tuple[bytes, ...]  # flat (alpha_1, beta_1, ..., alpha_L, beta_L)
 
@@ -361,7 +361,7 @@ class Hm2Scheme(CommitScheme):
 
     def extract(self, r: int, x: int) -> int:
         """e_r(x): GF(2) inner product of the seed mask with x."""
-        return (r & x).bit_count() & 1
+        return dot2(r, x)
 
     def rows(self, rs: np.ndarray) -> ClassRows:
         """The tables of receiver seeds rs, filling those missing from the slab."""

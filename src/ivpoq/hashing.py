@@ -22,7 +22,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .bits import ELL_CAP, check_ell, parity
+from .bits import ELL_CAP, check_ell, dot2
 
 AFFINE_MOD_PRIME = "affine-mod-prime"
 
@@ -164,7 +164,7 @@ class Gf2AffineHash(NamedTuple):
     def eval(self, x: int) -> int:
         y = 0
         for row in self.rows:
-            y = (y << 1) | parity(row & x)
+            y = (y << 1) | dot2(row, x)
         return y ^ self.shift
 
 

@@ -32,6 +32,9 @@ ESTIMATED = "estimated"
 # check_branch_balance computes the hiding distance exactly up to this ell
 # and on min(trials, 200) sampled receiver seeds above it.
 EXACT_HIDING_ELL = 10
+# check_hash_lemmas sweeps the gf2-affine family {0,1}^HASH_ELL -> [k] for
+# each k in HASH_KS; enumerating every member is feasible only for ell <= 3.
+HASH_ELL, HASH_KS = 3, (2, 4, 8)
 
 
 @dataclass
@@ -56,11 +59,11 @@ class LemmaReport:
         }
 
 
-def check_hash_lemmas(ell: int = 3, ks: tuple[int, ...] = (2, 4, 8)) -> LemmaReport:
+def check_hash_lemmas() -> LemmaReport:
     """Exhaustive check of the two hash-family hitting bounds.
 
-    Over every member of the gf2-affine family, every S subset of the
-    domain and every y:
+    Over every member of the gf2-affine family {0,1}^HASH_ELL -> [k] for
+    each k in HASH_KS, every S subset of the domain and every y:
 
         Pr[|S n h^-1(y)| >= 1] >= |S|/k - |S|^2 / (2 k^2)
         Pr[|S n h^-1(y)|  = 1] >= |S|/k - |S|^2 / k^2
@@ -68,18 +71,16 @@ def check_hash_lemmas(ell: int = 3, ks: tuple[int, ...] = (2, 4, 8)) -> LemmaRep
     Both sides are compared after clearing denominators, so the verdict
     is decided purely on integers.
     """
-    if ell > 3:
-        raise ValueError("full family enumeration is only feasible for ell <= 3")
-    n = 1 << ell
+    n = 1 << HASH_ELL
     n_subsets = 1 << n
     pop = np.unpackbits(
         np.arange(n_subsets, dtype=np.uint16).view(np.uint8).reshape(-1, 2), axis=1
     ).sum(axis=1).astype(np.int64)
     cases = 0
-    for k in ks:
+    for k in HASH_KS:
         # member counts per (y, preimage-mask); size counts the members
         mask_counts: list[dict[int, int]] = [dict() for _ in range(k)]
-        for size, h in enumerate(enumerate_gf2_affine(ell, k), 1):
+        for size, h in enumerate(enumerate_gf2_affine(HASH_ELL, k), 1):
             pre = [0] * k
             for x in range(n):
                 pre[h.eval(x)] |= 1 << x
@@ -105,14 +106,14 @@ def check_hash_lemmas(ell: int = 3, ks: tuple[int, ...] = (2, 4, 8)) -> LemmaRep
                 s_mask = int(subsets[bad[0]])
                 return LemmaReport(
                     lemma="hash-hitting-bounds",
-                    params={"ell": ell, "ks": list(ks)},
+                    params={"ell": HASH_ELL, "ks": list(HASH_KS)},
                     verdict=VIOLATED,
                     counterexample={"k": k, "y": y, "subset_mask": s_mask},
                     data={"cases": cases},
                 )
     return LemmaReport(
         lemma="hash-hitting-bounds",
-        params={"ell": ell, "ks": list(ks)},
+        params={"ell": HASH_ELL, "ks": list(HASH_KS)},
         verdict=HOLDS,
         data={"cases": cases},
     )

@@ -20,9 +20,11 @@ so each session sees exactly the values its own Generator would give:
 Keyed rows seed one row per SHA-256 digest d as default_rng(int.from_bytes(d,
 "big")) does, which is bits.rng_from_key's generator for the key hashed to
 d; its entropy is the int's little-endian words, seven or fewer when the
-top ones are zero.  Every seeding runs SeedSequence's mix as (4, rows)
-matrix operations, so one seeding of a batch of keys costs about as much
-as ten default_rng calls, whatever the batch size.
+top ones are zero.  Session rows and keyed rows take one seeding path,
+extra words masked per row: each row is a column of one matrix of entropy
+words, zeros above its own word count, and SeedSequence's mix runs as
+(4, rows) matrix operations, so one seeding of a batch of keys costs
+about as much as ten default_rng calls, whatever the batch size.
 
 The first SessionStreams of a process checks a short probe against
 default_rng and raises RuntimeError on any difference, so a numpy whose
@@ -70,21 +72,18 @@ def _words(n: int) -> list[int]:
     return words
 
 
-def _hash_steps(init: int, mult: int):
-    """(xor, multiplier) of SeedSequence's successive hash steps: each XORs
-    the current constant in, advances it and multiplies by the new one."""
-    while True:
-        nxt = init * mult & 0xFFFFFFFF
-        yield _U32(init), _U32(nxt)
-        init = nxt
-
-
 @cache
 def _step_columns(init: int, mult: int, count: int) -> np.ndarray:
-    """The first count hash steps from init as a (2, count, 1) array of
-    xor and multiplier columns, built on first use for each count."""
-    steps = _hash_steps(init, mult)
-    columns = np.array([next(steps) for _ in range(count)], dtype=_U32).T[..., None]
+    """SeedSequence's first count hash steps from init as a (2, count, 1)
+    array of xor and multiplier columns, built on first use for each count:
+    each step XORs the current constant in, advances it and multiplies by
+    the new one."""
+    steps = []
+    for _ in range(count):
+        nxt = init * mult & 0xFFFFFFFF
+        steps.append((init, nxt))
+        init = nxt
+    columns = np.array(steps, dtype=_U32).T[..., None]
     columns.setflags(write=False)
     return columns
 
@@ -99,27 +98,30 @@ def _mix(x, y):
     return out ^ (out >> _S16)
 
 
-def _pool(entropy: np.ndarray) -> np.ndarray:
-    """SeedSequence's mix_entropy on rows of entropy words, one column per
-    session, as a (4, sessions) array.
+def _pool(words: np.ndarray, widths) -> np.ndarray:
+    """SeedSequence's mix_entropy on columns of entropy words, as a
+    (4, rows) array: column r holds row r's widths[r] words, zeros above.
 
-    Hash steps that read no pool word written since run as one operation:
-    the four initial steps, the three of each pool source and the four of
-    every extra word; only the mixes into the pool run in order.
+    SeedSequence hashes a missing pool word as 0, so the first four words
+    need no mask; a word past the fourth is mixed only into the rows whose
+    entropy reaches it.  Hash steps that read no pool word written since
+    run as one operation: the four initial steps, the three of each pool
+    source and the four of every extra word; only the mixes into the pool
+    run in order.
     """
-    xor, mul = _step_columns(_INIT_A, _MULT_A, _POOL * max(_POOL, len(entropy)))
-    first = np.zeros((_POOL, entropy.shape[1]), dtype=_U32)
-    first[: len(entropy)] = entropy[:_POOL]
+    xor, mul = _step_columns(_INIT_A, _MULT_A, _POOL * max(_POOL, len(words)))
+    first = np.zeros((_POOL, words.shape[1]), dtype=_U32)
+    first[: len(words)] = words[:_POOL]
     pool = _hashmix(first, xor[:_POOL], mul[:_POOL])
     at = _POOL
     for src in range(_POOL):
         dst = [i for i in range(_POOL) if i != src]
         pool[dst] = _mix(pool[dst], _hashmix(pool[src], xor[at : at + 3], mul[at : at + 3]))
         at += 3
-    # Each extra word is hashed for every pool word in turn: (extra words, 4, sessions).
-    extra = _hashmix(entropy[_POOL:, None], *(c[at:].reshape(-1, _POOL, 1) for c in (xor, mul)))
-    for hashed in extra:
-        pool = _mix(pool, hashed)
+    # Each extra word is hashed for every pool word in turn: (extra words, 4, rows).
+    extra = _hashmix(words[_POOL:, None], *(c[at:].reshape(-1, _POOL, 1) for c in (xor, mul)))
+    for word, hashed in enumerate(extra, _POOL):
+        pool = np.where(word < widths, _mix(pool, hashed), pool)
     return pool
 
 
@@ -146,6 +148,29 @@ def _step(hi, lo, inc_hi, inc_lo):
     return new_hi + inc_hi + (new_lo < inc_lo), new_lo
 
 
+def _session_words(seed: int | tuple[int, ...], lo: int, hi: int):
+    """The entropy [*prefix, i] of every session lo <= i < hi as (words, widths):
+    the prefix's words, then i's low word and its high word, nonzero only
+    where i has two words."""
+    if not (0 <= lo < 1 << 64 and lo <= hi <= 1 << 64):
+        raise ValueError(f"sessions [{lo}, {hi}) are not a range of uint64s")
+    prefix = [w for part in (seed if isinstance(seed, tuple) else (seed,)) for w in _words(part)]
+    i = _U64(lo) + np.arange(hi - lo, dtype=_U64)
+    words = np.empty((len(prefix) + 2, hi - lo), dtype=_U32)
+    words[:-2] = np.array(prefix, dtype=_U32)[:, None]
+    words[-2], words[-1] = i & _LOW32, i >> _S32
+    return words, len(prefix) + 1 + (words[-1] != 0)
+
+
+def _digest_words(digests: list[bytes]):
+    """The entropy of int.from_bytes(d, "big") for every 32-byte digest d as
+    (words, widths): its eight words lowest first, of which SeedSequence reads
+    those up to the highest nonzero one (one word for zero)."""
+    big_endian = np.frombuffer(b"".join(digests), dtype=">u4").reshape(len(digests), 8)
+    words = big_endian[:, ::-1].T.astype(_U32)
+    return words, np.maximum(((words != 0) * np.arange(1, 9)[:, None]).max(axis=0), 1)
+
+
 class SessionStreams:
     """The Generators default_rng([seed, i]) for lo <= i < hi, drawn row-wise;
     a tuple seed is an entropy prefix, default_rng([*seed, i]).  Keyed rows,
@@ -158,7 +183,7 @@ class SessionStreams:
 
     def __init__(self, seed: int | tuple[int, ...], lo: int, hi: int):
         _check_numpy()
-        self._init(seed, lo, hi)
+        self._seed(*_session_words(seed, lo, hi))
 
     @classmethod
     def from_digests(cls, digests: list[bytes]) -> "SessionStreams":
@@ -166,57 +191,23 @@ class SessionStreams:
         for 32-byte digests, all rows seeded together."""
         _check_numpy()
         streams = cls.__new__(cls)
-        streams._init_keyed(digests)
+        streams._seed(*_digest_words(digests))
         return streams
 
-    def _init(self, seed: int | tuple[int, ...], lo: int, hi: int) -> None:
-        prefix = seed if isinstance(seed, tuple) else (seed,)
-        head = np.array([w for part in prefix for w in _words(part)], dtype=_U32)[:, None]
-        _words(lo)
-        # Entropy [*prefix, i]: the prefix's words, then i's; sessions are grouped
-        # by the number of words of i (one below 2^32).
-        if hi <= 1 << 32:
-            groups = [(np.arange(hi - lo), np.arange(lo, hi, dtype=_U32)[None, :])]
-        else:
-            by_width: dict[int, list[int]] = {}
-            for row in range(hi - lo):
-                by_width.setdefault(len(_words(lo + row)), []).append(row)
-            groups = [
-                (np.array(rows), np.array([_words(lo + row) for row in rows], dtype=_U32).T)
-                for rows in by_width.values()
-            ]
-        groups = [(rows, np.concatenate([np.repeat(head, len(rows), axis=1), tail])) for rows, tail in groups]
-        self._seed(hi - lo, groups)
-
-    def _init_keyed(self, digests: list[bytes]) -> None:
-        # A digest read as a big-endian int has, as entropy, its 32-bit words from
-        # the lowest up to the highest nonzero one (one word for zero); rows are
-        # grouped by that count, which is 8 unless the top word is zero.
-        big_endian = np.frombuffer(b"".join(digests), dtype=">u4").reshape(len(digests), 8)
-        words = big_endian[:, ::-1].astype(_U32)
-        widths = np.maximum(((words != 0) * np.arange(1, 9)).max(axis=1), 1)
-        groups = [np.flatnonzero(widths == width) for width in set(widths.tolist())]
-        self._seed(len(digests), [(rows, words[rows, : widths[rows[0]]].T) for rows in groups])
-
-    def _seed(self, count: int, groups) -> None:
-        """count rows, each group's rows seeded as default_rng seeds from the
-        group's entropy words, a (words, rows) array."""
-        self._hi = np.empty(count, dtype=_U64)
-        self._lo = np.empty(count, dtype=_U64)
-        self._inc_hi = np.empty(count, dtype=_U64)
-        self._inc_lo = np.empty(count, dtype=_U64)
+    def _seed(self, words: np.ndarray, widths) -> None:
+        """Seed row r as default_rng seeds from column r of the (W, rows)
+        entropy words, of which it reads widths[r]."""
+        seed_hi, seed_lo, inc_hi, inc_lo = _pcg_seeds(_pool(words, widths))
+        # pcg64_srandom_r: inc = 2 initseq + 1; one step from 0, which lands
+        # on inc; add the seed; step.
+        inc_hi, inc_lo = (inc_hi << _U64(1)) | (inc_lo >> _S63), (inc_lo << _U64(1)) | _U64(1)
+        s_lo = inc_lo + seed_lo
+        s_hi = inc_hi + seed_hi + (s_lo < seed_lo)
+        self._hi, self._lo = _step(s_hi, s_lo, inc_hi, inc_lo)
+        self._inc_hi, self._inc_lo = inc_hi, inc_lo
         # The buffered upper half of a 64-bit output, or -1 when empty.
-        self._buf = np.full(count, -1, dtype=np.int64)
-        self._all = np.arange(count)
-        for rows, entropy in groups:
-            seed_hi, seed_lo, inc_hi, inc_lo = _pcg_seeds(_pool(entropy))
-            # pcg64_srandom_r: inc = 2 initseq + 1; one step from 0, which lands
-            # on inc; add the seed; step.
-            inc_hi, inc_lo = (inc_hi << _U64(1)) | (inc_lo >> _S63), (inc_lo << _U64(1)) | _U64(1)
-            s_lo = inc_lo + seed_lo
-            s_hi = inc_hi + seed_hi + (s_lo < seed_lo)
-            self._hi[rows], self._lo[rows] = _step(s_hi, s_lo, inc_hi, inc_lo)
-            self._inc_hi[rows], self._inc_lo[rows] = inc_hi, inc_lo
+        self._buf = np.full(words.shape[1], -1, dtype=np.int64)
+        self._all = np.arange(words.shape[1])
 
     def _rows(self, rows) -> np.ndarray:
         return self._all if rows is None else np.asarray(rows, dtype=np.intp)
@@ -308,8 +299,8 @@ _PROBE = (
 def _check_numpy() -> None:
     """Raise RuntimeError unless SessionStreams reproduces default_rng here."""
     streams, keyed = SessionStreams.__new__(SessionStreams), SessionStreams.__new__(SessionStreams)
-    streams._init(_PROBE_SEED, 0, 3)
-    keyed._init_keyed([_PROBE_DIGEST])
+    streams._seed(*_session_words(_PROBE_SEED, 0, 3))
+    keyed._seed(*_digest_words([_PROBE_DIGEST]))
     rows = [(streams, i, np.random.default_rng([_PROBE_SEED, i])) for i in range(3)]
     rows.append((keyed, 0, np.random.default_rng(int.from_bytes(_PROBE_DIGEST, "big"))))
     for mine, row, rng in rows:

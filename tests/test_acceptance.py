@@ -146,7 +146,7 @@ def test_criterion_03_law_of_total_acceptance(honest_run):
 
 def test_criterion_04_hash_lemmas_exact():
     t0 = time.time()
-    report = check_hash_lemmas(ell=3, ks=(2, 4, 8))
+    report = check_hash_lemmas()
     elapsed = time.time() - t0
     ok = report.verdict == "holds" and elapsed <= 30
     _line(

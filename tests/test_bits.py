@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ivpoq.bits import PARITY16, dot2, parity, parity_u32, to_hex, from_hex, wht
+from ivpoq.bits import PARITY16, dot2, parity_u32, to_hex, from_hex, wht
 
 
 def test_parity_matches_popcount():
@@ -11,8 +11,8 @@ def test_parity_matches_popcount():
     vals = rng.integers(0, 1 << 24, size=500)
     expect = np.array([int(v).bit_count() & 1 for v in vals])
     assert (parity_u32(vals) == expect).all()
-    for v in vals[:50]:
-        assert parity(int(v)) == int(v).bit_count() % 2
+    for v, w in zip(vals[:50], vals[50:100]):
+        assert dot2(int(v), int(w)) == (int(v) & int(w)).bit_count() % 2
 
 
 def test_parity_table_is_popcount_parity():

@@ -94,12 +94,14 @@ def test_tuple_seed_is_an_entropy_prefix(seed, i, lo, program):
     _run((seed, i), lo, program)
 
 
-# Every integers regime and random(), on every row, then on row subsets.
-_EVERY_PATH = [("integers", [n] * SESSIONS, list(range(SESSIONS))) for n in BOUNDS] + [
-    ("random", None, list(range(SESSIONS))),
-    ("integers", [2**32, 5], [1, 4]),
-    ("integers", [2**61 - 1, 3, 2**32 + 1], [0, 2, 5]),
-]
+def _every_path(count):
+    """Every integers regime and random(), on all count rows, then on row subsets."""
+    every = list(range(count))
+    return [("integers", [n] * count, every) for n in BOUNDS] + [
+        ("random", None, every),
+        ("integers", [2**32, 5], [1, 4]),
+        ("integers", [2**61 - 1, 3, 2**32 + 1], [0, 2, 5]),
+    ]
 
 
 def _run_keyed(digests, program):
@@ -107,7 +109,7 @@ def _run_keyed(digests, program):
     default_rng(int.from_bytes(d, "big")) for each digest d, step by step."""
     streams = SessionStreams.from_digests(digests)
     rngs = [np.random.default_rng(int.from_bytes(d, "big")) for d in digests]
-    for step in _EVERY_PATH + program:
+    for step in _every_path(len(digests)) + program:
         assert _streams(streams, step) == _reference(rngs, step), step
 
 
@@ -120,13 +122,14 @@ def test_keyed_rows_match_default_rng_of_the_digest(digests, program):
     _run_keyed(digests, program)
 
 
-@pytest.mark.parametrize("zeros", [4, 8, 32])
-def test_keyed_rows_with_fewer_entropy_words(zeros):
-    # Leading zero bytes drop the digest's top words: 4 leave 7 words, 8
-    # leave 6 and the zero digest is one word.  Rows of two widths mix.
-    short = [bytes(zeros) + bytes(range(i, i + 32 - zeros)) for i in range(SESSIONS // 2)]
-    full = [bytes(range(100 + i, 132 + i)) for i in range(SESSIONS - len(short))]
-    _run_keyed([d for pair in zip(short, full) for d in pair], [])
+@pytest.mark.parametrize("widths", [[7, 8] * 3, [6, 8] * 3, [0, 8] * 3, [3, 8, 1, 6, 0, 2, 5, 7, 4, 1]])
+def test_keyed_rows_with_fewer_entropy_words(widths):
+    # Leading zero words drop the digest's top words, and the zero digest
+    # (width 0 here) is one word.  Rows of several widths mix in one
+    # seeding; the last case has every width from 1 to 8.
+    digests = [bytes(4 * (8 - w)) + bytes(range(r + 1, r + 1 + 4 * w)) for r, w in enumerate(widths)]
+    assert streams_mod._digest_words(digests)[1].tolist() == [max(w, 1) for w in widths]
+    _run_keyed(digests, [])
 
 
 def _pcg_state(streams, row):
@@ -143,7 +146,8 @@ def test_pool_is_seed_sequence_mix(words):
     # The matrix-form mix equals SeedSequence's pool, and so does every
     # constructor seeded from the same entropy words.
     want = np.random.SeedSequence(words).pool
-    assert streams_mod._pool(np.array(words, dtype=np.uint32)[:, None])[:, 0].tolist() == want.tolist()
+    pool = streams_mod._pool(np.array(words, dtype=np.uint32)[:, None], len(words))
+    assert pool[:, 0].tolist() == want.tolist()
     state = np.random.default_rng(words).bit_generator.state["state"]
     want = (state["state"], state["inc"])
     assert _pcg_state(SessionStreams(tuple(words[:-1]), words[-1], words[-1] + 1), 0) == want
@@ -170,6 +174,18 @@ def test_full_word_bound_reads_the_next32_buffer(seed):
         ("integers", [2**32] * SESSIONS, every),
     ]
     _run(seed, 9, program)
+
+
+@pytest.mark.parametrize("seed", SEEDS + [(SEEDS[3], 2**40)])
+def test_sessions_at_the_top_of_the_uint64_range(seed):
+    # Sessions 2^64 - 6 .. 2^64 - 1: i's high word is nonzero in every row.
+    _run(seed, 2**64 - SESSIONS, _every_path(SESSIONS))
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 2**64 + 1), (2**64 - 2, 2**64 + 1), (5, 4), (-1, 3)])
+def test_session_ranges_outside_uint64_raise(lo, hi):
+    with pytest.raises(ValueError):
+        SessionStreams(0, lo, hi)
 
 
 def test_one_bound_for_all_rows():
@@ -219,12 +235,8 @@ def test_probe_mismatch_names_the_numpy_version(monkeypatch):
 def test_probe_checks_a_keyed_row(monkeypatch):
     # Keyed rows seeded from the digest's words in the wrong order stand in
     # for a numpy whose SeedSequence reads an int differently.
-    real = SessionStreams._init_keyed
-
-    def reversed_words(self, digests):
-        real(self, [d[::-1] for d in digests])
-
-    monkeypatch.setattr(SessionStreams, "_init_keyed", reversed_words)
+    real = streams_mod._digest_words
+    monkeypatch.setattr(streams_mod, "_digest_words", lambda digests: real([d[::-1] for d in digests]))
     with pytest.raises(RuntimeError, match=f"numpy {np.__version__}"):
         streams_mod._check_numpy.__wrapped__()
 
